@@ -199,9 +199,11 @@ def log_likelihood(
     """Sum of log sequence probabilities under the chosen model.
 
     The recursive model re-solves its value functions for each
-    coefficient vector; the non-recursive model re-evaluates policy
-    utilities over cached choice sets. A non-finite contribution aborts
-    with the index of the offending observation.
+    coefficient vector (one backward sweep over the compiled graph, which
+    the support points cache per initial state) and reads each
+    sequence's terms from the solved arrays; the non-recursive model
+    re-evaluates policy utilities over cached choice sets. A non-finite
+    contribution aborts with the index of the offending observation.
     """
     if model not in ("recursive", "nonrecursive"):
         raise ValidationError(f"unknown model {model!r}")

@@ -38,11 +38,12 @@ strictly increase along any trajectory.
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -55,6 +56,7 @@ from .errors import (
 )
 
 PROBABILITY_TOL = 1e-12
+ATTRIBUTE_CACHE_SIZE = 8  # attribute matrices kept per compiled graph
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,7 @@ class SupportPointSet:
         if times.ndim != 3:
             raise ValidationError("travel_times must have shape (R, K, m)")
         if not np.issubdtype(times.dtype, np.integer):
-            if not np.all(times == np.floor(times)):
+            if not np.all(np.isfinite(times) & (times == np.floor(times))):
                 raise ValidationError("travel times must be positive integers")
             times = times.astype(np.int64)
         if times.shape[2] != len(self.link_ids):
@@ -143,6 +145,8 @@ class SupportPointSet:
             raise ValidationError("probabilities do not match the number of support points")
         if np.any(times < 1):
             raise ValidationError("travel times must be >= 1 (zero or negative time found)")
+        if not np.all(np.isfinite(probs)):
+            raise ValidationError("support point probabilities must be finite numbers")
         if np.any(probs <= 0):
             raise ValidationError("support point probabilities must be strictly positive")
         total = probs.sum()
@@ -156,6 +160,7 @@ class SupportPointSet:
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "_columns", {a: i for i, a in enumerate(self.link_ids)})
         object.__setattr__(self, "_partitions", {})
+        object.__setattr__(self, "_graphs", {})
 
     @property
     def size(self) -> int:
@@ -390,6 +395,189 @@ def decision_graph(net: StdNetwork, spp: SupportPointSet, initial: State) -> Dec
     states = tuple(sorted(seen, key=lambda s: s.sort_key))
     return DecisionGraph(
         initial=initial, states=states, terminal=frozenset(terminal), choices=choices
+    )
+
+
+class Layer(NamedTuple):
+    """The decision states that share one arrival time, with their state-actions and edges."""
+
+    states: slice
+    actions: slice
+    edges: slice
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledGraph:
+    """A decision graph as flat arrays, for vectorized backward sweeps.
+
+    States are sorted by time, so every time layer is one contiguous
+    slice; within a layer the decision states come first. State ``i``
+    owns the state-actions ``action_ptr[i]:action_ptr[i+1]`` (one per
+    outgoing link, ascending id), and state-action ``j`` owns the edges
+    ``edge_ptr[j]:edge_ptr[j+1]`` (one per next knowledge state, in
+    partition order) with their transition probabilities. ``action_owner``,
+    ``first_action`` and ``edge_owner`` hold positions relative to the
+    start of the owner's layer, so a sweep only slices. The initial state
+    is state 0.
+    """
+
+    network: StdNetwork
+    support_points: SupportPointSet
+    states: tuple[State, ...]
+    index: Mapping[State, int]
+    layers: tuple[Layer, ...]
+    action_ptr: np.ndarray
+    action_link: np.ndarray
+    action_owner: np.ndarray
+    first_action: np.ndarray
+    edge_ptr: np.ndarray
+    edge_target: np.ndarray
+    edge_prob: np.ndarray
+    edge_owner: np.ndarray
+    _attributes: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def initial(self) -> State:
+        return self.states[0]
+
+    @cached_property
+    def terminal(self) -> np.ndarray:
+        """Whether each state is at the destination (has no state-actions)."""
+        return self.action_ptr[1:] == self.action_ptr[:-1]
+
+    @cached_property
+    def action_state(self) -> np.ndarray:
+        """Graph index of the state owning each state-action."""
+        return np.repeat(np.arange(len(self.states)), np.diff(self.action_ptr))
+
+    @cached_property
+    def edge_action(self) -> np.ndarray:
+        """State-action owning each edge."""
+        return np.repeat(np.arange(len(self.action_link)), np.diff(self.edge_ptr))
+
+    @cached_property
+    def successors(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+        """Per state, ``(link, successor state indices)`` per state-action, for scalar walks."""
+        ptr, links = self.action_ptr.tolist(), self.action_link.tolist()
+        edge_ptr, targets = self.edge_ptr.tolist(), self.edge_target.tolist()
+        return tuple(
+            tuple((links[j], tuple(targets[edge_ptr[j]:edge_ptr[j + 1]])) for j in range(lo, hi))
+            for lo, hi in zip(ptr, ptr[1:])
+        )
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(s.label() for s in self.states)
+
+    @cached_property
+    def edge_index(self) -> Mapping[tuple[int, int], int]:
+        """Edge of each ``(state, next state)`` pair of graph indices."""
+        sources = self.action_state[self.edge_action].tolist()
+        return dict(zip(zip(sources, self.edge_target.tolist()), range(len(sources))))
+
+    def action(self, i: int, a: int) -> int:
+        """State-action of link ``a`` at state ``i``."""
+        lo, hi = self.action_ptr[i], self.action_ptr[i + 1]
+        links = self.action_link[lo:hi].tolist()
+        if a not in links:
+            raise ValidationError(f"link {a} is not an outgoing link of link {self.states[i].link}")
+        return int(lo) + links.index(a)
+
+    def attribute_matrix(self, extractor) -> np.ndarray:
+        """``X[action, k]``: the extractor's attributes of every state-action.
+
+        Built once per extractor and cached (the last few extractors are
+        kept), so extractors must be pure functions of their arguments.
+        """
+        X = self._attributes.get(extractor)
+        if X is None:
+            net, spp, states = self.network, self.support_points, self.states
+            rows = [
+                extractor(net, spp, a, states[i])
+                for i, a in zip(self.action_state.tolist(), self.action_link.tolist())
+            ]
+            X = np.array(rows, dtype=float).reshape(len(rows), -1) if rows else np.zeros((0, 0))
+            if len(self._attributes) >= ATTRIBUTE_CACHE_SIZE:
+                del self._attributes[next(iter(self._attributes))]
+            self._attributes[extractor] = X
+        return X
+
+    def sweep(self, utilities: np.ndarray, reduce) -> tuple[np.ndarray, np.ndarray]:
+        """One backward pass over the time layers, latest first.
+
+        Per state-action ``q = utility + expected value of the next
+        states``; per decision state ``value = reduce(q of the layer's
+        state-actions, layer)``. Destination states are worth 0. Returns
+        the values per state and ``q`` per state-action.
+        """
+        values = np.zeros(len(self.states))
+        q = np.empty(len(self.action_link))
+        for layer in reversed(self.layers):
+            a, e = layer.actions, layer.edges
+            weighted = self.edge_prob[e] * values[self.edge_target[e]]
+            # bincount adds in edge order, as a plain sum over successors would
+            q[a] = utilities[a] + np.bincount(self.edge_owner[e], weighted, a.stop - a.start)
+            values[layer.states] = reduce(q[a], layer)
+        return values, q
+
+
+def compile_graph(net: StdNetwork, spp: SupportPointSet, initial: State) -> CompiledGraph:
+    """The decision graph from ``initial`` as arrays.
+
+    Built once per (network, support points, initial state) from
+    :func:`decision_graph` and cached on ``spp`` next to its knowledge
+    partitions.
+    """
+    key = (net, initial)
+    graph = spp._graphs.get(key)
+    if graph is None:
+        graph = spp._graphs[key] = _compile(net, spp, decision_graph(net, spp, initial))
+    return graph
+
+
+def _compile(net: StdNetwork, spp: SupportPointSet, graph: DecisionGraph) -> CompiledGraph:
+    states = sorted(graph.states, key=lambda s: (s.time, s in graph.terminal))
+    index = {s: i for i, s in enumerate(states)}
+    action_ptr, links, owner, first = [0], [], [], []
+    edge_ptr, targets, probs, edge_owner = [0], [], [], []
+    layers = []
+    for _, group in itertools.groupby(range(len(states)), key=lambda i: states[i].time):
+        layer = list(group)
+        lo, a0, e0 = layer[0], len(links), len(targets)
+        for i in layer:
+            first.append(len(links) - a0)
+            for a, succ in graph.choices.get(states[i], {}).items():
+                links.append(a)
+                owner.append(i - lo)
+                for nxt, p in succ:
+                    targets.append(index[nxt])
+                    probs.append(p)
+                    edge_owner.append(len(links) - 1 - a0)
+                edge_ptr.append(len(targets))
+            action_ptr.append(len(links))
+        decisions = sum(1 for i in layer if states[i] not in graph.terminal)
+        if decisions:
+            layers.append(
+                Layer(slice(lo, lo + decisions), slice(a0, len(links)), slice(e0, len(targets)))
+            )
+
+    def ints(values):
+        return np.array(values, dtype=np.intp)
+
+    return CompiledGraph(
+        network=net,
+        support_points=spp,
+        states=tuple(states),
+        index=index,
+        layers=tuple(layers),
+        action_ptr=ints(action_ptr),
+        action_link=ints(links),
+        action_owner=ints(owner),
+        first_action=ints(first),
+        edge_ptr=ints(edge_ptr),
+        edge_target=ints(targets),
+        edge_prob=np.array(probs, dtype=float),
+        edge_owner=ints(edge_owner),
     )
 
 

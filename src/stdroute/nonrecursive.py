@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .network import SupportPointSet, successor_states, transition_prob
-from .numerics import log_softmax, logsumexp, softmax
+from .numerics import as_rng, check_sample_size, log_softmax, logsumexp, softmax
 from .policy import (
     DEFAULT_POLICY_CAP,
     PolicyChoiceSet,
@@ -123,15 +123,9 @@ def path_probabilities_nr(
     return dict(sorted(totals.items()))
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def sample_sequence_nr(cs: PolicyChoiceSet, utility: LinkUtilitySpec, seed=None) -> StateSequence:
     """Sample a policy at the origin, then roll it out drawing knowledge transitions."""
-    rng = _as_rng(seed)
+    rng = as_rng(seed)
     probs = policy_choice_probs(cs, utility)
     policy = cs.policies[rng.choice(len(cs.policies), p=probs)]
     net, spp = cs.network, cs.support_points
@@ -154,7 +148,8 @@ def sample_sequence_counts_nr(
     knowledge transitions step by step, so each sample reduces to one
     draw over (policy, scenario) pairs and a precomputed rollout.
     """
-    rng = _as_rng(seed)
+    check_sample_size(n)
+    rng = as_rng(seed)
     spp = cs.support_points
     probs = policy_choice_probs(cs, utility)
     scenarios = list(cs.initial_state.ev)

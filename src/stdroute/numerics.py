@@ -1,10 +1,12 @@
-"""Small numerical helpers: shifted log-sum-exp and finite differences."""
+"""Small numerical helpers: shifted log-sum-exp, finite differences and random generators."""
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .errors import ValidationError
 
 
 def logsumexp(values: Sequence[float]) -> float:
@@ -41,3 +43,16 @@ def finite_difference_gradient(
         down[j] -= h
         grad[j] = (f(up) - f(down)) / (2.0 * h)
     return grad
+
+
+def as_rng(seed) -> np.random.Generator:
+    """A generator from a seed, or the generator itself."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(seed)
+
+
+def check_sample_size(n) -> None:
+    """Reject a number of samples that is not a positive integer."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValidationError(f"the number of samples must be a positive integer, got {n!r}")

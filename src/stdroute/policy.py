@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import PolicyExplosionError, ValidationError
 from .network import (
-    DecisionGraph,
+    CompiledGraph,
     State,
     StdNetwork,
     SupportPointSet,
-    decision_graph,
+    compile_graph,
     event_collections_at,
     successor_states,
     travel_time,
@@ -124,19 +127,17 @@ class PolicyChoiceSet:
             raise ValidationError("policy is not a member of the choice set") from None
 
 
-def _policy_count(graph: DecisionGraph) -> dict[State, int]:
-    counts: dict[State, int] = {}
-    for state in sorted(graph.states, key=lambda s: s.sort_key, reverse=True):
-        if state in graph.terminal:
-            counts[state] = 1
-            continue
-        total = 0
-        for a in sorted(graph.choices[state]):
-            branch = 1
-            for nxt, _ in graph.choices[state][a]:
-                branch *= counts[nxt]
-            total += branch
-        counts[state] = total
+def _backward_counts(graph: CompiledGraph, branch) -> list[int]:
+    """Exact counts per state from one backward pass over the compiled graph.
+
+    A destination state counts 1; a decision state sums, over its
+    outgoing links, ``branch`` of the counts of the next states.
+    """
+    counts = [1] * len(graph.states)
+    successors = graph.successors
+    for i in range(len(counts) - 1, -1, -1):
+        if successors[i]:
+            counts[i] = sum(branch([counts[j] for j in targets]) for _, targets in successors[i])
     return counts
 
 
@@ -154,32 +155,29 @@ def enumerate_policies(
     the result order is reproducible. Raises
     :class:`PolicyExplosionError` when the count would exceed ``cap``.
     """
-    graph = decision_graph(net, spp, initial)
-    counts = _policy_count(graph)
-    if counts[initial] > cap:
-        raise PolicyExplosionError(
-            f"{counts[initial]} routing policies exceed the cap of {cap}"
-        )
+    graph = compile_graph(net, spp, initial)
+    count = _backward_counts(graph, math.prod)[0]
+    if count > cap:
+        raise PolicyExplosionError(f"{count} routing policies exceed the cap of {cap}")
+    states, successors = graph.states, graph.successors
+    memo: dict[int, list[dict[State, int]]] = {}
 
-    memo: dict[State, list[dict[State, int]]] = {}
-
-    def options(state: State) -> list[dict[State, int]]:
-        if state in graph.terminal:
+    def options(i: int) -> list[dict[State, int]]:
+        if not successors[i]:
             return [{}]
-        if state in memo:
-            return memo[state]
+        if i in memo:
+            return memo[i]
         result = []
-        for a in sorted(graph.choices[state]):
-            branch_options = [options(nxt) for nxt, _ in graph.choices[state][a]]
-            for combo in itertools.product(*branch_options):
-                merged: dict[State, int] = {state: a}
+        for a, targets in successors[i]:
+            for combo in itertools.product(*(options(j) for j in targets)):
+                merged: dict[State, int] = {states[i]: a}
                 for sub in combo:
                     merged.update(sub)
                 result.append(merged)
-        memo[state] = result
+        memo[i] = result
         return result
 
-    policies = tuple(RoutingPolicy.from_map(initial, m) for m in options(initial))
+    policies = tuple(RoutingPolicy.from_map(initial, m) for m in options(0))
     return PolicyChoiceSet(
         network=net, support_points=spp, initial_state=initial, policies=policies
     )
@@ -258,40 +256,40 @@ def optimal_policy(
 
     Ties are broken toward the lowest link id so the result is
     reproducible. Returns the policy restricted to states it actually
-    visits, plus the max-based value table over all reachable states.
+    visits, plus the max-based value table over all reachable states,
+    whose choice probabilities put all mass on the optimal link.
     """
-    graph = decision_graph(net, spp, initial)
-    values: dict[State, float] = {}
-    best: dict[State, int] = {}
-    for state in sorted(graph.states, key=lambda s: s.sort_key, reverse=True):
-        if state in graph.terminal:
-            values[state] = 0.0
-            continue
-        best_value = None
-        best_link = None
-        for a in sorted(graph.choices[state]):
-            q = utility.value(net, spp, a, state) + sum(
-                p * values[nxt] for nxt, p in graph.choices[state][a]
-            )
-            if best_value is None or q > best_value:
-                best_value = q
-                best_link = a
-        values[state] = best_value
-        best[state] = best_link
+    graph = compile_graph(net, spp, initial)
+    first = graph.first_action
+    values, q = graph.sweep(
+        utility.utilities(graph), lambda q, layer: np.maximum.reduceat(q, first[layer.states])
+    )
+    # the first state-action attaining each maximum has the lowest link id
+    decision = np.flatnonzero(~graph.terminal)
+    top = np.flatnonzero(q == values[graph.action_state])
+    best = top[np.searchsorted(top, graph.action_ptr[decision])]
+    choice = np.zeros(len(q))
+    choice[best] = 1.0
+    best_of = dict(zip(decision.tolist(), (best - graph.action_ptr[decision]).tolist()))
 
     decisions: dict[State, int] = {}
-    stack = [initial]
+    stack = [0]
     while stack:
-        state = stack.pop()
-        if net.is_destination(state.link) or state in decisions:
+        i = stack.pop()
+        if i not in best_of or graph.states[i] in decisions:
             continue
-        a = best[state]
-        decisions[state] = a
-        stack.extend(nxt for nxt, _ in graph.choices[state][a])
+        a, targets = graph.successors[i][best_of[i]]
+        decisions[graph.states[i]] = a
+        stack.extend(targets)
 
     policy = RoutingPolicy.from_map(initial, decisions)
     vf = ValueFunction(
-        network=net, support_points=spp, utility=utility, initial=initial, values=values
+        utility=utility,
+        graph=graph,
+        state_values=values,
+        action_values=q,
+        choice_probs=choice,
+        log_choice_probs=np.where(choice > 0, 0.0, -np.inf),
     )
     return policy, vf
 
@@ -303,31 +301,20 @@ def enumerate_sequences(
     cap: int = DEFAULT_POLICY_CAP,
 ) -> tuple[StateSequence, ...]:
     """Every feasible state sequence from the initial state to the destination."""
-    graph = decision_graph(net, spp, initial)
-
-    counts: dict[State, int] = {}
-    for state in sorted(graph.states, key=lambda s: s.sort_key, reverse=True):
-        if state in graph.terminal:
-            counts[state] = 1
-        else:
-            counts[state] = sum(
-                counts[nxt]
-                for a in graph.choices[state]
-                for nxt, _ in graph.choices[state][a]
-            )
-    if counts[initial] > cap:
-        raise PolicyExplosionError(f"{counts[initial]} state sequences exceed the cap of {cap}")
-
+    graph = compile_graph(net, spp, initial)
+    count = _backward_counts(graph, sum)[0]
+    if count > cap:
+        raise PolicyExplosionError(f"{count} state sequences exceed the cap of {cap}")
+    states, successors = graph.states, graph.successors
     sequences: list[StateSequence] = []
 
-    def walk(prefix: tuple[State, ...]) -> None:
-        state = prefix[-1]
-        if state in graph.terminal:
-            sequences.append(StateSequence(prefix))
+    def walk(prefix: tuple[int, ...]) -> None:
+        if not successors[prefix[-1]]:
+            sequences.append(StateSequence(tuple(states[i] for i in prefix)))
             return
-        for a in sorted(graph.choices[state]):
-            for nxt, _ in graph.choices[state][a]:
-                walk(prefix + (nxt,))
+        for _, targets in successors[prefix[-1]]:
+            for j in targets:
+                walk(prefix + (j,))
 
-    walk((initial,))
+    walk((0,))
     return tuple(sequences)

@@ -5,7 +5,8 @@ multinomial logit over (instantaneous utility + expected downstream
 value), where the downstream value is the expectation of the solved value
 function over the possible next knowledge states. Because travel times
 are strictly positive, time orders the state space and one backward pass
-over decreasing time solves the value system exactly.
+over decreasing time solves the value system exactly. The pass runs over
+the compiled decision graph, and every later query reads its arrays.
 """
 
 from __future__ import annotations
@@ -14,17 +15,16 @@ import math
 
 import numpy as np
 
-from .errors import HorizonError, ValidationError
+from .errors import ValidationError
 from .network import (
     State,
     StdNetwork,
     SupportPointSet,
-    decision_graph,
+    compile_graph,
     initial_state as default_initial_state,
-    successor_states,
-    transition_prob,
+    is_partition_state,
 )
-from .numerics import log_softmax, logsumexp, softmax
+from .numerics import as_rng, check_sample_size
 from .policy import DEFAULT_POLICY_CAP, StateSequence, enumerate_sequences
 from .utility import LinkUtilitySpec, ValueFunction
 
@@ -39,64 +39,85 @@ def solve_value_functions(
 
     Each state's value is mu times the shifted log-sum-exp of
     (utility + expected downstream value) / mu over its outgoing links;
-    destination states are worth 0.
+    destination states are worth 0. The choice probabilities are the
+    softmax terms of the same sums.
     """
     if initial is None:
         initial = default_initial_state(net, spp)
-    graph = decision_graph(net, spp, initial)
+    graph = compile_graph(net, spp, initial)
     mu = utility.mu
-    values: dict[State, float] = {}
-    for state in sorted(graph.states, key=lambda s: s.sort_key, reverse=True):
-        if state in graph.terminal:
-            values[state] = 0.0
-            continue
-        exponents = []
-        for a in sorted(graph.choices[state]):
-            downstream = sum(p * values[nxt] for nxt, p in graph.choices[state][a])
-            exponents.append((utility.value(net, spp, a, state) + downstream) / mu)
-        values[state] = mu * logsumexp(exponents)
+    owner, first = graph.action_owner, graph.first_action
+    exps = np.empty(len(graph.action_link))
+    sums = np.ones(len(graph.states))
+    log_sums = np.zeros(len(graph.states))
+
+    def log_sum(q: np.ndarray, layer) -> np.ndarray:
+        a, d = layer.actions, layer.states
+        x = q / mu
+        shift = np.maximum.reduceat(x, first[d])
+        exps[a] = np.exp(x - shift[owner[a]])
+        sums[d] = np.bincount(owner[a], exps[a], d.stop - d.start)
+        log_sums[d] = shift + np.log(sums[d])
+        return mu * log_sums[d]
+
+    values, q = graph.sweep(utility.utilities(graph), log_sum)
+    state = graph.action_state
     return ValueFunction(
-        network=net, support_points=spp, utility=utility, initial=initial, values=values
+        utility=utility,
+        graph=graph,
+        state_values=values,
+        action_values=q,
+        choice_probs=exps / sums[state],
+        log_choice_probs=q / mu - log_sums[state],
     )
-
-
-def _choice_exponents(vf: ValueFunction, state: State) -> tuple[tuple[int, ...], list[float]]:
-    net, spp, utility = vf.network, vf.support_points, vf.utility
-    links = net.outgoing(state.link)
-    if not links:
-        raise ValidationError(f"state {state} has no outgoing links")
-    exponents = [
-        (utility.value(net, spp, a, state) + vf.expected_downstream(a, state)) / utility.mu
-        for a in links
-    ]
-    return links, exponents
 
 
 def choice_distribution(vf: ValueFunction, state: State) -> dict[int, float]:
     """Logit probabilities over the outgoing links of a state; sums to 1."""
-    links, exponents = _choice_exponents(vf, state)
-    probs = softmax(exponents)
-    return {a: float(p) for a, p in zip(links, probs)}
+    graph = vf.graph
+    i = vf.state_index(state)
+    actions = slice(graph.action_ptr[i], graph.action_ptr[i + 1])
+    if actions.start == actions.stop:
+        raise ValidationError(f"state {state} has no outgoing links")
+    return dict(zip(graph.action_link[actions].tolist(), vf.choice_probs[actions].tolist()))
 
 
 def link_choice_prob(vf: ValueFunction, state: State, a: int) -> float:
     """Probability of choosing outgoing link ``a`` at ``state``."""
-    dist = choice_distribution(vf, state)
-    if a not in dist:
-        raise ValidationError(f"link {a} is not an outgoing link of link {state.link}")
-    return dist[a]
+    return float(vf.choice_probs[vf.graph.action(vf.state_index(state), a)])
+
+
+def _steps(vf: ValueFunction, seq: StateSequence) -> list[tuple[int, int]]:
+    """(state-action, edge) of every step of a sequence, found in the compiled graph.
+
+    A sequence that leaves the graph is checked by
+    :meth:`StateSequence.validate`, which names the infeasible step; a
+    feasible one that the solved graph does not contain is rejected too.
+    """
+    graph = vf.graph
+    index, edge_index = graph.index, graph.edge_index
+    path = [index.get(s) for s in seq.states]
+    edges = [edge_index.get(pair) for pair in zip(path, path[1:])]
+    if (
+        len(path) < 2
+        or None in edges
+        or not graph.terminal[path[-1]]
+        or not is_partition_state(vf.support_points, seq.states[0])
+    ):
+        seq.validate(vf.network, vf.support_points)
+        missing = next(s for s, i in zip(seq.states, path) if i is None)
+        raise ValidationError(f"state {missing} is not reachable from {vf.initial}")
+    actions = graph.edge_action[edges].tolist()
+    return list(zip(actions, edges))
 
 
 def sequence_log_likelihood(vf: ValueFunction, seq: StateSequence) -> float:
     """Log of the sequence likelihood: sum of log choice and log transition terms."""
-    seq.validate(vf.network, vf.support_points)
+    log_choice, probs = vf.log_choice_probs, vf.graph.edge_prob
     total = 0.0
-    for i in range(len(seq.states) - 1):
-        cur, nxt = seq.states[i], seq.states[i + 1]
-        links, exponents = _choice_exponents(vf, cur)
-        log_probs = log_softmax(exponents)
-        total += float(log_probs[links.index(nxt.link)])
-        total += math.log(transition_prob(vf.support_points, nxt.ev, cur.ev))
+    for j, e in _steps(vf, seq):
+        total += float(log_choice[j])
+        total += math.log(probs[e])
     return total
 
 
@@ -108,12 +129,11 @@ def sequence_likelihood(vf: ValueFunction, seq: StateSequence) -> float:
     value function over all possible next knowledge states, not just the
     observed one, so adjacent values do not cancel.
     """
-    seq.validate(vf.network, vf.support_points)
+    choice, probs = vf.choice_probs, vf.graph.edge_prob
     prob = 1.0
-    for i in range(len(seq.states) - 1):
-        cur, nxt = seq.states[i], seq.states[i + 1]
-        prob *= link_choice_prob(vf, cur, nxt.link)
-        prob *= transition_prob(vf.support_points, nxt.ev, cur.ev)
+    for j, e in _steps(vf, seq):
+        prob *= float(choice[j])
+        prob *= float(probs[e])
     return prob
 
 
@@ -124,16 +144,12 @@ def sequence_likelihood_value_form(vf: ValueFunction, seq: StateSequence) -> flo
     step; equal to :func:`sequence_likelihood` because each value is the
     log-sum of its own choice exponents.
     """
-    seq.validate(vf.network, vf.support_points)
-    net, spp, utility = vf.network, vf.support_points, vf.utility
+    graph, mu = vf.graph, vf.utility.mu
     prob = 1.0
-    for i in range(len(seq.states) - 1):
-        cur, nxt = seq.states[i], seq.states[i + 1]
-        numerator = (
-            utility.value(net, spp, nxt.link, cur) + vf.expected_downstream(nxt.link, cur)
-        ) / utility.mu
-        prob *= math.exp(numerator - vf[cur] / utility.mu)
-        prob *= transition_prob(spp, nxt.ev, cur.ev)
+    for j, e in _steps(vf, seq):
+        state_value = vf.state_values[graph.action_state[j]]
+        prob *= math.exp(vf.action_values[j] / mu - state_value / mu)
+        prob *= float(graph.edge_prob[e])
     return prob
 
 
@@ -155,48 +171,19 @@ def path_probabilities(
     return dict(sorted(totals.items()))
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def sample_sequence(vf: ValueFunction, seed=None) -> StateSequence:
     """Generate one trajectory: sample a link, then a next knowledge state, until arrival."""
-    rng = _as_rng(seed)
-    net, spp = vf.network, vf.support_points
-    t_max = net.trip_horizon(spp)
-    state = vf.initial
-    states = [state]
-    while not net.is_destination(state.link):
-        if state.time > t_max:
-            raise HorizonError(f"sampled trajectory exceeded the trip horizon {t_max}")
-        dist = choice_distribution(vf, state)
-        links = list(dist)
-        a = links[rng.choice(len(links), p=np.array([dist[l] for l in links]))]
-        succ = successor_states(net, spp, state, a)
-        idx = rng.choice(len(succ), p=np.array([p for _, p in succ]))
-        state = succ[idx][0]
-        states.append(state)
+    rng = as_rng(seed)
+    graph = vf.graph
+    i = 0
+    states = [graph.states[i]]
+    while not graph.terminal[i]:
+        lo, hi = graph.action_ptr[i], graph.action_ptr[i + 1]
+        j = lo + rng.choice(hi - lo, p=vf.choice_probs[lo:hi])
+        lo, hi = graph.edge_ptr[j], graph.edge_ptr[j + 1]
+        i = graph.edge_target[lo + rng.choice(hi - lo, p=graph.edge_prob[lo:hi])]
+        states.append(graph.states[i])
     return StateSequence(tuple(states))
-
-
-def _successor_distributions(vf: ValueFunction):
-    """Index the reachable states and combine choice and transition probabilities."""
-    graph = decision_graph(vf.network, vf.support_points, vf.initial)
-    states = list(graph.states)
-    index = {s: i for i, s in enumerate(states)}
-    terminal = np.array([s in graph.terminal for s in states])
-    successors: list[list[tuple[int, float]]] = [[] for _ in states]
-    for state in graph.decision_states():
-        dist = choice_distribution(vf, state)
-        combined = [
-            (index[nxt], dist[a] * p)
-            for a in sorted(graph.choices[state])
-            for nxt, p in graph.choices[state][a]
-        ]
-        successors[index[state]] = combined
-    return states, index, terminal, successors
 
 
 def sample_sequence_counts(vf: ValueFunction, n: int, seed=None) -> dict[StateSequence, int]:
@@ -204,58 +191,63 @@ def sample_sequence_counts(vf: ValueFunction, n: int, seed=None) -> dict[StateSe
 
     Vectorized over walkers: every active walker draws its next state
     from the combined (link choice x knowledge transition) distribution
-    of its current state. Identical trajectories are returned as counts.
+    of its current state. Walks are recorded as rows of state indices,
+    and identical rows are returned as one sequence with its count.
     """
-    rng = _as_rng(seed)
-    states, index, terminal, successors = _successor_distributions(vf)
-    width = max((len(s) for s in successors), default=1)
-    n_states = len(states)
-    cum = np.ones((n_states, width))
-    nxt = np.zeros((n_states, width), dtype=np.int64)
-    for i, succ in enumerate(successors):
-        if not succ:
-            nxt[i, :] = i
-            continue
-        probs = np.array([p for _, p in succ])
-        cum[i, : len(succ)] = np.cumsum(probs)
-        cum[i, len(succ) - 1] = 1.0 + 1e-12  # guard against cumulative rounding
-        cum[i, len(succ):] = 1.0 + 1e-12
-        nxt[i, : len(succ)] = [j for j, _ in succ]
-        nxt[i, len(succ):] = succ[-1][0]
-    # longest possible trajectory bounds the walk
-    max_steps = n_states
-    base = n_states + 1
+    check_sample_size(n)
+    rng = as_rng(seed)
+    graph = vf.graph
+    # each state's edges, combined with their choice probabilities, one row per state
+    first_edge = graph.edge_ptr[graph.action_ptr]
+    widths = np.diff(first_edge)
+    used = np.arange(max(widths.max(), 1)) < widths[:, None]
+    cum = np.zeros(used.shape)
+    cum[used] = vf.choice_probs[graph.edge_action] * graph.edge_prob
+    cum = np.cumsum(cum, axis=1)
+    cum[np.arange(used.shape[1]) >= widths[:, None] - 1] = 1.0 + 1e-12  # rounding guard
+    nxt = np.zeros(used.shape, dtype=np.intp)
+    nxt[used] = graph.edge_target
 
-    # path codes are base-(n_states+1) digit strings; fall back to Python
-    # integers when they cannot fit in 63 bits
-    use_object = (max_steps + 1) * math.log2(base) >= 62
-    codes = np.zeros(n, dtype=object if use_object else np.int64)
-    if use_object:
-        codes[:] = [0] * n
-    cur = np.full(n, index[vf.initial], dtype=np.int64)
-    alive = ~terminal[cur]
-    steps = 0
+    # walks are rows of visited state indices; 0 (the initial state, never
+    # revisited) marks the steps after arrival
+    cur = np.zeros(n, dtype=np.intp)
+    alive = ~graph.terminal[cur]
+    columns = []
     while alive.any():
-        steps += 1
-        if steps > max_steps:
-            raise HorizonError("sampled trajectories did not all terminate")
         rows = cur[alive]
         u = rng.random(rows.size)
-        pick = (u[:, None] >= cum[rows]).sum(axis=1)
-        chosen = nxt[rows, pick]
-        codes[alive] = codes[alive] * base + (chosen + 1)
+        width = widths[rows].max()
+        chosen = nxt[rows, (u[:, None] >= cum[rows, :width]).sum(axis=1)]
+        column = np.zeros(n, dtype=np.min_scalar_type(len(graph.states)))
+        column[alive] = chosen
+        columns.append(column)
         cur[alive] = chosen
-        alive[alive] = ~terminal[chosen]
+        alive[alive] = ~graph.terminal[chosen]
 
-    unique, counts = np.unique(codes, return_counts=True)
-    result: dict[StateSequence, int] = {}
-    for code, count in zip(unique, counts):
-        digits = []
-        value = int(code)
-        while value:
-            value, digit = divmod(value, base)
-            digits.append(digit - 1)
-        digits.reverse()
-        seq = StateSequence(tuple([vf.initial] + [states[d] for d in digits]))
-        result[seq] = int(count)
-    return dict(sorted(result.items(), key=lambda item: item[0].label()))
+    walks = np.stack(columns, axis=1) if columns else np.zeros((n, 0), dtype=np.uint8)
+    first, counts = _distinct_rows(walks)
+    labels, states = graph.labels, graph.states
+    result = []
+    for walk, count in zip(walks[first].tolist(), counts.tolist()):
+        path = [0] + [i for i in walk if i]
+        label = ">".join(labels[i] for i in path)
+        result.append((label, StateSequence(tuple(states[i] for i in path)), count))
+    result.sort(key=lambda item: item[0])
+    return {seq: count for _, seq, count in result}
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of one occurrence of each distinct row of an unsigned matrix, and its count.
+
+    Rows are packed into 64-bit words first, so the sort compares whole
+    words rather than single entries.
+    """
+    per_word = 8 // rows.itemsize
+    words = max(1, -(-rows.shape[1] // per_word))
+    packed = np.zeros((len(rows), words * per_word), dtype=rows.dtype)
+    packed[:, : rows.shape[1]] = rows
+    packed = packed.view(np.uint64)
+    order = np.lexsort(packed.T)
+    packed = packed[order]
+    starts = np.flatnonzero(np.r_[True, (packed[1:] != packed[:-1]).any(axis=1)])
+    return order[starts], np.diff(np.r_[starts, len(rows)])

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Mapping
 
+import numpy as np
+
 from .errors import ValidationError
-from .network import State, StdNetwork, SupportPointSet, successor_states, travel_time
+from .network import CompiledGraph, State, StdNetwork, SupportPointSet, travel_time
 
 AttributeExtractor = Callable[[StdNetwork, SupportPointSet, int, State], tuple[float, ...]]
 
@@ -23,7 +26,10 @@ class LinkUtilitySpec:
     """Deterministic link utility beta . attributes with logit scale ``mu``.
 
     The default is a single travel-time attribute with coefficient -1, so
-    utility equals negative travel time.
+    utility equals negative travel time. The attribute extractor must be
+    a pure function of ``(net, spp, a, state)``: a compiled graph
+    evaluates it once per state-action and caches the result per
+    extractor object.
     """
 
     beta: tuple[float, ...] = (-1.0,)
@@ -43,6 +49,17 @@ class LinkUtilitySpec:
             )
         return sum(b * v for b, v in zip(self.beta, attrs))
 
+    def utilities(self, graph: CompiledGraph) -> np.ndarray:
+        """Utility of every state-action of a compiled graph: one ``X @ beta``."""
+        X = graph.attribute_matrix(self.attributes)
+        if not len(X):
+            return np.zeros(0)
+        if X.shape[1] != len(self.beta):
+            raise ValidationError(
+                f"attribute vector has {X.shape[1]} entries but beta has {len(self.beta)}"
+            )
+        return X @ np.array(self.beta)
+
     def with_beta(self, beta) -> "LinkUtilitySpec":
         return replace(self, beta=tuple(float(b) for b in beta))
 
@@ -54,29 +71,57 @@ class LinkUtilitySpec:
 class ValueFunction:
     """Expected utility-to-go per state, solved for one network/utility pair.
 
-    Terminal states (at the destination node) map to 0. The container
-    keeps the inputs it was solved from so probability queries need no
-    extra arguments.
+    Arrays follow the compiled graph: ``state_values`` per state (0 at
+    the destination), and per state-action the choice value ``q``
+    (utility plus expected downstream value) with the choice
+    probabilities and their logs. The container keeps the inputs it was
+    solved from so probability queries need no extra arguments.
     """
 
-    network: StdNetwork
-    support_points: SupportPointSet
     utility: LinkUtilitySpec
-    initial: State
-    values: Mapping[State, float]
+    graph: CompiledGraph
+    state_values: np.ndarray
+    action_values: np.ndarray
+    choice_probs: np.ndarray
+    log_choice_probs: np.ndarray
 
-    def __getitem__(self, state: State) -> float:
+    @property
+    def network(self) -> StdNetwork:
+        return self.graph.network
+
+    @property
+    def support_points(self) -> SupportPointSet:
+        return self.graph.support_points
+
+    @property
+    def initial(self) -> State:
+        return self.graph.initial
+
+    @cached_property
+    def values(self) -> Mapping[State, float]:
+        return dict(zip(self.graph.states, self.state_values.tolist()))
+
+    def state_index(self, state: State) -> int:
         try:
-            return self.values[state]
+            return self.graph.index[state]
         except KeyError:
             raise ValidationError(f"no value stored for state {state}") from None
+
+    def __getitem__(self, state: State) -> float:
+        return float(self.state_values[self.state_index(state)])
 
     def get(self, state: State, default: float | None = None):
         return self.values.get(state, default)
 
     def expected_downstream(self, a: int, state: State) -> float:
         """Expectation of the value over the possible next knowledge states after link ``a``."""
+        graph = self.graph
+        j = graph.action(self.state_index(state), a)
+        edges = slice(graph.edge_ptr[j], graph.edge_ptr[j + 1])
         return sum(
-            p * self[nxt]
-            for nxt, p in successor_states(self.network, self.support_points, state, a)
+            p * v
+            for p, v in zip(
+                graph.edge_prob[edges].tolist(),
+                self.state_values[graph.edge_target[edges]].tolist(),
+            )
         )

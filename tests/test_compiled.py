@@ -1,0 +1,232 @@
+"""Compiled decision graph: agreement with the dict-walk oracle, caching, and input checks."""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import oracle
+import stdroute
+import stdroute.network
+from netgen import random_network
+from stdroute import (
+    EventCollection,
+    LinkUtilitySpec,
+    State,
+    StateSequence,
+    SupportPointSet,
+    ValidationError,
+    bundled_network_text,
+    choice_distribution,
+    compile_graph,
+    decision_graph,
+    enumerate_policies,
+    enumerate_sequences,
+    initial_state,
+    load_network,
+    sample_sequence_counts,
+    sample_sequence_counts_nr,
+    sequence_log_likelihood,
+    solve_value_functions,
+    travel_time,
+)
+from stdroute.cli import main
+
+TOL = 1e-12
+
+
+def close(x, y):
+    return abs(x - y) <= TOL * max(1.0, abs(y))
+
+
+class TestOracle:
+    @pytest.mark.parametrize("mu", [1.0, 0.3, 1e-3])
+    def test_random_networks_match_the_dict_walk(self, mu):
+        rng = np.random.default_rng(2024)
+        for _ in range(100):
+            net, spp = random_network(rng, max_links=8, max_support=3, max_horizon=3)
+            s0 = initial_state(net, spp)
+            utility = LinkUtilitySpec(beta=(-float(rng.uniform(0.5, 2.0)),), mu=mu)
+            vf = solve_value_functions(net, spp, utility, initial=s0)
+            reference = oracle.solve_values(net, spp, utility, s0)
+            assert vf.values.keys() == reference.keys()
+            for state, value in reference.items():
+                assert close(vf[state], value)
+                if net.is_destination(state.link):
+                    continue
+                expected = oracle.choice_distribution(net, spp, utility, reference, state)
+                got = choice_distribution(vf, state)
+                assert got.keys() == expected.keys()
+                assert all(close(got[a], p) for a, p in expected.items())
+            for seq in enumerate_sequences(net, spp, s0):
+                expected = oracle.sequence_log_likelihood(net, spp, utility, reference, seq)
+                assert close(sequence_log_likelihood(vf, seq), expected)
+
+    def test_choice_probabilities_normalize(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            net, spp = random_network(rng, max_links=8)
+            vf = solve_value_functions(net, spp, LinkUtilitySpec(mu=0.5))
+            graph = vf.graph
+            totals = np.bincount(graph.action_state, vf.choice_probs, len(graph.states))
+            assert np.allclose(totals[~graph.terminal], 1.0, atol=TOL)
+            assert np.allclose(np.exp(vf.log_choice_probs), vf.choice_probs, atol=TOL)
+
+
+class TestGraph:
+    def test_layers_are_contiguous_time_slices(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            net, spp = random_network(rng, max_links=8)
+            graph = compile_graph(net, spp, initial_state(net, spp))
+            times = [s.time for s in graph.states]
+            assert times == sorted(times)
+            assert graph.initial == initial_state(net, spp)
+            covered = []
+            for layer in graph.layers:
+                layer_states = graph.states[layer.states]
+                assert len({s.time for s in layer_states}) == 1
+                assert not graph.terminal[layer.states].any()
+                covered.extend(range(layer.states.start, layer.states.stop))
+                assert layer.actions.start == graph.action_ptr[layer.states.start]
+                assert layer.actions.stop == graph.action_ptr[layer.states.stop]
+            assert covered == np.flatnonzero(~graph.terminal).tolist()
+
+    def test_arrays_match_the_expansion(self, net, spp, s0):
+        graph = compile_graph(net, spp, s0)
+        expanded = decision_graph(net, spp, s0)
+        assert set(graph.states) == set(expanded.states)
+        for i, state in enumerate(graph.states):
+            choices = expanded.choices.get(state, {})
+            assert [a for a, _ in graph.successors[i]] == list(choices)
+            for a, targets in graph.successors[i]:
+                assert [graph.states[j] for j in targets] == [s for s, _ in choices[a]]
+            for j in range(graph.action_ptr[i], graph.action_ptr[i + 1]):
+                edges = slice(graph.edge_ptr[j], graph.edge_ptr[j + 1])
+                assert graph.edge_prob[edges].tolist() == [
+                    p for _, p in choices[int(graph.action_link[j])]
+                ]
+
+    def test_second_solve_reuses_the_compiled_graph(self, monkeypatch):
+        net, spp = load_network(bundled_network_text())
+        calls = []
+        original = stdroute.network.decision_graph
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(stdroute.network, "decision_graph", counted)
+        s0 = initial_state(net, spp)
+        first = solve_value_functions(net, spp, LinkUtilitySpec())
+        second = solve_value_functions(net, spp, LinkUtilitySpec(beta=(-2.0,), mu=0.5))
+        enumerate_policies(net, spp, s0)
+        enumerate_sequences(net, spp, s0)
+        assert len(calls) == 1
+        assert first.graph is second.graph
+
+    def test_attributes_are_extracted_once_per_extractor(self, net, spp, s0):
+        calls = []
+
+        def attributes(cnet, cspp, a, state):
+            calls.append(a)
+            return (float(travel_time(cnet, cspp, a, state)),)
+
+        for beta in (-1.0, -0.5, -2.0):
+            solve_value_functions(net, spp, LinkUtilitySpec(beta=(beta,), attributes=attributes))
+        assert len(calls) == len(compile_graph(net, spp, s0).action_link)
+
+    def test_attribute_count_must_match_beta(self, net, spp):
+        with pytest.raises(ValidationError, match="beta has 2"):
+            solve_value_functions(net, spp, LinkUtilitySpec(beta=(-1.0, 0.5)))
+
+
+    def test_solve_from_a_destination_state(self, net, spp, s0):
+        arrival = enumerate_sequences(net, spp, s0)[0].final_state
+        vf = solve_value_functions(net, spp, LinkUtilitySpec(), initial=arrival)
+        assert vf.values == {arrival: 0.0}
+        assert sample_sequence_counts(vf, 5, seed=1) == {StateSequence((arrival,)): 5}
+
+
+class TestLikelihoodLookups:
+    def test_infeasible_sequence_reports_the_validation_error(self, vf, net, spp, s0):
+        bad = StateSequence(
+            (s0, State(1, 3, EventCollection((1,))), State(2, 6, EventCollection((1,))))
+        )
+        with pytest.raises(ValidationError) as expected:
+            bad.validate(net, spp)
+        with pytest.raises(ValidationError) as got:
+            sequence_log_likelihood(vf, bad)
+        assert str(got.value) == str(expected.value)
+
+    def test_unfinished_sequence_reports_the_validation_error(self, vf, net, spp, s0):
+        seq = enumerate_sequences(net, spp, s0)[0]
+        with pytest.raises(ValidationError, match="does not end at the destination"):
+            sequence_log_likelihood(vf, StateSequence(seq.states[:-1]))
+
+    def test_feasible_sequence_outside_the_solved_graph_is_rejected(self, net, spp, s0):
+        full = enumerate_sequences(net, spp, s0)[0]
+        junction = solve_value_functions(net, spp, LinkUtilitySpec(), initial=full.states[1])
+        with pytest.raises(ValidationError, match="not reachable"):
+            sequence_log_likelihood(junction, full)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            SupportPointSet(
+                link_ids=(1,),
+                travel_times=np.ones((2, 1, 1), dtype=np.int64),
+                probabilities=np.array([bad, 0.5]),
+            )
+
+    def test_nan_probability_in_a_document_rejected(self):
+        doc = json.loads(bundled_network_text())
+        doc["support_points"][0]["probability"] = math.nan
+        with pytest.raises(ValidationError, match="finite"):
+            load_network(json.dumps(doc))
+
+    def test_non_finite_travel_time_rejected(self):
+        with pytest.raises(ValidationError, match="integers"):
+            SupportPointSet(
+                link_ids=(1,),
+                travel_times=np.full((1, 1, 1), math.inf),
+                probabilities=np.array([1.0]),
+            )
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, True])
+    def test_sample_size_must_be_positive(self, vf, cs, unit_utility, n):
+        with pytest.raises(ValidationError, match="positive integer"):
+            sample_sequence_counts(vf, n, seed=1)
+        with pytest.raises(ValidationError, match="positive integer"):
+            sample_sequence_counts_nr(cs, unit_utility, n, seed=1)
+
+    @pytest.mark.parametrize("model", ["recursive", "nonrecursive"])
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_cli_rejects_non_positive_samples(self, tmp_path, capsys, model, samples):
+        path = tmp_path / "net.json"
+        path.write_text(bundled_network_text())
+        args = ["simulate", str(path), "--model", model, "--samples", samples]
+        assert main(args) == 1
+        assert "positive integer" in capsys.readouterr().err
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["stdroute", "stdroute.cli"])
+    def test_python_dash_m_runs_the_cli(self, tmp_path, module):
+        path = tmp_path / "net.json"
+        path.write_text(bundled_network_text())
+        src = str(Path(stdroute.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run(
+            [sys.executable, "-m", module, "simulate", str(path), "--samples", "0"],
+            capture_output=True, text=True, env=env,
+        )
+        assert run.returncode == 1
+        assert "error:" in run.stderr and "Traceback" not in run.stderr
