@@ -10,6 +10,7 @@ import sys
 from dataclasses import asdict
 
 from .comparison import (
+    RouteRatios,
     TwoRouteScenario,
     closed_form_ratios,
     dominance_class,
@@ -19,17 +20,18 @@ from .comparison import (
 )
 from .errors import StdRouteError
 from .estimation import ObservationSet, fit
-from .network import decision_graph, initial_state, load_network_file
+from .network import compile_graph, initial_state, load_network_file
 from .nonrecursive import (
     policy_choice_probs,
     policy_utilities,
     sample_sequence_counts_nr,
-    sequence_probabilities_nr,
+    solve_value_functions_nr,
 )
 from .policy import enumerate_policies, enumerate_sequences
 from .recursive import (
     choice_distribution,
     sample_sequence_counts,
+    sequence_likelihood,
     sequence_probabilities,
     solve_value_functions,
 )
@@ -77,7 +79,7 @@ def _utility_from_args(args) -> LinkUtilitySpec:
 def cmd_validate(args) -> int:
     net, spp = load_network_file(args.network)
     s0 = initial_state(net, spp)
-    graph = decision_graph(net, spp, s0)
+    graph = compile_graph(net, spp, s0)
     print(f"nodes: {len(net.nodes)}")
     print(f"links: {len(net.links)}")
     print(f"stochastic periods: {net.horizon}")
@@ -106,10 +108,8 @@ def cmd_predict(args) -> int:
     utility = _utility_from_args(args)
     models = ("recursive", "nonrecursive") if args.model == "both" else (args.model,)
     tables: dict[str, tuple[list[str], list[list[str]]]] = {}
-
     sequences = enumerate_sequences(net, spp, s0, cap=args.cap_policies)
-    seq_columns: dict[str, dict] = {}
-    path_columns: dict[str, dict] = {}
+    columns = []
 
     if "recursive" in models:
         vf = solve_value_functions(net, spp, utility, initial=s0)
@@ -120,7 +120,7 @@ def cmd_predict(args) -> int:
             for a, prob in choice_distribution(vf, state).items():
                 rows.append([str(state.link), str(state.time), _ev_text(state.ev), str(a), _fmt(prob)])
         tables["choices"] = (["link", "time", "ev", "next_link", "probability"], rows)
-        seq_columns["recursive"] = sequence_probabilities(vf, cap=args.cap_policies)
+        columns.append([sequence_likelihood(vf, seq) for seq in sequences])
 
     if "nonrecursive" in models:
         cs = enumerate_policies(net, spp, s0, cap=args.cap_policies)
@@ -131,26 +131,18 @@ def cmd_predict(args) -> int:
             for i in range(len(cs.policies))
         ]
         tables["policy_probs"] = (["policy", "expected_utility", "probability"], rows)
-        seq_columns["nonrecursive"] = sequence_probabilities_nr(cs, utility, cap=args.cap_policies)
-
-    for model, probs_by_seq in seq_columns.items():
-        path_columns[model] = {}
-        for seq, prob in probs_by_seq.items():
-            path_columns[model][seq.path] = path_columns[model].get(seq.path, 0.0) + prob
+        vf = solve_value_functions_nr(net, spp, utility, initial=s0)
+        columns.append([sequence_likelihood(vf, seq) for seq in sequences])
 
     seq_rows = []
-    for i, seq in enumerate(sequences):
-        row = [str(i), seq.label(), _path_text(seq.path)]
-        row.extend(_fmt(seq_columns[m][seq]) for m in models)
-        seq_rows.append(row)
+    path_totals: dict[tuple[int, ...], list[float]] = {}
+    for i, (seq, *probs) in enumerate(zip(sequences, *columns)):
+        seq_rows.append([str(i), seq.label(), _path_text(seq.path), *map(_fmt, probs)])
+        totals = path_totals.setdefault(seq.path, [0.0] * len(probs))
+        for k, prob in enumerate(probs):
+            totals[k] += prob
     tables["sequences"] = (["sequence", "states", "path", *models], seq_rows)
-
-    paths = sorted({seq.path for seq in sequences})
-    path_rows = []
-    for path in paths:
-        row = [_path_text(path)]
-        row.extend(_fmt(path_columns[m].get(path, 0.0)) for m in models)
-        path_rows.append(row)
+    path_rows = [[_path_text(path), *map(_fmt, path_totals[path])] for path in sorted(path_totals)]
     tables["paths"] = (["path", *models], path_rows)
 
     _emit(args, tables)
@@ -164,23 +156,16 @@ def cmd_simulate(args) -> int:
     if args.model == "recursive":
         vf = solve_value_functions(net, spp, utility, initial=s0)
         counts = sample_sequence_counts(vf, args.samples, seed=args.seed)
-        probs = sequence_probabilities(vf, cap=args.cap_policies)
     else:
         cs = enumerate_policies(net, spp, s0, cap=args.cap_policies)
         counts = sample_sequence_counts_nr(cs, utility, args.samples, seed=args.seed)
-        probs = sequence_probabilities_nr(cs, utility, cap=args.cap_policies)
+        vf = solve_value_functions_nr(net, spp, utility, initial=s0)
+    probs = sequence_probabilities(vf, cap=args.cap_policies)
     rows = []
     for seq in sorted(probs, key=lambda s: s.label()):
         count = counts.get(seq, 0)
-        rows.append(
-            [
-                seq.label(),
-                _path_text(seq.path),
-                str(count),
-                _fmt(count / args.samples),
-                _fmt(probs[seq]),
-            ]
-        )
+        frequency = _fmt(count / args.samples)
+        rows.append([seq.label(), _path_text(seq.path), str(count), frequency, _fmt(probs[seq])])
     _emit(args, {"frequencies": (["states", "path", "count", "frequency", "probability"], rows)})
     return 0
 
@@ -234,43 +219,16 @@ def cmd_compare(args) -> int:
                 for p in _parse_grid(args.p_grid, "p-grid"):
                     scenario = TwoRouteScenario(a=args.a, b=args.b, x=x, y=y, p=p)
                     ratios = closed_form_ratios(scenario)
-                    row = [
-                        _fmt(x),
-                        _fmt(y),
-                        _fmt(p),
-                        dominance_class(scenario),
-                        extremeness_check(scenario),
-                        _fmt(ratios.recursive.state1),
-                        _fmt(ratios.recursive.state2),
-                        _fmt(ratios.recursive.marginal),
-                        _fmt(ratios.nonrecursive.state1),
-                        _fmt(ratios.nonrecursive.state2),
-                        _fmt(ratios.nonrecursive.marginal),
-                    ]
+                    closed = (*ratios.recursive, *ratios.nonrecursive)
+                    row = [_fmt(x), _fmt(y), _fmt(p), dominance_class(scenario)]
+                    row += [extremeness_check(scenario), *map(_fmt, closed)]
                     if args.pipeline:
                         numeric = pipeline_ratios(scenario)
-                        diff = max(
-                            abs(c - n)
-                            for c, n in zip(
-                                (*ratios.recursive, *ratios.nonrecursive),
-                                (*numeric.recursive, *numeric.nonrecursive),
-                            )
-                        )
-                        row.append(_fmt(diff))
+                        piped = (*numeric.recursive, *numeric.nonrecursive)
+                        row.append(_fmt(max(abs(c - n) for c, n in zip(closed, piped))))
                     rows.append(row)
-        header = [
-            "x",
-            "y",
-            "p",
-            "dominance",
-            "extremeness",
-            "rec_ratio_state1",
-            "rec_ratio_state2",
-            "rec_ratio_marginal",
-            "nr_ratio_state1",
-            "nr_ratio_state2",
-            "nr_ratio_marginal",
-        ]
+        header = ["x", "y", "p", "dominance", "extremeness"]
+        header += [f"{m}_ratio_{f}" for m in ("rec", "nr") for f in RouteRatios._fields]
         if args.pipeline:
             header.append("max_pipeline_diff")
         _emit(args, {"sweep": (header, rows)})

@@ -26,19 +26,14 @@ from .network import (
     initial_state as departure_state,
     successor_states,
 )
-from .nonrecursive import (
-    path_probabilities_nr,
-    policy_choice_probs,
-    sequence_probabilities_nr,
-)
-from .policy import enumerate_policies
+from .nonrecursive import solve_value_functions_nr
 from .recursive import (
     choice_distribution,
     path_probabilities,
     sequence_probabilities,
     solve_value_functions,
 )
-from .utility import LinkUtilitySpec
+from .utility import LinkUtilitySpec, ValueFunction
 
 MAX_TIME_DENOMINATOR = 10**4
 
@@ -214,35 +209,30 @@ def _junction_states(build: TwoRouteBuild) -> tuple[State, State]:
     return succ[0][0], succ[1][0]
 
 
+def _route_ratios(vf: ValueFunction, st1: State, st2: State, p: float) -> RouteRatios:
+    """Route odds at each junction state of a solved model, then mixed by the state probability."""
+    d1 = choice_distribution(vf, st1)
+    d2 = choice_distribution(vf, st2)
+    m2 = p * d1[LINK_ROUTE2] + (1.0 - p) * d2[LINK_ROUTE2]
+    m3 = p * d1[LINK_ROUTE3] + (1.0 - p) * d2[LINK_ROUTE3]
+    return RouteRatios(
+        d1[LINK_ROUTE2] / d1[LINK_ROUTE3], d2[LINK_ROUTE2] / d2[LINK_ROUTE3], m2 / m3
+    )
+
+
 def pipeline_ratios(s: TwoRouteScenario) -> ModelRatios:
-    """Same ratios computed through the full model machinery, for cross-validation."""
+    """Same ratios computed through the full model machinery, for cross-validation.
+
+    Every policy passes through both junction states, so the
+    non-recursive model's choice probabilities there are the policy
+    logit's marginal route shares.
+    """
     build = build_two_route_network(s)
     st1, st2 = _junction_states(build)
-
-    vf = solve_value_functions(build.network, build.support_points, build.utility,
-                               initial=build.initial_state)
-    rec_d1 = choice_distribution(vf, st1)
-    rec_d2 = choice_distribution(vf, st2)
-    rec1 = rec_d1[LINK_ROUTE2] / rec_d1[LINK_ROUTE3]
-    rec2 = rec_d2[LINK_ROUTE2] / rec_d2[LINK_ROUTE3]
-    rec_m2 = s.p * rec_d1[LINK_ROUTE2] + (1.0 - s.p) * rec_d2[LINK_ROUTE2]
-    rec_m3 = s.p * rec_d1[LINK_ROUTE3] + (1.0 - s.p) * rec_d2[LINK_ROUTE3]
-
-    cs = enumerate_policies(build.network, build.support_points, build.initial_state)
-    probs = policy_choice_probs(cs, build.utility)
-    nr_d1 = {LINK_ROUTE2: 0.0, LINK_ROUTE3: 0.0}
-    nr_d2 = {LINK_ROUTE2: 0.0, LINK_ROUTE3: 0.0}
-    for prob, policy in zip(probs, cs.policies):
-        nr_d1[policy.next_link(st1)] += float(prob)
-        nr_d2[policy.next_link(st2)] += float(prob)
-    nr1 = nr_d1[LINK_ROUTE2] / nr_d1[LINK_ROUTE3]
-    nr2 = nr_d2[LINK_ROUTE2] / nr_d2[LINK_ROUTE3]
-    nr_m2 = s.p * nr_d1[LINK_ROUTE2] + (1.0 - s.p) * nr_d2[LINK_ROUTE2]
-    nr_m3 = s.p * nr_d1[LINK_ROUTE3] + (1.0 - s.p) * nr_d2[LINK_ROUTE3]
-
+    args = (build.network, build.support_points, build.utility, build.initial_state)
     return ModelRatios(
-        recursive=RouteRatios(rec1, rec2, rec_m2 / rec_m3),
-        nonrecursive=RouteRatios(nr1, nr2, nr_m2 / nr_m3),
+        recursive=_route_ratios(solve_value_functions(*args), st1, st2, s.p),
+        nonrecursive=_route_ratios(solve_value_functions_nr(*args), st1, st2, s.p),
     )
 
 
@@ -312,11 +302,9 @@ def equivalence_report(
     if utility is None:
         utility = LinkUtilitySpec()
     s0 = departure_state(net, spp)
-    cs = enumerate_policies(net, spp, s0)
 
-    vf = solve_value_functions(net, spp, utility, initial=s0)
-    rec_paths = path_probabilities(vf)
-    nr_paths = path_probabilities_nr(cs, utility)
+    rec_paths = path_probabilities(solve_value_functions(net, spp, utility, initial=s0))
+    nr_paths = path_probabilities(solve_value_functions_nr(net, spp, utility, initial=s0))
     path_diff = max(
         abs(rec_paths.get(path, 0.0) - nr_paths.get(path, 0.0))
         for path in set(rec_paths) | set(nr_paths)
@@ -329,9 +317,8 @@ def equivalence_report(
     divergences = []
     for mu in mus:
         scaled = utility.with_mu(mu)
-        vf_mu = solve_value_functions(net, spp, scaled, initial=s0)
-        rec_seq = sequence_probabilities(vf_mu)
-        nr_seq = sequence_probabilities_nr(cs, scaled)
+        rec_seq = sequence_probabilities(solve_value_functions(net, spp, scaled, initial=s0))
+        nr_seq = sequence_probabilities(solve_value_functions_nr(net, spp, scaled, initial=s0))
         divergences.append(
             max(abs(rec_seq[seq] - nr_seq[seq]) for seq in rec_seq)
         )

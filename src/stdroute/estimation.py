@@ -1,9 +1,12 @@
 """Maximum-likelihood estimation of utility coefficients from observed trajectories.
 
-Either model can be fitted. The scale parameter is held fixed (it is not
-separately identified from a single attribute's coefficient); the
-coefficient vector is estimated by quasi-Newton ascent with
-central-difference gradients.
+Either model can be fitted, through one code path: both solve their
+value functions with the same backward log-sum sweep (the non-recursive
+model at a per-state scale, see :mod:`stdroute.nonrecursive`) and read
+each sequence's likelihood from the solved arrays. The scale parameter
+is held fixed (it is not separately identified from a single
+attribute's coefficient); the coefficient vector is estimated by
+quasi-Newton ascent with central-difference gradients.
 
 Observation file format (JSON): a list of records
 
@@ -35,9 +38,9 @@ from .network import (
     SupportPointSet,
     event_collections_at,
 )
-from .numerics import finite_difference_gradient
-from .nonrecursive import sequence_log_likelihood_nr
-from .policy import PolicyChoiceSet, StateSequence, enumerate_policies
+from .numerics import finite_difference_gradient, is_integer
+from .nonrecursive import solve_value_functions_nr
+from .policy import StateSequence
 from .recursive import sequence_log_likelihood, solve_value_functions
 from .utility import LinkUtilitySpec, ValueFunction, travel_time_attributes
 
@@ -126,8 +129,15 @@ def _parse_states(raw, net: StdNetwork, spp: SupportPointSet, record_index: int)
             raise NetworkFormatError(
                 f"record {record_index}: each state needs 'link' and 'time'"
             )
-        entries.append((int(entry["link"]), int(entry["time"]), entry.get("ev_members")))
-        explicit = explicit and entry.get("ev_members") is not None
+        link, time, members = entry["link"], entry["time"], entry.get("ev_members")
+        if not (is_integer(link) and is_integer(time)):
+            raise NetworkFormatError(f"record {record_index}: 'link' and 'time' must be integers")
+        if not (members is None or isinstance(members, list) and all(map(is_integer, members))):
+            raise NetworkFormatError(
+                f"record {record_index}: 'ev_members' must be a list of integers"
+            )
+        entries.append((link, time, members))
+        explicit = explicit and members is not None
     if explicit:
         states = tuple(
             State(link, time, EventCollection(tuple(members)))
@@ -178,14 +188,6 @@ class EstimationResult:
     std_errors: np.ndarray | None = None
 
 
-class _LikelihoodCaches:
-    """Per-fit caches: choice sets per initial state, value functions per coefficient vector."""
-
-    def __init__(self) -> None:
-        self.choice_sets: dict[State, PolicyChoiceSet] = {}
-        self.value_functions: dict[tuple[State, bytes], ValueFunction] = {}
-
-
 def log_likelihood(
     model: Model,
     net: StdNetwork,
@@ -194,40 +196,33 @@ def log_likelihood(
     beta,
     mu: float = 1.0,
     attributes=travel_time_attributes,
-    _caches: _LikelihoodCaches | None = None,
 ) -> float:
     """Sum of log sequence probabilities under the chosen model.
 
-    The recursive model re-solves its value functions for each
-    coefficient vector (one backward sweep over the compiled graph, which
-    the support points cache per initial state) and reads each
-    sequence's terms from the solved arrays; the non-recursive model
-    re-evaluates policy utilities over cached choice sets. A non-finite
-    contribution aborts with the index of the offending observation.
+    Solves the model's value functions once per observed initial state
+    (one backward sweep over the compiled graph, which the support points
+    cache per initial state) and reads each distinct sequence's terms
+    from the solved arrays. A non-finite contribution aborts with the
+    index of the offending observation.
     """
     if model not in ("recursive", "nonrecursive"):
         raise ValidationError(f"unknown model {model!r}")
+    solve = solve_value_functions if model == "recursive" else solve_value_functions_nr
     if not len(obs):
         return 0.0
-    caches = _caches if _caches is not None else _LikelihoodCaches()
     beta_arr = np.asarray(beta, dtype=float)
     utility = LinkUtilitySpec(beta=tuple(beta_arr), mu=mu, attributes=attributes)
     first_index: dict[StateSequence, int] = {}
     for i, seq in enumerate(obs.observations):
         first_index.setdefault(seq, i)
 
+    value_functions: dict[State, ValueFunction] = {}
     total = 0.0
     for seq, count in obs.grouped().items():
         s0 = seq.initial_state
-        if model == "recursive":
-            key = (s0, beta_arr.tobytes())
-            if key not in caches.value_functions:
-                caches.value_functions[key] = solve_value_functions(net, spp, utility, initial=s0)
-            term = sequence_log_likelihood(caches.value_functions[key], seq)
-        else:
-            if s0 not in caches.choice_sets:
-                caches.choice_sets[s0] = enumerate_policies(net, spp, s0)
-            term = sequence_log_likelihood_nr(seq, caches.choice_sets[s0], utility)
+        if s0 not in value_functions:
+            value_functions[s0] = solve(net, spp, utility, initial=s0)
+        term = sequence_log_likelihood(value_functions[s0], seq)
         if not np.isfinite(term):
             raise EstimationError(
                 f"observation {first_index[seq]} has zero or non-finite probability "
@@ -269,11 +264,10 @@ def fit(
     if not len(obs):
         raise EstimationError("cannot fit an empty observation set")
     obs.validate(net, spp)
-    caches = _LikelihoodCaches()
     x0 = np.asarray(beta0, dtype=float)
 
     def objective(beta: np.ndarray) -> float:
-        return -log_likelihood(model, net, spp, obs, beta, mu, attributes, _caches=caches)
+        return -log_likelihood(model, net, spp, obs, beta, mu, attributes)
 
     def gradient(beta: np.ndarray) -> np.ndarray:
         return finite_difference_gradient(objective, beta, rel_step=GRADIENT_STEP)

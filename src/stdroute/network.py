@@ -54,9 +54,11 @@ from .errors import (
     UnreachableDestinationError,
     ValidationError,
 )
+from .numerics import is_integer
 
 PROBABILITY_TOL = 1e-12
 ATTRIBUTE_CACHE_SIZE = 8  # attribute matrices kept per compiled graph
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -466,6 +468,16 @@ class CompiledGraph:
         )
 
     @cached_property
+    def reach(self) -> np.ndarray:
+        """Probability w(s) of reaching each state's knowledge set, mass(ev_s) / mass(ev_0).
+
+        Partitions refine over time, so the transition probabilities on any
+        path to ``s`` multiply out to this ratio.
+        """
+        mass = np.array([self.support_points.mass(s.ev.members) for s in self.states])
+        return mass / mass[0]
+
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(s.label() for s in self.states)
 
@@ -611,14 +623,14 @@ def load_network(text: str) -> tuple[StdNetwork, SupportPointSet]:
         _require(isinstance(entry, dict), f"links[{i}] must be an object")
         for key in ("id", "from", "to"):
             _require(key in entry, f"links[{i}] is missing {key!r}")
-        _require(isinstance(entry["id"], int), f"links[{i}].id must be an integer")
+        _require(is_integer(entry["id"]), f"links[{i}].id must be an integer")
         links.append(Link(id=entry["id"], tail=entry["from"], head=entry["to"]))
     links.sort(key=lambda l: l.id)
 
-    _require(isinstance(doc["origin_link"], int), "'origin_link' must be a link id")
-    _require(isinstance(doc["destination_link"], int), "'destination_link' must be a link id")
+    _require(is_integer(doc["origin_link"]), "'origin_link' must be a link id")
+    _require(is_integer(doc["destination_link"]), "'destination_link' must be a link id")
     _require(
-        isinstance(doc["horizon"], int) and doc["horizon"] >= 1,
+        is_integer(doc["horizon"]) and doc["horizon"] >= 1,
         "'horizon' must be a positive integer",
     )
 
@@ -641,7 +653,12 @@ def load_network(text: str) -> tuple[StdNetwork, SupportPointSet]:
         _require(isinstance(entry, dict), f"support_points[{r}] must be an object")
         _require("probability" in entry, f"support_points[{r}] is missing 'probability'")
         _require("travel_times" in entry, f"support_points[{r}] is missing 'travel_times'")
-        probs[r] = float(entry["probability"])
+        p = entry["probability"]
+        _require(
+            isinstance(p, float) or (is_integer(p) and abs(p) <= INT64_MAX),
+            f"support_points[{r}].probability must be a number",
+        )
+        probs[r] = p
         table = entry["travel_times"]
         _require(isinstance(table, dict), f"support_points[{r}].travel_times must be a mapping")
         seen_links = set()
@@ -664,8 +681,9 @@ def load_network(text: str) -> tuple[StdNetwork, SupportPointSet]:
             )
             for t, value in enumerate(row):
                 _require(
-                    isinstance(value, int),
-                    f"support_points[{r}].travel_times[{link_id}][{t}] must be an integer",
+                    is_integer(value) and abs(value) <= INT64_MAX,
+                    f"support_points[{r}].travel_times[{link_id}][{t}] must be an integer "
+                    "of magnitude below 2**63",
                 )
                 times[r, t, col[link_id]] = value
             seen_links.add(link_id)

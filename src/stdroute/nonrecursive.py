@@ -1,10 +1,15 @@
 """Origin-level logit model: one choice over routing policies, then deterministic execution.
 
-A multinomial logit over a choice set of routing policies is applied once
-at the origin, with each policy's deterministic utility equal to its
-probability-weighted accumulated link utility. En route the traveler
-executes the chosen policy, so randomness after the origin comes from
-nature alone.
+A multinomial logit over the routing policies from the origin is applied
+once, with each policy's deterministic utility equal to its accumulated
+link utility, weighted at each state ``s`` by the probability ``w(s)`` of
+reaching it (:attr:`CompiledGraph.reach`). En route the traveler executes
+the chosen policy. A policy tree never merges (its branches hold disjoint
+knowledge sets), so the logit's sum over policies factors state by state:
+the origin logit is a link-level logit at scale ``mu / w(s)`` in each
+state, solved by the recursive model's sweep. Only per-policy outputs
+enumerate policies: policy utilities and choice probabilities, and
+sampling, whose seeded draw is over (policy, scenario) pairs.
 """
 
 from __future__ import annotations
@@ -14,19 +19,52 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .network import SupportPointSet, successor_states, transition_prob
-from .numerics import as_rng, check_sample_size, log_softmax, logsumexp, softmax
+from .network import (
+    State,
+    StdNetwork,
+    SupportPointSet,
+    compile_graph,
+    initial_state as default_initial_state,
+    successor_states,
+    transition_prob,
+)
+from .numerics import as_rng, check_sample_size, softmax
 from .policy import (
     DEFAULT_POLICY_CAP,
     PolicyChoiceSet,
     RoutingPolicy,
     StateSequence,
+    _backward_counts,
     contains,
-    enumerate_sequences,
     policy_expected_utility,
     rollout_policy,
 )
-from .utility import LinkUtilitySpec
+from .recursive import (
+    path_probabilities,
+    sequence_likelihood,
+    sequence_log_likelihood,
+    sequence_probabilities,
+    solve_log_sum,
+)
+from .utility import LinkUtilitySpec, ValueFunction
+
+
+def solve_value_functions_nr(
+    net: StdNetwork,
+    spp: SupportPointSet,
+    utility: LinkUtilitySpec,
+    initial: State | None = None,
+) -> ValueFunction:
+    """The origin logit over every routing policy from ``initial``, as one backward sweep.
+
+    The log-sum sweep of the recursive model at scale mu / w(s) in each
+    state. The initial state's value is mu times the log-sum over
+    policies of exp(policy utility / mu), and each state's choice
+    probabilities are the chance that the chosen policy takes each link
+    there, given that the trip reaches the state.
+    """
+    graph = compile_graph(net, spp, initial or default_initial_state(net, spp))
+    return solve_log_sum(graph, utility, utility.mu / graph.reach)
 
 
 def policy_utilities(cs: PolicyChoiceSet, utility: LinkUtilitySpec) -> np.ndarray:
@@ -63,64 +101,44 @@ def sequence_prob_given_policy(
     return transition_prob(spp, seq.final_state.ev, seq.initial_state.ev)
 
 
+def _solve(
+    cs: PolicyChoiceSet, utility: LinkUtilitySpec, seq: StateSequence | None = None
+) -> ValueFunction:
+    """The model over a choice set, which must hold every policy from its initial state."""
+    if seq is not None and seq.initial_state != cs.initial_state:
+        raise ValidationError("sequence and choice set have different initial states")
+    vf = solve_value_functions_nr(cs.network, cs.support_points, utility, initial=cs.initial_state)
+    if len(cs) != _backward_counts(vf.graph, math.prod)[0]:
+        raise ValidationError("a choice set must hold every routing policy from its initial state")
+    return vf
+
+
 def sequence_likelihood_nr(
     seq: StateSequence, cs: PolicyChoiceSet, utility: LinkUtilitySpec
 ) -> float:
     """Marginal sequence probability: sum over policies of choice prob times execution prob."""
-    seq.validate(cs.network, cs.support_points)
-    if seq.initial_state != cs.initial_state:
-        raise ValidationError("sequence and choice set have different initial states")
-    probs = policy_choice_probs(cs, utility)
-    return float(
-        sum(
-            probs[i] * sequence_prob_given_policy(seq, policy, cs.support_points)
-            for i, policy in enumerate(cs.policies)
-        )
-    )
+    return sequence_likelihood(_solve(cs, utility, seq), seq)
 
 
 def sequence_log_likelihood_nr(
     seq: StateSequence, cs: PolicyChoiceSet, utility: LinkUtilitySpec
 ) -> float:
     """Log of the marginal sequence probability, stable for very small scale parameters."""
-    seq.validate(cs.network, cs.support_points)
-    if seq.initial_state != cs.initial_state:
-        raise ValidationError("sequence and choice set have different initial states")
-    log_probs = log_softmax(policy_utilities(cs, utility) / utility.mu)
-    contained = [i for i, policy in enumerate(cs.policies) if contains(policy, seq)]
-    if not contained:
-        return -math.inf
-    trans = transition_prob(cs.support_points, seq.final_state.ev, seq.initial_state.ev)
-    if trans == 0.0:
-        return -math.inf
-    return logsumexp([log_probs[i] for i in contained]) + math.log(trans)
+    return sequence_log_likelihood(_solve(cs, utility, seq), seq)
 
 
 def sequence_probabilities_nr(
     cs: PolicyChoiceSet, utility: LinkUtilitySpec, cap: int = DEFAULT_POLICY_CAP
 ) -> dict[StateSequence, float]:
     """Marginal probability of every feasible sequence from the choice set's initial state."""
-    sequences = enumerate_sequences(cs.network, cs.support_points, cs.initial_state, cap=cap)
-    probs = policy_choice_probs(cs, utility)
-    result: dict[StateSequence, float] = {}
-    for seq in sequences:
-        result[seq] = float(
-            sum(
-                probs[i] * sequence_prob_given_policy(seq, policy, cs.support_points)
-                for i, policy in enumerate(cs.policies)
-            )
-        )
-    return result
+    return sequence_probabilities(_solve(cs, utility), cap=cap)
 
 
 def path_probabilities_nr(
     cs: PolicyChoiceSet, utility: LinkUtilitySpec, cap: int = DEFAULT_POLICY_CAP
 ) -> dict[tuple[int, ...], float]:
     """Marginal sequence probabilities aggregated by traversed link path."""
-    totals: dict[tuple[int, ...], float] = {}
-    for seq, prob in sequence_probabilities_nr(cs, utility, cap=cap).items():
-        totals[seq.path] = totals.get(seq.path, 0.0) + prob
-    return dict(sorted(totals.items()))
+    return path_probabilities(_solve(cs, utility), cap=cap)
 
 
 def sample_sequence_nr(cs: PolicyChoiceSet, utility: LinkUtilitySpec, seed=None) -> StateSequence:

@@ -1,4 +1,4 @@
-"""Small numerical helpers: shifted log-sum-exp, finite differences and random generators."""
+"""Small numerical helpers: log-sum-exp, finite differences, random generators, integer checks."""
 
 from __future__ import annotations
 
@@ -52,7 +52,12 @@ def as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def is_integer(value) -> bool:
+    """Whether a value is an integer; ``bool`` is an ``int`` subclass but does not count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_sample_size(n) -> None:
     """Reject a number of samples that is not a positive integer."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    if not is_integer(n) or n < 1:
         raise ValidationError(f"the number of samples must be a positive integer, got {n!r}")

@@ -286,6 +286,7 @@ def optimal_policy(
     vf = ValueFunction(
         utility=utility,
         graph=graph,
+        scale=np.full(len(graph.states), utility.mu),
         state_values=values,
         action_values=q,
         choice_probs=choice,

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .network import (
+    CompiledGraph,
     State,
     StdNetwork,
     SupportPointSet,
@@ -37,38 +38,47 @@ def solve_value_functions(
 ) -> ValueFunction:
     """Solve the expected-maximum-utility table over all states reachable from ``initial``.
 
-    Each state's value is mu times the shifted log-sum-exp of
-    (utility + expected downstream value) / mu over its outgoing links;
-    destination states are worth 0. The choice probabilities are the
-    softmax terms of the same sums.
+    The log-sum sweep of :func:`solve_log_sum` at the scale mu in every
+    state.
     """
-    if initial is None:
-        initial = default_initial_state(net, spp)
-    graph = compile_graph(net, spp, initial)
-    mu = utility.mu
-    owner, first = graph.action_owner, graph.first_action
+    graph = compile_graph(net, spp, initial or default_initial_state(net, spp))
+    return solve_log_sum(graph, utility, np.full(len(graph.states), utility.mu))
+
+
+def solve_log_sum(
+    graph: CompiledGraph, utility: LinkUtilitySpec, scale: np.ndarray
+) -> ValueFunction:
+    """Log-sum values and logit choice probabilities at a logit scale per state.
+
+    Each decision state's value is its scale times the shifted
+    log-sum-exp of (utility + expected downstream value) / scale over its
+    outgoing links; destination states are worth 0. The choice
+    probabilities are the softmax terms of the same sums.
+    """
+    owner, first, state = graph.action_owner, graph.first_action, graph.action_state
+    action_scale = scale[state]
     exps = np.empty(len(graph.action_link))
     sums = np.ones(len(graph.states))
     log_sums = np.zeros(len(graph.states))
 
     def log_sum(q: np.ndarray, layer) -> np.ndarray:
         a, d = layer.actions, layer.states
-        x = q / mu
+        x = q / action_scale[a]
         shift = np.maximum.reduceat(x, first[d])
         exps[a] = np.exp(x - shift[owner[a]])
         sums[d] = np.bincount(owner[a], exps[a], d.stop - d.start)
         log_sums[d] = shift + np.log(sums[d])
-        return mu * log_sums[d]
+        return scale[d] * log_sums[d]
 
     values, q = graph.sweep(utility.utilities(graph), log_sum)
-    state = graph.action_state
     return ValueFunction(
         utility=utility,
         graph=graph,
+        scale=scale,
         state_values=values,
         action_values=q,
         choice_probs=exps / sums[state],
-        log_choice_probs=q / mu - log_sums[state],
+        log_choice_probs=q / action_scale - log_sums[state],
     )
 
 
@@ -140,15 +150,16 @@ def sequence_likelihood(vf: ValueFunction, seq: StateSequence) -> float:
 def sequence_likelihood_value_form(vf: ValueFunction, seq: StateSequence) -> float:
     """Same likelihood written with the current state's value in the denominator.
 
-    exp((utility + expected downstream value - state value) / mu) per
-    step; equal to :func:`sequence_likelihood` because each value is the
-    log-sum of its own choice exponents.
+    exp((utility + expected downstream value - state value) / scale) per
+    step, at the state's scale; equal to :func:`sequence_likelihood`
+    because each value is the log-sum of its own choice exponents.
     """
-    graph, mu = vf.graph, vf.utility.mu
+    graph = vf.graph
     prob = 1.0
     for j, e in _steps(vf, seq):
-        state_value = vf.state_values[graph.action_state[j]]
-        prob *= math.exp(vf.action_values[j] / mu - state_value / mu)
+        i = graph.action_state[j]
+        scale = vf.scale[i]
+        prob *= math.exp(vf.action_values[j] / scale - vf.state_values[i] / scale)
         prob *= float(graph.edge_prob[e])
     return prob
 

@@ -71,15 +71,16 @@ class LinkUtilitySpec:
 class ValueFunction:
     """Expected utility-to-go per state, solved for one network/utility pair.
 
-    Arrays follow the compiled graph: ``state_values`` per state (0 at
-    the destination), and per state-action the choice value ``q``
-    (utility plus expected downstream value) with the choice
-    probabilities and their logs. The container keeps the inputs it was
-    solved from so probability queries need no extra arguments.
+    Arrays follow the compiled graph: per state the logit ``scale`` it
+    was solved at and ``state_values`` (0 at the destination); per
+    state-action the choice value ``q`` (utility plus expected downstream
+    value) with the choice probabilities and their logs. The container keeps the inputs it was solved from so
+    probability queries need no extra arguments.
     """
 
     utility: LinkUtilitySpec
     graph: CompiledGraph
+    scale: np.ndarray
     state_values: np.ndarray
     action_values: np.ndarray
     choice_probs: np.ndarray

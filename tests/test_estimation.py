@@ -8,6 +8,7 @@ from stdroute import (
     EstimationError,
     EventCollection,
     Link,
+    NetworkFormatError,
     LinkUtilitySpec,
     ObservationSet,
     State,
@@ -24,7 +25,6 @@ from stdroute import (
     sample_sequence_counts_nr,
     solve_value_functions,
 )
-from stdroute.estimation import _LikelihoodCaches
 from stdroute.numerics import finite_difference_gradient
 
 
@@ -59,13 +59,12 @@ class TestLogLikelihood:
                 model, net, spp, backward, [-0.8]
             )
 
-    def test_cached_and_uncached_agree_bitwise(self, net, spp, s0):
+    def test_repeated_calls_agree_bitwise(self, net, spp, s0):
         obs = ObservationSet(tuple(enumerate_sequences(net, spp, s0)))
-        caches = _LikelihoodCaches()
-        first = log_likelihood("recursive", net, spp, obs, [-1.3], _caches=caches)
-        second = log_likelihood("recursive", net, spp, obs, [-1.3], _caches=caches)
-        fresh = log_likelihood("recursive", net, spp, obs, [-1.3])
-        assert first == second == fresh
+        for model in ("recursive", "nonrecursive"):
+            first = log_likelihood(model, net, spp, obs, [-1.3])
+            second = log_likelihood(model, net, spp, obs, [-1.3])
+            assert first == second
 
     def test_non_finite_likelihood_names_the_observation(self, net, spp, s0):
         seq = branch_sequence(net, spp, s0, via=1, link=2)
@@ -182,6 +181,44 @@ class TestObservationIO:
         ]
         with pytest.raises(ValidationError, match="no scenario"):
             ObservationSet.from_json(json.dumps(records), net, spp)
+
+    BAD_STATES = {
+        "link-non-numeric": ({"link": "x"}, "'link' and 'time' must be integers"),
+        "link-string": ({"link": "1"}, "'link' and 'time' must be integers"),
+        "link-float": ({"link": 1.5}, "'link' and 'time' must be integers"),
+        "time-null": ({"time": None}, "'link' and 'time' must be integers"),
+        "time-bool": ({"time": True}, "'link' and 'time' must be integers"),
+        "members-string": ({"ev_members": "1;2"}, "'ev_members' must be a list of integers"),
+        "members-number": ({"ev_members": 5}, "'ev_members' must be a list of integers"),
+        "members-strings": ({"ev_members": ["1"]}, "'ev_members' must be a list of integers"),
+        "members-bool": ({"ev_members": [True]}, "'ev_members' must be a list of integers"),
+    }
+    bad_states = pytest.mark.parametrize(
+        "change, message", list(BAD_STATES.values()), ids=list(BAD_STATES)
+    )
+
+    @staticmethod
+    def records_with(net, spp, s0, change) -> str:
+        obs = ObservationSet((branch_sequence(net, spp, s0, via=1, link=2),))
+        records = json.loads(obs.to_json())
+        records[0]["states"][1].update(change)
+        return json.dumps(records)
+
+    @bad_states
+    def test_mistyped_state_rejected(self, net, spp, s0, change, message):
+        with pytest.raises(NetworkFormatError, match=message):
+            ObservationSet.from_json(self.records_with(net, spp, s0, change), net, spp)
+
+    @bad_states
+    def test_cli_exits_1_on_a_mistyped_state(self, net, spp, s0, change, message, tmp_path, capsys):
+        from stdroute import bundled_network_text
+        from stdroute.cli import main
+
+        net_path, obs_path = tmp_path / "net.json", tmp_path / "obs.json"
+        net_path.write_text(bundled_network_text())
+        obs_path.write_text(self.records_with(net, spp, s0, change))
+        assert main(["estimate", str(net_path), str(obs_path)]) == 1
+        assert message in capsys.readouterr().err
 
     def test_invalid_sequence_rejected(self, net, spp):
         records = [

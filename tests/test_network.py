@@ -250,3 +250,74 @@ class TestStateSpace:
         with pytest.raises(Exception):
             s0.link = 5
         assert len({s0, State(s0.link, s0.time, s0.ev)}) == 1
+
+
+def set_probability(value):
+    def edit(d):
+        d["support_points"][0]["probability"] = value
+    return edit
+
+
+def set_key(key, value):
+    def edit(d):
+        d[key] = value
+    return edit
+
+
+def set_first_link_id(value):
+    def edit(d):
+        d["links"][1]["id"] = value
+    return edit
+
+
+def set_travel_time(value):
+    def edit(d):
+        d["support_points"][0]["travel_times"]["2"][1] = value
+    return edit
+
+
+class TestDocumentTypes:
+    """Every mistyped value ends in a NetworkFormatError and exit status 1, never a traceback."""
+
+    CASES = {
+        "probability-string": (set_probability("0.5"), "probability must be a number"),
+        "probability-null": (set_probability(None), "probability must be a number"),
+        "probability-bool": (set_probability(True), "probability must be a number"),
+        "probability-huge-int": (set_probability(10**400), "probability must be a number"),
+        "horizon-bool": (set_key("horizon", True), "'horizon' must be a positive integer"),
+        "origin-bool": (set_key("origin_link", True), "'origin_link' must be a link id"),
+        "destination-bool": (
+            set_key("destination_link", True), "'destination_link' must be a link id"
+        ),
+        "link-id-bool": (set_first_link_id(True), r"links\[1\].id must be an integer"),
+        "time-bool": (set_travel_time(True), r"travel_times\[2\]\[1\] must be an integer"),
+        "time-2**63": (set_travel_time(2**63), r"travel_times\[2\]\[1\] must be an integer"),
+        "time-below-int64": (
+            set_travel_time(-(2**70)), r"travel_times\[2\]\[1\] must be an integer"
+        ),
+    }
+    cases = pytest.mark.parametrize("edit, message", list(CASES.values()), ids=list(CASES))
+
+    @cases
+    def test_rejected_with_a_message(self, edit, message):
+        bad = doc()
+        edit(bad)
+        with pytest.raises(NetworkFormatError, match=message):
+            load_network(json.dumps(bad))
+
+    @cases
+    def test_cli_exits_1(self, edit, message, tmp_path, capsys):
+        from stdroute.cli import main
+
+        bad = doc()
+        edit(bad)
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(bad))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_largest_int64_travel_time_loads(self):
+        big = doc()
+        set_travel_time(2**63 - 1)(big)
+        net, spp = load_network(json.dumps(big))
+        assert spp.time_at(1, 1, 2) == 2**63 - 1

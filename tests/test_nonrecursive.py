@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,25 +7,38 @@ import pytest
 from netgen import random_network
 from stdroute import (
     EventCollection,
+    LinkUtilitySpec,
+    ObservationSet,
+    PolicyChoiceSet,
     State,
+    TwoRouteScenario,
     ValidationError,
     enumerate_policies,
     enumerate_sequences,
+    equivalence_report,
+    fit,
     initial_state,
+    log_likelihood,
     path_probabilities,
     path_probabilities_nr,
+    pipeline_ratios,
     policy_choice_prob,
     policy_choice_probs,
     policy_utilities,
     rollout_policy,
+    sample_sequence_counts,
     sample_sequence_counts_nr,
     sample_sequence_nr,
+    sequence_likelihood,
     sequence_likelihood_nr,
+    sequence_likelihood_value_form,
     sequence_log_likelihood_nr,
     sequence_prob_given_policy,
     sequence_probabilities_nr,
     solve_value_functions,
+    solve_value_functions_nr,
 )
+from stdroute.numerics import logsumexp
 
 V1 = State(1, 1, EventCollection((1,)))
 V2 = State(1, 1, EventCollection((2,)))
@@ -218,3 +232,81 @@ class TestSampling:
         )
         with pytest.raises(ValidationError, match="empty"):
             policy_choice_probs(empty, unit_utility)
+
+
+class TestSweep:
+    """The origin logit as a link-level logit at scale mu / w(s), checked against enumeration."""
+
+    @pytest.mark.parametrize("mu", [1.0, 0.3, 1e-3])
+    def test_random_networks_match_enumeration(self, mu):
+        rng = np.random.default_rng(2025)
+        for _ in range(100):
+            net, spp = random_network(rng)
+            s0 = initial_state(net, spp)
+            utility = LinkUtilitySpec(beta=(-float(rng.uniform(0.5, 2.0)),), mu=mu)
+            vf = solve_value_functions_nr(net, spp, utility, initial=s0)
+            cs = enumerate_policies(net, spp, s0)
+            expected = mu * logsumexp(policy_utilities(cs, utility) / mu)
+            assert abs(vf[s0] - expected) <= 1e-12 * max(1.0, abs(expected))
+            probs = policy_choice_probs(cs, utility)
+            for seq in enumerate_sequences(net, spp, s0):
+                brute = sum(
+                    p * sequence_prob_given_policy(seq, policy, spp)
+                    for p, policy in zip(probs, cs.policies)
+                )
+                assert abs(sequence_likelihood(vf, seq) - brute) <= 1e-12
+
+    def test_value_form_agrees_with_product_form(self, net, spp, unit_utility):
+        rng = np.random.default_rng(97)
+        cases = [(net, spp)] + [random_network(rng) for _ in range(6)]
+        scales = set()
+        for cnet, cspp in cases:
+            for mu in (1.0, 0.3):
+                vf = solve_value_functions_nr(cnet, cspp, unit_utility.with_mu(mu))
+                scales.update(vf.scale.tolist())
+                for seq in enumerate_sequences(cnet, cspp, vf.initial):
+                    direct = sequence_likelihood(vf, seq)
+                    assert sequence_likelihood_value_form(vf, seq) == pytest.approx(
+                        direct, rel=1e-12
+                    )
+        assert len(scales) > 2  # the scale varies between states, not only with mu
+
+    def test_partial_choice_set_rejected(self, net, spp, s0, cs, unit_utility):
+        partial = PolicyChoiceSet(
+            network=net, support_points=spp, initial_state=s0, policies=cs.policies[:2]
+        )
+        with pytest.raises(ValidationError, match="every routing policy"):
+            sequence_probabilities_nr(partial, unit_utility)
+
+
+def refuse_policy_enumeration(monkeypatch) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_policies was called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "stdroute" and hasattr(module, "enumerate_policies"):
+            monkeypatch.setattr(module, "enumerate_policies", refuse)
+
+
+class TestWithoutPolicyEnumeration:
+    def test_likelihood_fit_and_comparison(self, monkeypatch, net, spp, unit_utility):
+        rng = np.random.default_rng(101)
+        cases = [(net, spp), random_network(rng, support_count=3)]
+        choice_sets = [enumerate_policies(n, s, initial_state(n, s)) for n, s in cases]
+        refuse_policy_enumeration(monkeypatch)
+        for (cnet, cspp), cs in zip(cases, choice_sets):
+            vf = solve_value_functions(cnet, cspp, unit_utility)
+            obs = ObservationSet.from_counts(sample_sequence_counts(vf, 200, seed=5))
+            assert math.isfinite(log_likelihood("nonrecursive", cnet, cspp, obs, [-1.0]))
+            result = fit("nonrecursive", cnet, cspp, obs, [-0.5], compute_std_errors=False)
+            assert math.isfinite(result.log_likelihood)
+            assert equivalence_report(cnet, cspp).support_count == cspp.size
+            probs = sequence_probabilities_nr(cs, unit_utility)
+            assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
+        scenarios = [
+            TwoRouteScenario(a=3, b=2, x=-1, y=0, p=0.5),  # the bundled network
+            TwoRouteScenario(a=1.5, b=2.25, x=0.75, y=-1.25, p=float(rng.uniform(0.1, 0.9))),
+        ]
+        for scenario in scenarios:
+            ratios = pipeline_ratios(scenario)
+            assert all(math.isfinite(r) for r in ratios.nonrecursive)
