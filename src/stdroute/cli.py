@@ -31,9 +31,10 @@ from .policy import enumerate_policies, enumerate_sequences
 from .recursive import (
     choice_distribution,
     sample_sequence_counts,
-    sequence_likelihood,
+    sequence_likelihoods,
     sequence_probabilities,
     solve_value_functions,
+    step_table,
 )
 from .utility import LinkUtilitySpec
 
@@ -109,6 +110,7 @@ def cmd_predict(args) -> int:
     models = ("recursive", "nonrecursive") if args.model == "both" else (args.model,)
     tables: dict[str, tuple[list[str], list[list[str]]]] = {}
     sequences = enumerate_sequences(net, spp, s0, cap=args.cap_policies)
+    steps = step_table(compile_graph(net, spp, s0), sequences)
     columns = []
 
     if "recursive" in models:
@@ -120,7 +122,7 @@ def cmd_predict(args) -> int:
             for a, prob in choice_distribution(vf, state).items():
                 rows.append([str(state.link), str(state.time), _ev_text(state.ev), str(a), _fmt(prob)])
         tables["choices"] = (["link", "time", "ev", "next_link", "probability"], rows)
-        columns.append([sequence_likelihood(vf, seq) for seq in sequences])
+        columns.append(sequence_likelihoods(vf, steps).tolist())
 
     if "nonrecursive" in models:
         cs = enumerate_policies(net, spp, s0, cap=args.cap_policies)
@@ -132,7 +134,7 @@ def cmd_predict(args) -> int:
         ]
         tables["policy_probs"] = (["policy", "expected_utility", "probability"], rows)
         vf = solve_value_functions_nr(net, spp, utility, initial=s0)
-        columns.append([sequence_likelihood(vf, seq) for seq in sequences])
+        columns.append(sequence_likelihoods(vf, steps).tolist())
 
     seq_rows = []
     path_totals: dict[tuple[int, ...], list[float]] = {}

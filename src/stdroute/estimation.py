@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Literal
+from functools import cached_property
+from typing import Literal, NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import EstimationError, NetworkFormatError, ValidationError
 from .network import (
+    CompiledGraph,
     EventCollection,
     State,
     StdNetwork,
@@ -41,15 +42,29 @@ from .network import (
 from .numerics import finite_difference_gradient, is_integer
 from .nonrecursive import solve_value_functions_nr
 from .policy import StateSequence
-from .recursive import sequence_log_likelihood, solve_value_functions
-from .utility import LinkUtilitySpec, ValueFunction, travel_time_attributes
+from .recursive import StepTable, sequence_log_likelihoods, solve_value_functions, step_table
+from .utility import LinkUtilitySpec, travel_time_attributes
 
 Model = Literal["recursive", "nonrecursive"]
 
 
+class _Groups(NamedTuple):
+    """Distinct sequences of an observation set, in order of first appearance."""
+
+    sequences: tuple[StateSequence, ...]
+    counts: np.ndarray
+    first_index: tuple[int, ...]
+    by_initial: dict[State, np.ndarray]  # positions of the sequences from each initial state
+
+
 @dataclass(frozen=True)
 class ObservationSet:
-    """Observed state sequences, one per traveler."""
+    """Observed state sequences, one per traveler.
+
+    The grouping of identical sequences and, per compiled graph, their
+    step tables are computed on first use and kept, so the set must not
+    be changed after it is built.
+    """
 
     observations: tuple[StateSequence, ...]
     traveler_ids: tuple[str, ...] = ()
@@ -57,9 +72,43 @@ class ObservationSet:
     def __post_init__(self) -> None:
         if self.traveler_ids and len(self.traveler_ids) != len(self.observations):
             raise ValidationError("traveler_ids do not match the number of observations")
+        object.__setattr__(self, "_tables", {})
 
     def __len__(self) -> int:
         return len(self.observations)
+
+    def __getstate__(self) -> dict:
+        """Pickle and copy the observations without the caches, which hold compiled graphs."""
+        return {"observations": self.observations, "traveler_ids": self.traveler_ids, "_tables": {}}
+
+    @cached_property
+    def _groups(self) -> _Groups:
+        counts: dict[StateSequence, int] = {}
+        first_index: dict[StateSequence, int] = {}
+        for i, seq in enumerate(self.observations):
+            counts[seq] = counts.get(seq, 0) + 1
+            first_index.setdefault(seq, i)
+        by_initial: dict[State, list[int]] = {}
+        for position, seq in enumerate(counts):
+            by_initial.setdefault(seq.initial_state, []).append(position)
+        return _Groups(
+            sequences=tuple(counts),
+            counts=np.array(list(counts.values())),
+            first_index=tuple(first_index.values()),
+            by_initial={s: np.array(p, dtype=np.intp) for s, p in by_initial.items()},
+        )
+
+    def _steps(self, graph: CompiledGraph) -> StepTable:
+        """Step table of the distinct sequences that start at the graph's initial state.
+
+        Built on the first call for each graph and kept.
+        """
+        table = self._tables.get(graph)
+        if table is None:
+            groups = self._groups
+            sequences = [groups.sequences[p] for p in groups.by_initial[graph.initial]]
+            table = self._tables[graph] = step_table(graph, sequences)
+        return table
 
     def validate(self, net: StdNetwork, spp: SupportPointSet) -> None:
         for i, seq in enumerate(self.observations):
@@ -70,10 +119,8 @@ class ObservationSet:
 
     def grouped(self) -> dict[StateSequence, int]:
         """Distinct sequences with multiplicities; identical trips share one likelihood term."""
-        counts: dict[StateSequence, int] = {}
-        for seq in self.observations:
-            counts[seq] = counts.get(seq, 0) + 1
-        return counts
+        groups = self._groups
+        return dict(zip(groups.sequences, groups.counts.tolist()))
 
     @classmethod
     def from_counts(cls, counts: dict[StateSequence, int]) -> "ObservationSet":
@@ -202,8 +249,9 @@ def log_likelihood(
     Solves the model's value functions once per observed initial state
     (one backward sweep over the compiled graph, which the support points
     cache per initial state) and reads each distinct sequence's terms
-    from the solved arrays. A non-finite contribution aborts with the
-    index of the offending observation.
+    from the solved arrays through the observation set's step table for
+    that graph. A non-finite contribution aborts with the index of the
+    offending observation.
     """
     if model not in ("recursive", "nonrecursive"):
         raise ValidationError(f"unknown model {model!r}")
@@ -212,24 +260,30 @@ def log_likelihood(
         return 0.0
     beta_arr = np.asarray(beta, dtype=float)
     utility = LinkUtilitySpec(beta=tuple(beta_arr), mu=mu, attributes=attributes)
-    first_index: dict[StateSequence, int] = {}
-    for i, seq in enumerate(obs.observations):
-        first_index.setdefault(seq, i)
+    groups = obs._groups
+    terms = np.empty(len(groups.sequences))
+    for s0, positions in groups.by_initial.items():
+        vf = solve(net, spp, utility, initial=s0)
+        terms[positions] = sequence_log_likelihoods(vf, obs._steps(vf.graph))
+    bad = np.flatnonzero(~np.isfinite(terms))
+    if bad.size:
+        raise EstimationError(
+            f"observation {groups.first_index[bad[0]]} has zero or non-finite probability "
+            f"under the {model} model at beta={beta_arr.tolist()}"
+        )
+    # cumsum adds in order of first appearance, as a scalar loop would
+    return float(np.cumsum(groups.counts * terms)[-1])
 
-    value_functions: dict[State, ValueFunction] = {}
-    total = 0.0
-    for seq, count in obs.grouped().items():
-        s0 = seq.initial_state
-        if s0 not in value_functions:
-            value_functions[s0] = solve(net, spp, utility, initial=s0)
-        term = sequence_log_likelihood(value_functions[s0], seq)
-        if not np.isfinite(term):
-            raise EstimationError(
-                f"observation {first_index[seq]} has zero or non-finite probability "
-                f"under the {model} model at beta={beta_arr.tolist()}"
-            )
-        total += count * term
-    return total
+
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first fit.
+
+    Importing scipy takes longer than loading a network and scoring a
+    few thousand observations, so ``import stdroute`` does not pay for it.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 GRADIENT_TOL = 1e-6

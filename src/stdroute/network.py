@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
@@ -74,6 +75,10 @@ class EventCollection:
         if canon[0] < 1:
             raise ValidationError("scenario indices are 1-based")
         object.__setattr__(self, "members", canon)
+        object.__setattr__(self, "_hash", hash((canon,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_singleton(self) -> bool:
@@ -94,11 +99,21 @@ class EventCollection:
 
 @dataclass(frozen=True)
 class State:
-    """Decision node: current link, arrival time at its end, and knowledge state."""
+    """Decision node: current link, arrival time at its end, and knowledge state.
+
+    The hash is computed once, at construction, and kept: states are
+    looked up in dicts far more often than they are built.
+    """
 
     link: int
     time: int
     ev: EventCollection
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.link, self.time, self.ev)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def sort_key(self) -> tuple[int, int, tuple[int, ...]]:
@@ -478,6 +493,11 @@ class CompiledGraph:
         return mass / mass[0]
 
     @cached_property
+    def log_edge_prob(self) -> np.ndarray:
+        """Log transition probability of each edge, taken one edge at a time by ``math.log``."""
+        return np.array([math.log(p) for p in self.edge_prob.tolist()])
+
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(s.label() for s in self.states)
 
@@ -646,7 +666,8 @@ def load_network(text: str) -> tuple[StdNetwork, SupportPointSet]:
     points = doc["support_points"]
     _require(isinstance(points, list) and points, "'support_points' must be a non-empty list")
     k = net.horizon
-    times = np.zeros((len(points), k, len(traversable)), dtype=np.int64)
+    # rows per scenario and link, checked before any array is sized by the horizon
+    rows = [[[]] * len(traversable) for _ in points]
     probs = np.zeros(len(points), dtype=float)
     col = {a: i for i, a in enumerate(traversable)}
     for r, entry in enumerate(points):
@@ -685,7 +706,7 @@ def load_network(text: str) -> tuple[StdNetwork, SupportPointSet]:
                     f"support_points[{r}].travel_times[{link_id}][{t}] must be an integer "
                     "of magnitude below 2**63",
                 )
-                times[r, t, col[link_id]] = value
+            rows[r][col[link_id]] = row
             seen_links.add(link_id)
         missing = set(traversable) - seen_links
         _require(
@@ -693,7 +714,10 @@ def load_network(text: str) -> tuple[StdNetwork, SupportPointSet]:
             f"support_points[{r}].travel_times is missing links {sorted(missing)}",
         )
 
-    spp = SupportPointSet(link_ids=traversable, travel_times=times, probabilities=probs)
+    times = np.array(rows, dtype=np.int64).reshape(len(points), len(traversable), k)
+    spp = SupportPointSet(
+        link_ids=traversable, travel_times=times.transpose(0, 2, 1), probabilities=probs
+    )
     return net, spp
 
 

@@ -31,6 +31,12 @@ class StateSequence:
 
     states: tuple[State, ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.states,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def initial_state(self) -> State:
         return self.states[0]
@@ -257,7 +263,8 @@ def optimal_policy(
     Ties are broken toward the lowest link id so the result is
     reproducible. Returns the policy restricted to states it actually
     visits, plus the max-based value table over all reachable states,
-    whose choice probabilities put all mass on the optimal link.
+    whose choice probabilities put all mass on the optimal link. The
+    table is the zero-scale limit of the logit, so its scale is 0.
     """
     graph = compile_graph(net, spp, initial)
     first = graph.first_action
@@ -286,7 +293,7 @@ def optimal_policy(
     vf = ValueFunction(
         utility=utility,
         graph=graph,
-        scale=np.full(len(graph.states), utility.mu),
+        scale=np.zeros(len(graph.states)),
         state_values=values,
         action_values=q,
         choice_probs=choice,

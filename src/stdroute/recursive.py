@@ -11,7 +11,9 @@ the compiled decision graph, and every later query reads its arrays.
 
 from __future__ import annotations
 
+import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,38 +99,75 @@ def link_choice_prob(vf: ValueFunction, state: State, a: int) -> float:
     return float(vf.choice_probs[vf.graph.action(vf.state_index(state), a)])
 
 
-def _steps(vf: ValueFunction, seq: StateSequence) -> list[tuple[int, int]]:
-    """(state-action, edge) of every step of a sequence, found in the compiled graph.
+class StepTable(NamedTuple):
+    """Steps of sequences in a compiled graph: one row per sequence, one column per step.
+
+    ``actions[r, k]`` and ``edges[r, k]`` are the state-action and edge of
+    step k of sequence r. Rows shorter than the longest are padded with
+    one past the last state-action and edge.
+    """
+
+    actions: np.ndarray
+    edges: np.ndarray
+
+
+def step_table(graph: CompiledGraph, sequences) -> StepTable:
+    """Find every step of each sequence in the compiled graph.
 
     A sequence that leaves the graph is checked by
     :meth:`StateSequence.validate`, which names the infeasible step; a
-    feasible one that the solved graph does not contain is rejected too.
+    feasible one that the graph does not contain is rejected too.
     """
-    graph = vf.graph
     index, edge_index = graph.index, graph.edge_index
-    path = [index.get(s) for s in seq.states]
-    edges = [edge_index.get(pair) for pair in zip(path, path[1:])]
-    if (
-        len(path) < 2
-        or None in edges
-        or not graph.terminal[path[-1]]
-        or not is_partition_state(vf.support_points, seq.states[0])
-    ):
-        seq.validate(vf.network, vf.support_points)
-        missing = next(s for s, i in zip(seq.states, path) if i is None)
-        raise ValidationError(f"state {missing} is not reachable from {vf.initial}")
-    actions = graph.edge_action[edges].tolist()
-    return list(zip(actions, edges))
+    rows = []
+    for seq in sequences:
+        path = [index.get(s) for s in seq.states]
+        edges = [edge_index.get(pair) for pair in zip(path, path[1:])]
+        if (
+            len(path) < 2
+            or None in edges
+            or not graph.terminal[path[-1]]
+            or not is_partition_state(graph.support_points, seq.states[0])
+        ):
+            seq.validate(graph.network, graph.support_points)
+            missing = next(s for s, i in zip(seq.states, path) if i is None)
+            raise ValidationError(f"state {missing} is not reachable from {graph.initial}")
+        rows.append(edges)
+    lengths = np.array([len(row) for row in rows], dtype=np.intp)
+    edges = np.full((len(rows), lengths.max(initial=0)), len(graph.edge_prob))
+    edges[np.arange(edges.shape[1]) < lengths[:, None]] = list(itertools.chain(*rows))
+    actions = np.append(graph.edge_action, len(graph.action_link))[edges]
+    return StepTable(actions, edges)
+
+
+def sequence_log_likelihoods(vf: ValueFunction, steps: StepTable) -> np.ndarray:
+    """Log likelihood of each sequence of a step table: log choice plus log transition terms."""
+    return _fold(np.add, 0.0, vf.log_choice_probs, vf.graph.log_edge_prob, steps)
+
+
+def sequence_likelihoods(vf: ValueFunction, steps: StepTable) -> np.ndarray:
+    """Likelihood of each sequence of a step table; see :func:`sequence_likelihood`."""
+    return _fold(np.multiply, 1.0, vf.choice_probs, vf.graph.edge_prob, steps)
+
+
+def _fold(op, identity: float, per_action, per_edge, steps: StepTable) -> np.ndarray:
+    """Combine each row's terms step by step, the choice term before the transition term.
+
+    The order is that of a scalar walk along one sequence, so a row's
+    result does not depend on the other rows. Padding reads ``identity``.
+    """
+    choice = np.append(per_action, identity)[steps.actions]
+    transition = np.append(per_edge, identity)[steps.edges]
+    total = np.full(len(choice), identity)
+    for k in range(choice.shape[1]):
+        op(total, choice[:, k], out=total)
+        op(total, transition[:, k], out=total)
+    return total
 
 
 def sequence_log_likelihood(vf: ValueFunction, seq: StateSequence) -> float:
     """Log of the sequence likelihood: sum of log choice and log transition terms."""
-    log_choice, probs = vf.log_choice_probs, vf.graph.edge_prob
-    total = 0.0
-    for j, e in _steps(vf, seq):
-        total += float(log_choice[j])
-        total += math.log(probs[e])
-    return total
+    return float(sequence_log_likelihoods(vf, step_table(vf.graph, [seq]))[0])
 
 
 def sequence_likelihood(vf: ValueFunction, seq: StateSequence) -> float:
@@ -139,12 +178,7 @@ def sequence_likelihood(vf: ValueFunction, seq: StateSequence) -> float:
     value function over all possible next knowledge states, not just the
     observed one, so adjacent values do not cancel.
     """
-    choice, probs = vf.choice_probs, vf.graph.edge_prob
-    prob = 1.0
-    for j, e in _steps(vf, seq):
-        prob *= float(choice[j])
-        prob *= float(probs[e])
-    return prob
+    return float(sequence_likelihoods(vf, step_table(vf.graph, [seq]))[0])
 
 
 def sequence_likelihood_value_form(vf: ValueFunction, seq: StateSequence) -> float:
@@ -152,13 +186,20 @@ def sequence_likelihood_value_form(vf: ValueFunction, seq: StateSequence) -> flo
 
     exp((utility + expected downstream value - state value) / scale) per
     step, at the state's scale; equal to :func:`sequence_likelihood`
-    because each value is the log-sum of its own choice exponents.
+    because each value is the log-sum of its own choice exponents. A max
+    table (:func:`~stdroute.policy.optimal_policy`, scale 0) has no such
+    form and is rejected.
     """
     graph = vf.graph
+    steps = step_table(graph, [seq])
     prob = 1.0
-    for j, e in _steps(vf, seq):
+    for j, e in zip(steps.actions[0].tolist(), steps.edges[0].tolist()):
         i = graph.action_state[j]
         scale = vf.scale[i]
+        if not scale > 0:
+            raise ValidationError(
+                "the value form needs a positive logit scale; a max table has none"
+            )
         prob *= math.exp(vf.action_values[j] / scale - vf.state_values[i] / scale)
         prob *= float(graph.edge_prob[e])
     return prob
@@ -169,7 +210,8 @@ def sequence_probabilities(
 ) -> dict[StateSequence, float]:
     """Likelihood of every feasible sequence from the solved initial state."""
     sequences = enumerate_sequences(vf.network, vf.support_points, vf.initial, cap=cap)
-    return {seq: sequence_likelihood(vf, seq) for seq in sequences}
+    probs = sequence_likelihoods(vf, step_table(vf.graph, sequences))
+    return dict(zip(sequences, probs.tolist()))
 
 
 def path_probabilities(

@@ -72,8 +72,8 @@ class ValueFunction:
     """Expected utility-to-go per state, solved for one network/utility pair.
 
     Arrays follow the compiled graph: per state the logit ``scale`` it
-    was solved at and ``state_values`` (0 at the destination); per
-    state-action the choice value ``q`` (utility plus expected downstream
+    was solved at (0 for the max table of an optimal policy) and
+    ``state_values`` (0 at the destination); per state-action the choice value ``q`` (utility plus expected downstream
     value) with the choice probabilities and their logs. The container keeps the inputs it was solved from so
     probability queries need no extra arguments.
     """

@@ -218,15 +218,32 @@ class TestInputChecks:
 
 
 class TestModuleEntryPoints:
+    @staticmethod
+    def run(*args):
+        src = str(Path(stdroute.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
     @pytest.mark.parametrize("module", ["stdroute", "stdroute.cli"])
     def test_python_dash_m_runs_the_cli(self, tmp_path, module):
         path = tmp_path / "net.json"
         path.write_text(bundled_network_text())
-        src = str(Path(stdroute.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        run = subprocess.run(
-            [sys.executable, "-m", module, "simulate", str(path), "--samples", "0"],
-            capture_output=True, text=True, env=env,
-        )
+        run = self.run("-m", module, "simulate", str(path), "--samples", "0")
         assert run.returncode == 1
         assert "error:" in run.stderr and "Traceback" not in run.stderr
+
+    @pytest.mark.parametrize("command", [["-c", "import stdroute"], ["-m", "stdroute", "validate"]])
+    def test_scipy_is_imported_only_by_a_fit(self, tmp_path, command):
+        path = tmp_path / "net.json"
+        path.write_text(bundled_network_text())
+        if command[-1] == "validate":
+            command = [*command, str(path)]
+        run = self.run("-X", "importtime", *command)
+        assert run.returncode == 0
+        imported = [
+            line.rsplit("|", 1)[-1].strip()
+            for line in run.stderr.splitlines()
+            if line.startswith("import time:")
+        ]
+        assert "stdroute.estimation" in imported
+        assert not [name for name in imported if name.split(".")[0] == "scipy"]

@@ -285,6 +285,7 @@ class TestDocumentTypes:
         "probability-bool": (set_probability(True), "probability must be a number"),
         "probability-huge-int": (set_probability(10**400), "probability must be a number"),
         "horizon-bool": (set_key("horizon", True), "'horizon' must be a positive integer"),
+        "horizon-10**30": (set_key("horizon", 10**30), rf"must list {10**30} periods"),
         "origin-bool": (set_key("origin_link", True), "'origin_link' must be a link id"),
         "destination-bool": (
             set_key("destination_link", True), "'destination_link' must be a link id"

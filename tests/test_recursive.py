@@ -12,6 +12,7 @@ from stdroute import (
     State,
     StdNetwork,
     SupportPointSet,
+    ValidationError,
     choice_distribution,
     decision_graph,
     enumerate_policies,
@@ -198,6 +199,16 @@ class TestSequenceLikelihood:
                 assert math.exp(sequence_log_likelihood(cvf, seq)) == pytest.approx(
                     direct, rel=1e-12
                 )
+
+    def test_value_form_rejects_a_max_table(self, net, spp, s0, unit_utility):
+        # the max table is the zero-scale limit; at the junction in {2} both
+        # links take 2 periods and the tie goes to link 2
+        _, table = optimal_policy(net, spp, s0, unit_utility)
+        for seq in enumerate_sequences(net, spp, s0):
+            if (seq.states[1], seq.states[2].link) in ((V1, 2), (V2, 3)):
+                assert sequence_likelihood(table, seq) == 0.0
+                with pytest.raises(ValidationError, match="max table"):
+                    sequence_likelihood_value_form(table, seq)
 
     def test_invalid_sequence_rejected(self, vf, s0):
         from stdroute import StateSequence, ValidationError

@@ -1,0 +1,201 @@
+"""Scoring observation sets in index space: cached hashes, one grouping, a step table per graph."""
+
+import copy
+import dataclasses
+import json
+import pickle
+
+import numpy as np
+import pytest
+
+import oracle
+import stdroute.estimation
+from netgen import random_network
+from stdroute import (
+    EstimationError,
+    EventCollection,
+    LinkUtilitySpec,
+    ObservationSet,
+    State,
+    StateSequence,
+    ValidationError,
+    bundled_network_text,
+    enumerate_sequences,
+    fit,
+    load_network,
+    log_likelihood,
+    sample_sequence_counts,
+    solve_value_functions,
+    travel_time,
+)
+
+MODELS = ("recursive", "nonrecursive")
+V1 = State(1, 1, EventCollection((1,)))
+V2 = State(1, 1, EventCollection((2,)))
+
+
+def with_mid_network_starts(sequences):
+    """The sequences, followed by each one's trip from its second state where that is a trip."""
+    return list(sequences) + [StateSequence(s.states[1:]) for s in sequences if len(s.states) > 2]
+
+
+class TestHashContract:
+    def test_equal_objects_hash_equal(self, net, spp, s0):
+        seq = max(enumerate_sequences(net, spp, s0), key=lambda s: len(s.states))
+        state = seq.states[1]
+        rebuilt = StateSequence(
+            tuple(State(s.link, s.time, EventCollection(s.ev.members[::-1])) for s in seq.states)
+        )
+        for obj, equal in (
+            (state.ev, EventCollection(state.ev.members[::-1])),
+            (state, State(state.link, state.time, EventCollection(state.ev.members))),
+            (seq, rebuilt),
+        ):
+            copies = [
+                equal,
+                pickle.loads(pickle.dumps(obj)),
+                copy.copy(obj),
+                copy.deepcopy(obj),
+                dataclasses.replace(obj),
+            ]
+            for other in copies:
+                assert other == obj
+                assert hash(other) == hash(obj)
+
+    def test_replace_hashes_the_new_fields(self, s0):
+        moved = dataclasses.replace(s0, time=s0.time + 1)
+        assert moved != s0
+        assert hash(moved) == hash(State(s0.link, s0.time + 1, s0.ev))
+
+
+class TestAgainstTheScalarLoop:
+    @pytest.mark.parametrize("mu", [1.0, 0.3, 1e-3])
+    def test_random_networks_bitwise(self, mu):
+        rng = np.random.default_rng(4242)
+        several_initial_states = 0
+        for _ in range(100):
+            net, spp = random_network(rng, max_links=8, max_support=3, max_horizon=3)
+            vf = solve_value_functions(net, spp, LinkUtilitySpec(beta=(-1.0,)))
+            counts = sample_sequence_counts(vf, 30, seed=rng)
+            sampled = [seq for seq, count in counts.items() for _ in range(count)]
+            observations = with_mid_network_starts(sampled)
+            order = rng.permutation(len(observations))
+            obs = ObservationSet(tuple(observations[i] for i in order))
+            several_initial_states += len({s.initial_state for s in obs.observations}) > 1
+            beta = [-float(rng.uniform(0.5, 2.0))]
+            for model in MODELS:
+                expected = oracle.log_likelihood(model, net, spp, obs, beta, mu)
+                # the second call reads the step tables cached by the first
+                assert log_likelihood(model, net, spp, obs, beta, mu) == expected
+                assert log_likelihood(model, net, spp, obs, beta, mu) == expected
+        assert several_initial_states > 50
+
+
+def nan_in_scenario_2(net, spp, a, state):
+    """Travel time, except NaN at states that know scenario 2 was drawn."""
+    return (float("nan") if state.ev.members == (2,) else float(travel_time(net, spp, a, state)),)
+
+
+class TestErrors:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_non_finite_term_names_the_first_offending_observation(self, net, spp, s0, model):
+        full = enumerate_sequences(net, spp, s0)
+        via = {seq.states[1]: StateSequence(seq.states[1:]) for seq in full}
+        obs = ObservationSet((via[V1], via[V1], via[V2], full[0], via[V2]))
+        with pytest.raises(EstimationError, match="observation 2 has zero or non-finite"):
+            log_likelihood(model, net, spp, obs, [-1.0], attributes=nan_in_scenario_2)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_sequence_leaving_the_graph_reports_the_validation_error(self, net, spp, s0, model):
+        bad = StateSequence(
+            (s0, State(1, 3, EventCollection((1,))), State(2, 6, EventCollection((1,))))
+        )
+        with pytest.raises(ValidationError) as expected:
+            bad.validate(net, spp)
+        obs = ObservationSet((enumerate_sequences(net, spp, s0)[0], bad))
+        with pytest.raises(ValidationError) as got:
+            log_likelihood(model, net, spp, obs, [-1.0])
+        assert str(got.value) == str(expected.value)
+
+
+class TestCaching:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_one_set_on_two_networks(self, net, spp, s0, model):
+        # a third parallel link keeps every sequence feasible but renumbers the graph
+        document = json.loads(bundled_network_text())
+        document["links"].append({"id": 4, "from": "b", "to": "c"})
+        for point, times in zip(document["support_points"], ([1, 4], [1, 3])):
+            point["travel_times"]["4"] = times
+        other_net, other_spp = load_network(json.dumps(document))
+        sequences = with_mid_network_starts(enumerate_sequences(net, spp, s0))
+        obs = ObservationSet(tuple(sequences))
+        first = log_likelihood(model, net, spp, obs, [-1.2])
+        other = log_likelihood(model, other_net, other_spp, obs, [-1.2])
+        again = log_likelihood(model, net, spp, obs, [-1.2])
+        fresh = ObservationSet(obs.observations)
+        assert first == again == log_likelihood(model, net, spp, fresh, [-1.2])
+        fresh = ObservationSet(obs.observations)
+        assert other == log_likelihood(model, other_net, other_spp, fresh, [-1.2])
+        assert other != first
+
+    def test_a_scored_set_pickles_without_its_caches(self, net, spp, s0):
+        # the cached graph holds this extractor, which cannot be pickled
+        def attributes(cnet, cspp, a, state):
+            return (float(travel_time(cnet, cspp, a, state)),)
+
+        obs = ObservationSet(tuple(enumerate_sequences(net, spp, s0)), ("a", "b", "c", "d"))
+        value = log_likelihood("recursive", net, spp, obs, [-1.0], attributes=attributes)
+        restored = pickle.loads(pickle.dumps(obs))
+        assert restored == obs and restored.traveler_ids == obs.traveler_ids
+        again = log_likelihood("recursive", net, spp, restored, [-1.0], attributes=attributes)
+        assert again == value
+
+    def test_grouped_returns_a_fresh_dict(self, net, spp, s0):
+        seqs = enumerate_sequences(net, spp, s0)
+        obs = ObservationSet((seqs[1], seqs[0], seqs[1]))
+        grouped = obs.grouped()
+        assert grouped == {seqs[1]: 2, seqs[0]: 1} and list(grouped) == [seqs[1], seqs[0]]
+        grouped.clear()
+        assert obs.grouped() == {seqs[1]: 2, seqs[0]: 1}
+
+    def test_fit_encodes_once_per_graph_and_hashes_no_observation_after_the_first_call(
+        self, net, spp, s0, vf, monkeypatch
+    ):
+        sampled = sample_sequence_counts(vf, 500, seed=3)
+        trips = ObservationSet.from_counts(sampled).observations
+        obs = ObservationSet(tuple(with_mid_network_starts(trips)))
+        encoded = []
+        original_table = stdroute.estimation.step_table
+
+        def counted_table(graph, sequences):
+            encoded.append(graph)
+            return original_table(graph, sequences)
+
+        hashes = [0]
+        original_hash = StateSequence.__hash__
+
+        def counted_hash(self):
+            hashes[0] += 1
+            return original_hash(self)
+
+        per_call = []
+        original_ll = stdroute.estimation.log_likelihood
+
+        def counted_ll(*args, **kwargs):
+            before = hashes[0]
+            value = original_ll(*args, **kwargs)
+            per_call.append(hashes[0] - before)
+            return value
+
+        monkeypatch.setattr(stdroute.estimation, "step_table", counted_table)
+        monkeypatch.setattr(StateSequence, "__hash__", counted_hash)
+        monkeypatch.setattr(stdroute.estimation, "log_likelihood", counted_ll)
+        fit("recursive", net, spp, obs, beta0=[-0.5])
+        assert len(per_call) > 3
+        assert per_call[0] >= len(obs)
+        assert per_call[1:] == [0] * (len(per_call) - 1)
+        initial_states = {seq.initial_state for seq in obs.observations}
+        assert len(initial_states) == 3
+        assert sorted(g.initial.sort_key for g in encoded) == sorted(
+            s.sort_key for s in initial_states
+        )
