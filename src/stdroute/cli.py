@@ -27,14 +27,13 @@ from .nonrecursive import (
     sample_sequence_counts_nr,
     solve_value_functions_nr,
 )
-from .policy import enumerate_policies, enumerate_sequences
+from .policy import enumerate_policies, sequence_table
 from .recursive import (
     choice_distribution,
     sample_sequence_counts,
     sequence_likelihoods,
     sequence_probabilities,
     solve_value_functions,
-    step_table,
 )
 from .utility import LinkUtilitySpec
 
@@ -109,8 +108,7 @@ def cmd_predict(args) -> int:
     utility = _utility_from_args(args)
     models = ("recursive", "nonrecursive") if args.model == "both" else (args.model,)
     tables: dict[str, tuple[list[str], list[list[str]]]] = {}
-    sequences = enumerate_sequences(net, spp, s0, cap=args.cap_policies)
-    steps = step_table(compile_graph(net, spp, s0), sequences)
+    table = sequence_table(compile_graph(net, spp, s0), cap=args.cap_policies)
     columns = []
 
     if "recursive" in models:
@@ -122,7 +120,7 @@ def cmd_predict(args) -> int:
             for a, prob in choice_distribution(vf, state).items():
                 rows.append([str(state.link), str(state.time), _ev_text(state.ev), str(a), _fmt(prob)])
         tables["choices"] = (["link", "time", "ev", "next_link", "probability"], rows)
-        columns.append(sequence_likelihoods(vf, steps).tolist())
+        columns.append(sequence_likelihoods(vf, table.steps))
 
     if "nonrecursive" in models:
         cs = enumerate_policies(net, spp, s0, cap=args.cap_policies)
@@ -134,17 +132,17 @@ def cmd_predict(args) -> int:
         ]
         tables["policy_probs"] = (["policy", "expected_utility", "probability"], rows)
         vf = solve_value_functions_nr(net, spp, utility, initial=s0)
-        columns.append(sequence_likelihoods(vf, steps).tolist())
+        columns.append(sequence_likelihoods(vf, table.steps))
 
-    seq_rows = []
-    path_totals: dict[tuple[int, ...], list[float]] = {}
-    for i, (seq, *probs) in enumerate(zip(sequences, *columns)):
-        seq_rows.append([str(i), seq.label(), _path_text(seq.path), *map(_fmt, probs)])
-        totals = path_totals.setdefault(seq.path, [0.0] * len(probs))
-        for k, prob in enumerate(probs):
-            totals[k] += prob
+    seq_rows = [
+        [str(i), seq.label(), _path_text(seq.path), *map(_fmt, probs)]
+        for i, (seq, *probs) in enumerate(zip(table.sequences, *(c.tolist() for c in columns)))
+    ]
     tables["sequences"] = (["sequence", "states", "path", *models], seq_rows)
-    path_rows = [[_path_text(path), *map(_fmt, path_totals[path])] for path in sorted(path_totals)]
+    path_columns = [table.path_sums(c).tolist() for c in columns]
+    path_rows = [
+        [_path_text(path), *map(_fmt, totals)] for path, *totals in zip(table.paths, *path_columns)
+    ]
     tables["paths"] = (["path", *models], path_rows)
 
     _emit(args, tables)

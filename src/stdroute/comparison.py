@@ -19,20 +19,17 @@ import numpy as np
 
 from .errors import StdRouteError, ValidationError
 from .network import (
+    CompiledGraph,
     Link,
     State,
     StdNetwork,
     SupportPointSet,
+    compile_graph,
     initial_state as departure_state,
-    successor_states,
 )
 from .nonrecursive import solve_value_functions_nr
-from .recursive import (
-    choice_distribution,
-    path_probabilities,
-    sequence_probabilities,
-    solve_value_functions,
-)
+from .policy import sequence_table
+from .recursive import choice_distribution, sequence_likelihoods, solve_value_functions
 from .utility import LinkUtilitySpec, ValueFunction
 
 MAX_TIME_DENOMINATOR = 10**4
@@ -200,13 +197,13 @@ def closed_form_ratios(s: TwoRouteScenario) -> ModelRatios:
     )
 
 
-def _junction_states(build: TwoRouteBuild) -> tuple[State, State]:
-    succ = successor_states(
-        build.network, build.support_points, build.initial_state, LINK_APPROACH
-    )
-    if len(succ) != 2:
+def _junction_states(graph: CompiledGraph) -> tuple[State, State]:
+    """The next states of the approach link from the departure state, in partition order."""
+    j = graph.action(0, LINK_APPROACH)
+    targets = graph.edge_target[graph.edge_ptr[j]:graph.edge_ptr[j + 1]].tolist()
+    if len(targets) != 2:
         raise ValidationError("expected exactly two junction states")
-    return succ[0][0], succ[1][0]
+    return graph.states[targets[0]], graph.states[targets[1]]
 
 
 def _route_ratios(vf: ValueFunction, st1: State, st2: State, p: float) -> RouteRatios:
@@ -228,7 +225,9 @@ def pipeline_ratios(s: TwoRouteScenario) -> ModelRatios:
     logit's marginal route shares.
     """
     build = build_two_route_network(s)
-    st1, st2 = _junction_states(build)
+    st1, st2 = _junction_states(
+        compile_graph(build.network, build.support_points, build.initial_state)
+    )
     args = (build.network, build.support_points, build.utility, build.initial_state)
     return ModelRatios(
         recursive=_route_ratios(solve_value_functions(*args), st1, st2, s.p),
@@ -302,13 +301,14 @@ def equivalence_report(
     if utility is None:
         utility = LinkUtilitySpec()
     s0 = departure_state(net, spp)
+    table = sequence_table(compile_graph(net, spp, s0))
 
-    rec_paths = path_probabilities(solve_value_functions(net, spp, utility, initial=s0))
-    nr_paths = path_probabilities(solve_value_functions_nr(net, spp, utility, initial=s0))
-    path_diff = max(
-        abs(rec_paths.get(path, 0.0) - nr_paths.get(path, 0.0))
-        for path in set(rec_paths) | set(nr_paths)
-    )
+    def probabilities(solve, spec: LinkUtilitySpec) -> np.ndarray:
+        return sequence_likelihoods(solve(net, spp, spec, initial=s0), table.steps)
+
+    rec = probabilities(solve_value_functions, utility)
+    nr = probabilities(solve_value_functions_nr, utility)
+    path_diff = float(np.max(np.abs(table.path_sums(rec) - table.path_sums(nr))))
     if spp.size == 1 and path_diff > 1e-10:
         raise StdRouteError(
             f"single-scenario network: the models must agree per path but differ by {path_diff!r}"
@@ -317,20 +317,18 @@ def equivalence_report(
     divergences = []
     for mu in mus:
         scaled = utility.with_mu(mu)
-        rec_seq = sequence_probabilities(solve_value_functions(net, spp, scaled, initial=s0))
-        nr_seq = sequence_probabilities(solve_value_functions_nr(net, spp, scaled, initial=s0))
-        divergences.append(
-            max(abs(rec_seq[seq] - nr_seq[seq]) for seq in rec_seq)
-        )
+        rec = probabilities(solve_value_functions, scaled)
+        nr = probabilities(solve_value_functions_nr, scaled)
+        divergences.append(float(np.max(np.abs(rec - nr))))
     monotone = all(
         divergences[i + 1] <= divergences[i] + 1e-15 for i in range(len(divergences) - 1)
     )
     return EquivalenceReport(
         support_count=spp.size,
         deterministic=spp.size == 1,
-        path_probability_max_diff=float(path_diff),
+        path_probability_max_diff=path_diff,
         mus=tuple(mus),
-        sequence_divergences=tuple(float(d) for d in divergences),
+        sequence_divergences=tuple(divergences),
         divergence_monotone=monotone,
     )
 

@@ -41,8 +41,8 @@ from .network import (
 )
 from .numerics import finite_difference_gradient, is_integer
 from .nonrecursive import solve_value_functions_nr
-from .policy import StateSequence
-from .recursive import StepTable, sequence_log_likelihoods, solve_value_functions, step_table
+from .policy import StateSequence, StepTable
+from .recursive import sequence_log_likelihoods, solve_value_functions, step_table
 from .utility import LinkUtilitySpec, travel_time_attributes
 
 Model = Literal["recursive", "nonrecursive"]
@@ -90,7 +90,8 @@ class ObservationSet:
             first_index.setdefault(seq, i)
         by_initial: dict[State, list[int]] = {}
         for position, seq in enumerate(counts):
-            by_initial.setdefault(seq.initial_state, []).append(position)
+            if seq.states:  # an empty sequence has no initial state; validate rejects it
+                by_initial.setdefault(seq.initial_state, []).append(position)
         return _Groups(
             sequences=tuple(counts),
             counts=np.array(list(counts.values())),
@@ -111,7 +112,9 @@ class ObservationSet:
         return table
 
     def validate(self, net: StdNetwork, spp: SupportPointSet) -> None:
-        for i, seq in enumerate(self.observations):
+        """Check each distinct sequence once; a failure names its first observation."""
+        groups = self._groups
+        for seq, i in zip(groups.sequences, groups.first_index):
             try:
                 seq.validate(net, spp)
             except ValidationError as exc:

@@ -6,6 +6,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -302,6 +303,86 @@ def optimal_policy(
     return policy, vf
 
 
+class StepTable(NamedTuple):
+    """Steps of sequences in a compiled graph: one row per sequence, one column per step.
+
+    ``actions[r, k]`` and ``edges[r, k]`` are the state-action and edge of
+    step k of sequence r. Rows shorter than the longest are padded with
+    one past the last state-action and edge.
+    """
+
+    actions: np.ndarray
+    edges: np.ndarray
+
+
+def edge_steps(graph: CompiledGraph, rows: list[list[int]]) -> StepTable:
+    """The step table of sequences given as lists of the graph's edges, one list per sequence."""
+    lengths = np.array([len(row) for row in rows], dtype=np.intp)
+    edges = np.full((len(rows), lengths.max(initial=0)), len(graph.edge_prob))
+    edges[np.arange(edges.shape[1]) < lengths[:, None]] = list(itertools.chain(*rows))
+    actions = np.append(graph.edge_action, len(graph.action_link))[edges]
+    return StepTable(actions, edges)
+
+
+class SequenceTable(NamedTuple):
+    """Every state sequence of a compiled graph, in walk order, with its steps and link path.
+
+    ``paths`` holds the distinct traversed link paths in ascending order
+    and ``path_index[r]`` the position of sequence r's path among them.
+    """
+
+    sequences: tuple[StateSequence, ...]
+    steps: StepTable
+    paths: tuple[tuple[int, ...], ...]
+    path_index: np.ndarray
+
+    def path_sums(self, per_sequence: np.ndarray) -> np.ndarray:
+        """Per path, the sum of its sequences' values, added in sequence order."""
+        return np.bincount(self.path_index, per_sequence, len(self.paths))
+
+
+def sequence_table(graph: CompiledGraph, cap: int = DEFAULT_POLICY_CAP) -> SequenceTable:
+    """Every state sequence of the graph, with its steps and link path.
+
+    The sequences are counted first, so more than ``cap`` raise
+    :class:`PolicyExplosionError` before any is listed. A caller that
+    scores one graph more than once holds the table itself.
+    """
+    count = _backward_counts(graph, sum)[0]
+    if count > cap:
+        raise PolicyExplosionError(f"{count} state sequences exceed the cap of {cap}")
+    return _enumerate_sequences(graph)
+
+
+def _enumerate_sequences(graph: CompiledGraph) -> SequenceTable:
+    """Walk every sequence from state 0 depth first, links and next states in graph order."""
+    action_ptr, edge_ptr = graph.action_ptr.tolist(), graph.edge_ptr.tolist()
+    target = graph.edge_target.tolist()
+    rows: list[list[int]] = []
+
+    def walk(i: int, edges: list[int]) -> None:
+        if action_ptr[i] == action_ptr[i + 1]:
+            rows.append(edges)
+            return
+        for j in range(action_ptr[i], action_ptr[i + 1]):
+            for e in range(edge_ptr[j], edge_ptr[j + 1]):
+                walk(target[e], edges + [e])
+
+    walk(0, [])
+    states = graph.states
+    sequences = tuple(
+        StateSequence((states[0], *(states[target[e]] for e in row))) for row in rows
+    )
+    paths = [seq.path for seq in sequences]
+    distinct = sorted(set(paths))
+    position = {path: k for k, path in enumerate(distinct)}
+    steps = edge_steps(graph, rows)
+    path_index = np.array([position[path] for path in paths], dtype=np.intp)
+    return SequenceTable(
+        sequences=sequences, steps=steps, paths=tuple(distinct), path_index=path_index
+    )
+
+
 def enumerate_sequences(
     net: StdNetwork,
     spp: SupportPointSet,
@@ -309,20 +390,4 @@ def enumerate_sequences(
     cap: int = DEFAULT_POLICY_CAP,
 ) -> tuple[StateSequence, ...]:
     """Every feasible state sequence from the initial state to the destination."""
-    graph = compile_graph(net, spp, initial)
-    count = _backward_counts(graph, sum)[0]
-    if count > cap:
-        raise PolicyExplosionError(f"{count} state sequences exceed the cap of {cap}")
-    states, successors = graph.states, graph.successors
-    sequences: list[StateSequence] = []
-
-    def walk(prefix: tuple[int, ...]) -> None:
-        if not successors[prefix[-1]]:
-            sequences.append(StateSequence(tuple(states[i] for i in prefix)))
-            return
-        for _, targets in successors[prefix[-1]]:
-            for j in targets:
-                walk(prefix + (j,))
-
-    walk((0,))
-    return tuple(sequences)
+    return sequence_table(compile_graph(net, spp, initial), cap).sequences

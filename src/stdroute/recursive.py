@@ -11,9 +11,7 @@ the compiled decision graph, and every later query reads its arrays.
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +26,14 @@ from .network import (
     is_partition_state,
 )
 from .numerics import as_rng, check_sample_size
-from .policy import DEFAULT_POLICY_CAP, StateSequence, enumerate_sequences
+from .policy import (
+    DEFAULT_POLICY_CAP,
+    SequenceTable,
+    StateSequence,
+    StepTable,
+    edge_steps,
+    sequence_table,
+)
 from .utility import LinkUtilitySpec, ValueFunction
 
 
@@ -99,18 +104,6 @@ def link_choice_prob(vf: ValueFunction, state: State, a: int) -> float:
     return float(vf.choice_probs[vf.graph.action(vf.state_index(state), a)])
 
 
-class StepTable(NamedTuple):
-    """Steps of sequences in a compiled graph: one row per sequence, one column per step.
-
-    ``actions[r, k]`` and ``edges[r, k]`` are the state-action and edge of
-    step k of sequence r. Rows shorter than the longest are padded with
-    one past the last state-action and edge.
-    """
-
-    actions: np.ndarray
-    edges: np.ndarray
-
-
 def step_table(graph: CompiledGraph, sequences) -> StepTable:
     """Find every step of each sequence in the compiled graph.
 
@@ -133,11 +126,7 @@ def step_table(graph: CompiledGraph, sequences) -> StepTable:
             missing = next(s for s, i in zip(seq.states, path) if i is None)
             raise ValidationError(f"state {missing} is not reachable from {graph.initial}")
         rows.append(edges)
-    lengths = np.array([len(row) for row in rows], dtype=np.intp)
-    edges = np.full((len(rows), lengths.max(initial=0)), len(graph.edge_prob))
-    edges[np.arange(edges.shape[1]) < lengths[:, None]] = list(itertools.chain(*rows))
-    actions = np.append(graph.edge_action, len(graph.action_link))[edges]
-    return StepTable(actions, edges)
+    return edge_steps(graph, rows)
 
 
 def sequence_log_likelihoods(vf: ValueFunction, steps: StepTable) -> np.ndarray:
@@ -208,20 +197,26 @@ def sequence_likelihood_value_form(vf: ValueFunction, seq: StateSequence) -> flo
 def sequence_probabilities(
     vf: ValueFunction, cap: int = DEFAULT_POLICY_CAP
 ) -> dict[StateSequence, float]:
-    """Likelihood of every feasible sequence from the solved initial state."""
-    sequences = enumerate_sequences(vf.network, vf.support_points, vf.initial, cap=cap)
-    probs = sequence_likelihoods(vf, step_table(vf.graph, sequences))
-    return dict(zip(sequences, probs.tolist()))
+    """Likelihood of every feasible sequence from the solved initial state, in walk order."""
+    table, probs = _table_likelihoods(vf, cap)
+    return dict(zip(table.sequences, probs.tolist()))
 
 
 def path_probabilities(
     vf: ValueFunction, cap: int = DEFAULT_POLICY_CAP
 ) -> dict[tuple[int, ...], float]:
-    """Sequence likelihoods aggregated by traversed link path."""
-    totals: dict[tuple[int, ...], float] = {}
-    for seq, prob in sequence_probabilities(vf, cap=cap).items():
-        totals[seq.path] = totals.get(seq.path, 0.0) + prob
-    return dict(sorted(totals.items()))
+    """Sequence likelihoods summed by traversed link path, paths in ascending order."""
+    table, probs = _table_likelihoods(vf, cap)
+    return dict(zip(table.paths, table.path_sums(probs).tolist()))
+
+
+def _table_likelihoods(vf: ValueFunction, cap: int) -> tuple[SequenceTable, np.ndarray]:
+    """The solved graph's sequence table and the likelihood of each of its sequences."""
+    table = sequence_table(vf.graph, cap)
+    if vf.graph.terminal[0]:
+        # from the destination the only sequence is one state long, which is no trip
+        table.sequences[0].validate(vf.network, vf.support_points)
+    return table, sequence_likelihoods(vf, table.steps)
 
 
 def sample_sequence(vf: ValueFunction, seed=None) -> StateSequence:

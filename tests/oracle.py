@@ -2,8 +2,10 @@
 
 Walks the expanded decision graph state by state, calling
 ``successor_states`` and ``LinkUtilitySpec.value`` directly, as a check on
-the compiled-graph sweep; and scores an observation set one sequence and
-one step at a time, as a check on the batched likelihood.
+the compiled-graph sweep; scores an observation set one sequence and
+one step at a time, as a check on the batched likelihood; and lists and
+scores every state sequence anew on each call, as a check on the
+sequence table a compiled graph keeps.
 """
 
 from __future__ import annotations
@@ -11,8 +13,12 @@ from __future__ import annotations
 import math
 
 from stdroute import (
+    EquivalenceReport,
     LinkUtilitySpec,
+    StateSequence,
+    StdRouteError,
     decision_graph,
+    initial_state,
     solve_value_functions,
     solve_value_functions_nr,
     successor_states,
@@ -91,3 +97,72 @@ def log_likelihood(model, net, spp, obs, beta, mu):
             term += math.log(graph.edge_prob[graph.edge_index[(i, k)]])
         total += count * term
     return total
+
+
+def enumerate_sequences(graph):
+    """Every state sequence of a compiled graph, by a depth-first walk over its successors."""
+    states, successors = graph.states, graph.successors
+    sequences = []
+
+    def walk(prefix):
+        if not successors[prefix[-1]]:
+            sequences.append(StateSequence(tuple(states[i] for i in prefix)))
+            return
+        for _, targets in successors[prefix[-1]]:
+            for j in targets:
+                walk(prefix + (j,))
+
+    walk((0,))
+    return sequences
+
+
+def sequence_probabilities(vf):
+    """Likelihood of every sequence, one step at a time: choice term, then transition term."""
+    graph = vf.graph
+    probs = {}
+    for seq in enumerate_sequences(graph):
+        prob = 1.0
+        for cur, nxt in zip(seq.states, seq.states[1:]):
+            i, k = graph.index[cur], graph.index[nxt]
+            prob *= float(vf.choice_probs[graph.action(i, nxt.link)])
+            prob *= float(graph.edge_prob[graph.edge_index[(i, k)]])
+        probs[seq] = prob
+    return probs
+
+
+def path_probabilities(vf):
+    """Sequence likelihoods summed by link path in sequence order, paths in ascending order."""
+    totals = {}
+    for seq, prob in sequence_probabilities(vf).items():
+        totals[seq.path] = totals.get(seq.path, 0.0) + prob
+    return dict(sorted(totals.items()))
+
+
+def equivalence_report(net, spp, utility=None, mus=(1.0, 0.1, 0.01, 1e-4)):
+    """The model comparison with every sequence listed and scored again for each solve."""
+    utility = utility or LinkUtilitySpec()
+    s0 = initial_state(net, spp)
+    rec_paths = path_probabilities(solve_value_functions(net, spp, utility, initial=s0))
+    nr_paths = path_probabilities(solve_value_functions_nr(net, spp, utility, initial=s0))
+    path_diff = max(
+        abs(rec_paths.get(path, 0.0) - nr_paths.get(path, 0.0))
+        for path in set(rec_paths) | set(nr_paths)
+    )
+    if spp.size == 1 and path_diff > 1e-10:
+        raise StdRouteError(f"single-scenario network: paths differ by {path_diff!r}")
+    divergences = []
+    for mu in mus:
+        scaled = utility.with_mu(mu)
+        rec = sequence_probabilities(solve_value_functions(net, spp, scaled, initial=s0))
+        nr = sequence_probabilities(solve_value_functions_nr(net, spp, scaled, initial=s0))
+        divergences.append(max(abs(rec[seq] - nr[seq]) for seq in rec))
+    return EquivalenceReport(
+        support_count=spp.size,
+        deterministic=spp.size == 1,
+        path_probability_max_diff=float(path_diff),
+        mus=tuple(mus),
+        sequence_divergences=tuple(float(d) for d in divergences),
+        divergence_monotone=all(
+            divergences[i + 1] <= divergences[i] + 1e-15 for i in range(len(divergences) - 1)
+        ),
+    )

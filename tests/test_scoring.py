@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,43 @@ class TestErrors:
             log_likelihood(model, net, spp, obs, [-1.0])
         assert str(got.value) == str(expected.value)
 
+    def test_validation_checks_each_distinct_sequence_once(self, net, spp, s0, monkeypatch):
+        bad = StateSequence(
+            (s0, State(1, 3, EventCollection((1,))), State(2, 6, EventCollection((1,))))
+        )
+        with pytest.raises(ValidationError) as expected:
+            bad.validate(net, spp)
+        full = enumerate_sequences(net, spp, s0)
+        observations = (full[0], full[1], full[0], bad, full[1], bad, full[2])
+        checked = []
+        original = StateSequence.validate
+
+        def counted(self, *args):
+            checked.append(self)
+            return original(self, *args)
+
+        monkeypatch.setattr(StateSequence, "validate", counted)
+        with pytest.raises(ValidationError, match=re.escape(f"observation 3: {expected.value}")):
+            ObservationSet(observations).validate(net, spp)
+        assert checked == [full[0], full[1], bad]
+
+        checked.clear()
+        document = ObservationSet(observations[:3] * 4 + (full[2],)).to_json()
+        obs = ObservationSet.from_json(document, net, spp)
+        assert checked == [full[0], full[1], full[2]]
+        checked.clear()
+        fit("recursive", net, spp, obs, beta0=[-0.5], compute_std_errors=False)
+        assert checked == [full[0], full[1], full[2]]
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_empty_sequence_is_a_validation_error(self, net, spp, s0, model):
+        full = enumerate_sequences(net, spp, s0)
+        message = "^observation 1: a state sequence needs at least a departure and an arrival"
+        with pytest.raises(ValidationError, match=message):
+            ObservationSet((full[0], StateSequence(()), full[1])).validate(net, spp)
+        with pytest.raises(ValidationError, match=message):
+            fit(model, net, spp, ObservationSet((full[0], StateSequence(()))), beta0=[-0.5])
+
 
 class TestCaching:
     @pytest.mark.parametrize("model", MODELS)
@@ -191,9 +229,11 @@ class TestCaching:
         monkeypatch.setattr(StateSequence, "__hash__", counted_hash)
         monkeypatch.setattr(stdroute.estimation, "log_likelihood", counted_ll)
         fit("recursive", net, spp, obs, beta0=[-0.5])
+        # fit groups the observations once, when it validates them, so no
+        # likelihood call hashes a sequence
+        assert hashes[0] >= len(obs)
         assert len(per_call) > 3
-        assert per_call[0] >= len(obs)
-        assert per_call[1:] == [0] * (len(per_call) - 1)
+        assert per_call == [0] * len(per_call)
         initial_states = {seq.initial_state for seq in obs.observations}
         assert len(initial_states) == 3
         assert sorted(g.initial.sort_key for g in encoded) == sorted(
