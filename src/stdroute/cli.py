@@ -18,13 +18,12 @@ from .comparison import (
     extremeness_check,
     pipeline_ratios,
 )
-from .errors import StdRouteError
+from .errors import PolicyExplosionError, StdRouteError
 from .estimation import ObservationSet, fit
 from .network import compile_graph, initial_state, load_network_file
 from .nonrecursive import (
     policy_choice_probs,
     policy_utilities,
-    sample_sequence_counts_nr,
     solve_value_functions_nr,
 )
 from .policy import enumerate_policies, sequence_table
@@ -123,14 +122,19 @@ def cmd_predict(args) -> int:
         columns.append(sequence_likelihoods(vf, table.steps))
 
     if "nonrecursive" in models:
-        cs = enumerate_policies(net, spp, s0, cap=args.cap_policies)
-        utilities = policy_utilities(cs, utility)
-        probs = policy_choice_probs(cs, utility)
-        rows = [
-            [str(i), _fmt(float(utilities[i])), _fmt(float(probs[i]))]
-            for i in range(len(cs.policies))
-        ]
-        tables["policy_probs"] = (["policy", "expected_utility", "probability"], rows)
+        try:
+            cs = enumerate_policies(net, spp, s0, cap=args.cap_policies)
+        except PolicyExplosionError as exc:
+            # the policy count is taken before any policy is listed
+            print(f"skipped table policy_probs: {exc}", file=sys.stderr)
+        else:
+            utilities = policy_utilities(cs, utility)
+            probs = policy_choice_probs(cs, utility)
+            rows = [
+                [str(i), _fmt(float(utilities[i])), _fmt(float(probs[i]))]
+                for i in range(len(cs.policies))
+            ]
+            tables["policy_probs"] = (["policy", "expected_utility", "probability"], rows)
         vf = solve_value_functions_nr(net, spp, utility, initial=s0)
         columns.append(sequence_likelihoods(vf, table.steps))
 
@@ -152,14 +156,9 @@ def cmd_predict(args) -> int:
 def cmd_simulate(args) -> int:
     net, spp = load_network_file(args.network)
     s0 = initial_state(net, spp)
-    utility = _utility_from_args(args)
-    if args.model == "recursive":
-        vf = solve_value_functions(net, spp, utility, initial=s0)
-        counts = sample_sequence_counts(vf, args.samples, seed=args.seed)
-    else:
-        cs = enumerate_policies(net, spp, s0, cap=args.cap_policies)
-        counts = sample_sequence_counts_nr(cs, utility, args.samples, seed=args.seed)
-        vf = solve_value_functions_nr(net, spp, utility, initial=s0)
+    solve = solve_value_functions if args.model == "recursive" else solve_value_functions_nr
+    vf = solve(net, spp, _utility_from_args(args), initial=s0)
+    counts = sample_sequence_counts(vf, args.samples, seed=args.seed)
     probs = sequence_probabilities(vf, cap=args.cap_policies)
     rows = []
     for seq in sorted(probs, key=lambda s: s.label()):

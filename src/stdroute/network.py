@@ -558,8 +558,13 @@ def compile_graph(net: StdNetwork, spp: SupportPointSet, initial: State) -> Comp
 
     Built once per (network, support points, initial state) from
     :func:`decision_graph` and cached on ``spp`` next to its knowledge
-    partitions.
+    partitions. A trip needs a departure and an arrival, so an initial
+    state at the destination is refused.
     """
+    if net.is_destination(initial.link):
+        raise ValidationError(
+            f"a state sequence needs at least a departure and an arrival; {initial} is at the destination"
+        )
     key = (net, initial)
     graph = spp._graphs.get(key)
     if graph is None:

@@ -7,9 +7,9 @@ reaching it (:attr:`CompiledGraph.reach`). En route the traveler executes
 the chosen policy. A policy tree never merges (its branches hold disjoint
 knowledge sets), so the logit's sum over policies factors state by state:
 the origin logit is a link-level logit at scale ``mu / w(s)`` in each
-state, solved by the recursive model's sweep. Only per-policy outputs
-enumerate policies: policy utilities and choice probabilities, and
-sampling, whose seeded draw is over (policy, scenario) pairs.
+state, solved by the recursive model's sweep, and sampled by the
+recursive model's sampler. Only per-policy outputs enumerate policies:
+policy utilities and choice probabilities.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from .network import (
     SupportPointSet,
     compile_graph,
     initial_state as default_initial_state,
-    successor_states,
     transition_prob,
 )
-from .numerics import as_rng, check_sample_size, softmax
+from .numerics import check_sample_size, softmax
 from .policy import (
     DEFAULT_POLICY_CAP,
     PolicyChoiceSet,
@@ -37,10 +36,11 @@ from .policy import (
     _backward_counts,
     contains,
     policy_expected_utility,
-    rollout_policy,
 )
 from .recursive import (
     path_probabilities,
+    sample_sequence,
+    sample_sequence_counts,
     sequence_likelihood,
     sequence_log_likelihood,
     sequence_probabilities,
@@ -142,46 +142,13 @@ def path_probabilities_nr(
 
 
 def sample_sequence_nr(cs: PolicyChoiceSet, utility: LinkUtilitySpec, seed=None) -> StateSequence:
-    """Sample a policy at the origin, then roll it out drawing knowledge transitions."""
-    rng = as_rng(seed)
-    probs = policy_choice_probs(cs, utility)
-    policy = cs.policies[rng.choice(len(cs.policies), p=probs)]
-    net, spp = cs.network, cs.support_points
-    state = cs.initial_state
-    states = [state]
-    while not net.is_destination(state.link):
-        succ = successor_states(net, spp, state, policy.next_link(state))
-        idx = rng.choice(len(succ), p=np.array([p for _, p in succ]))
-        state = succ[idx][0]
-        states.append(state)
-    return StateSequence(tuple(states))
+    """One trajectory, drawn link by link from the solved model."""
+    return sample_sequence(_solve(cs, utility), seed)
 
 
 def sample_sequence_counts_nr(
     cs: PolicyChoiceSet, utility: LinkUtilitySpec, n: int, seed=None
 ) -> dict[StateSequence, int]:
-    """Frequencies of ``n`` independent samples.
-
-    Drawing a policy and a full scenario is equivalent to drawing the
-    knowledge transitions step by step, so each sample reduces to one
-    draw over (policy, scenario) pairs and a precomputed rollout.
-    """
+    """Frequencies of ``n`` independent trajectories, drawn link by link from the solved model."""
     check_sample_size(n)
-    rng = as_rng(seed)
-    spp = cs.support_points
-    probs = policy_choice_probs(cs, utility)
-    scenarios = list(cs.initial_state.ev)
-    scenario_probs = np.array([spp.probabilities[r - 1] for r in scenarios])
-    scenario_probs = scenario_probs / scenario_probs.sum()
-    joint = np.outer(probs, scenario_probs).ravel()
-    joint = joint / joint.sum()
-    draws = rng.multinomial(n, joint).reshape(len(cs.policies), len(scenarios))
-    result: dict[StateSequence, int] = {}
-    for i, policy in enumerate(cs.policies):
-        for j, r in enumerate(scenarios):
-            count = int(draws[i, j])
-            if count == 0:
-                continue
-            seq = rollout_policy(cs.network, spp, policy, r)
-            result[seq] = result.get(seq, 0) + count
-    return dict(sorted(result.items(), key=lambda item: item[0].label()))
+    return sample_sequence_counts(_solve(cs, utility), n, seed)

@@ -209,22 +209,6 @@ def policy_outcomes(
     return tuple(leaves)
 
 
-def rollout_policy(
-    net: StdNetwork, spp: SupportPointSet, policy: RoutingPolicy, scenario: int
-) -> StateSequence:
-    """Trajectory produced by a policy when nature plays one fixed scenario."""
-    state = policy.initial_state
-    if scenario not in state.ev:
-        raise ValidationError(f"scenario {scenario} is incompatible with {state.ev}")
-    states = [state]
-    while not net.is_destination(state.link):
-        a = policy.next_link(state)
-        nxt = [s for s, _ in successor_states(net, spp, state, a) if scenario in s.ev]
-        state = nxt[0]
-        states.append(state)
-    return StateSequence(tuple(states))
-
-
 def policy_expected_utility(
     net: StdNetwork,
     spp: SupportPointSet,

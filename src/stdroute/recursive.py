@@ -213,9 +213,6 @@ def path_probabilities(
 def _table_likelihoods(vf: ValueFunction, cap: int) -> tuple[SequenceTable, np.ndarray]:
     """The solved graph's sequence table and the likelihood of each of its sequences."""
     table = sequence_table(vf.graph, cap)
-    if vf.graph.terminal[0]:
-        # from the destination the only sequence is one state long, which is no trip
-        table.sequences[0].validate(vf.network, vf.support_points)
     return table, sequence_likelihoods(vf, table.steps)
 
 

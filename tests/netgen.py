@@ -9,6 +9,8 @@ unambiguous.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from stdroute import Link, StdNetwork, SupportPointSet
@@ -71,3 +73,26 @@ def random_network(
         probabilities=probs,
     )
     return net, spp
+
+
+def network_text(net: StdNetwork, spp: SupportPointSet) -> str:
+    """A network as a JSON document that ``load_network`` reads back."""
+    points = [
+        {
+            "probability": float(p),
+            "travel_times": {
+                str(a): spp.travel_times[r, :, j].tolist() for j, a in enumerate(spp.link_ids)
+            },
+        }
+        for r, p in enumerate(spp.probabilities)
+    ]
+    return json.dumps(
+        {
+            "nodes": list(net.nodes),
+            "links": [{"id": l.id, "from": l.tail, "to": l.head} for l in net.links],
+            "origin_link": net.origin_link,
+            "destination_link": net.destination_link,
+            "horizon": net.horizon,
+            "support_points": points,
+        }
+    )

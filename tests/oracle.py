@@ -3,28 +3,35 @@
 Walks the expanded decision graph state by state, calling
 ``successor_states`` and ``LinkUtilitySpec.value`` directly, as a check on
 the compiled-graph sweep; scores an observation set one sequence and
-one step at a time, as a check on the batched likelihood; and lists and
+one step at a time, as a check on the batched likelihood; lists and
 scores every state sequence anew on each call, as a check on the
-sequence table a compiled graph keeps.
+sequence table a compiled graph keeps; and draws and marginalizes the
+non-recursive model as the paper states it, a routing policy chosen at
+the origin and executed in one scenario, as a check on sampling the
+solved model link by link.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from stdroute import (
     EquivalenceReport,
     LinkUtilitySpec,
     StateSequence,
     StdRouteError,
+    ValidationError,
     decision_graph,
     initial_state,
+    policy_choice_probs,
     solve_value_functions,
     solve_value_functions_nr,
     successor_states,
     transition_prob,
 )
-from stdroute.numerics import log_softmax, logsumexp, softmax
+from stdroute.numerics import as_rng, check_sample_size, log_softmax, logsumexp, softmax
 
 
 def solve_values(net, spp, utility, initial):
@@ -166,3 +173,60 @@ def equivalence_report(net, spp, utility=None, mus=(1.0, 0.1, 0.01, 1e-4)):
             divergences[i + 1] <= divergences[i] + 1e-15 for i in range(len(divergences) - 1)
         ),
     )
+
+
+def rollout_policy(net, spp, policy, scenario):
+    """Trajectory produced by a policy when nature plays one fixed scenario."""
+    state = policy.initial_state
+    if scenario not in state.ev:
+        raise ValidationError(f"scenario {scenario} is incompatible with {state.ev}")
+    states = [state]
+    while not net.is_destination(state.link):
+        a = policy.next_link(state)
+        nxt = [s for s, _ in successor_states(net, spp, state, a) if scenario in s.ev]
+        state = nxt[0]
+        states.append(state)
+    return StateSequence(tuple(states))
+
+
+def _scenario_probs(cs):
+    spp = cs.support_points
+    scenarios = list(cs.initial_state.ev)
+    probs = np.array([spp.probabilities[r - 1] for r in scenarios])
+    return scenarios, probs / probs.sum()
+
+
+def policy_scenario_probabilities(cs, utility):
+    """Non-recursive sequence probabilities: the sum over (policy, scenario) pairs whose rollout it is."""
+    scenarios, scenario_probs = _scenario_probs(cs)
+    totals = {}
+    for prob, policy in zip(policy_choice_probs(cs, utility), cs.policies):
+        for r, q in zip(scenarios, scenario_probs):
+            seq = rollout_policy(cs.network, cs.support_points, policy, r)
+            totals[seq] = totals.get(seq, 0.0) + float(prob * q)
+    return totals
+
+
+def policy_scenario_counts(cs, utility, n, seed=None):
+    """Frequencies of ``n`` non-recursive trips, each a policy drawn at the origin and rolled out.
+
+    Drawing a policy and a full scenario is equivalent to drawing the
+    knowledge transitions step by step, so the ``n`` trips are one
+    multinomial draw over (policy, scenario) pairs.
+    """
+    check_sample_size(n)
+    rng = as_rng(seed)
+    probs = policy_choice_probs(cs, utility)
+    scenarios, scenario_probs = _scenario_probs(cs)
+    joint = np.outer(probs, scenario_probs).ravel()
+    joint = joint / joint.sum()
+    draws = rng.multinomial(n, joint).reshape(len(cs.policies), len(scenarios))
+    result = {}
+    for i, policy in enumerate(cs.policies):
+        for j, r in enumerate(scenarios):
+            count = int(draws[i, j])
+            if count == 0:
+                continue
+            seq = rollout_policy(cs.network, cs.support_points, policy, r)
+            result[seq] = result.get(seq, 0) + count
+    return dict(sorted(result.items(), key=lambda item: item[0].label()))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from netgen import random_network
+from oracle import policy_scenario_counts, rollout_policy
 from stdroute import (
     EventCollection,
     LinkUtilitySpec,
@@ -30,9 +31,7 @@ from stdroute import (
     policy_choice_probs,
     policy_expected_utility,
     policy_utilities,
-    rollout_policy,
     sample_sequence_counts,
-    sample_sequence_counts_nr,
     scenario_grid,
     sequence_probabilities,
     sequence_probabilities_nr,
@@ -301,7 +300,8 @@ def test_estimation_recovery(model):
         "recursive", net, spp, ObservationSet.from_counts(rec_counts), beta0=[-0.5]
     )
 
-    nr_counts = sample_sequence_counts_nr(cs, utility, 10**4, seed=1)
+    # the paper's data process: a policy drawn at the origin, rolled out in a drawn scenario
+    nr_counts = policy_scenario_counts(cs, utility, 10**4, seed=1)
     nr_fit = fit(
         "nonrecursive", net, spp, ObservationSet.from_counts(nr_counts), beta0=[-0.5]
     )

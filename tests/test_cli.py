@@ -3,9 +3,11 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from stdroute import bundled_network_text
+from netgen import network_text, random_network
+from stdroute import bundled_network_text, enumerate_policies, enumerate_sequences, initial_state
 from stdroute.cli import main
 
 
@@ -137,6 +139,40 @@ class TestSimulate:
         )
         rows = read_csv(f"{prefix}_frequencies.csv")
         assert sum(int(r["count"]) for r in rows) == 2000
+
+
+class TestBeyondThePolicyCap:
+    """The non-recursive commands on a network with more routing policies than the cap."""
+
+    @pytest.fixture()
+    def capped(self, tmp_path):
+        rng = np.random.default_rng(5)
+        while True:
+            net, spp = random_network(rng)
+            s0 = initial_state(net, spp)
+            sequences = len(enumerate_sequences(net, spp, s0))
+            if len(enumerate_policies(net, spp, s0)) > sequences:
+                break
+        path = tmp_path / "net.json"
+        path.write_text(network_text(net, spp))
+        return str(path), f"--cap-policies={sequences}"
+
+    def test_simulate(self, capped, capsys):
+        path, cap = capped
+        assert main(["simulate", path, "--model", "nonrecursive", "--samples", "500", cap]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()[1:]))
+        assert sum(int(r["count"]) for r in rows) == 500
+        assert sum(float(r["probability"]) for r in rows) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("model", ["nonrecursive", "both"])
+    def test_predict_skips_the_policy_table(self, capped, capsys, model):
+        path, cap = capped
+        assert main(["predict", path, "--model", model, cap]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("skipped table policy_probs: ")
+        assert captured.err.count("\n") == 1
+        assert "# policy_probs" not in captured.out
+        assert "# sequences" in captured.out and "# paths" in captured.out
 
 
 class TestEstimate:

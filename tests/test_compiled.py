@@ -145,12 +145,13 @@ class TestGraph:
         with pytest.raises(ValidationError, match="beta has 2"):
             solve_value_functions(net, spp, LinkUtilitySpec(beta=(-1.0, 0.5)))
 
-
     def test_solve_from_a_destination_state(self, net, spp, s0):
+        # a one-state "trip" has no departure: compiling from the arrival is refused
         arrival = enumerate_sequences(net, spp, s0)[0].final_state
-        vf = solve_value_functions(net, spp, LinkUtilitySpec(), initial=arrival)
-        assert vf.values == {arrival: 0.0}
-        assert sample_sequence_counts(vf, 5, seed=1) == {StateSequence((arrival,)): 5}
+        with pytest.raises(ValidationError, match="at least a departure and an arrival"):
+            compile_graph(net, spp, arrival)
+        with pytest.raises(ValidationError, match="at least a departure and an arrival"):
+            solve_value_functions(net, spp, LinkUtilitySpec(), initial=arrival)
 
 
 class TestLikelihoodLookups:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from netgen import random_network
+from oracle import rollout_policy
 from stdroute import (
     EventCollection,
     LinkUtilitySpec,
@@ -25,7 +26,6 @@ from stdroute import (
     policy_choice_prob,
     policy_choice_probs,
     policy_utilities,
-    rollout_policy,
     sample_sequence_counts,
     sample_sequence_counts_nr,
     sample_sequence_nr,

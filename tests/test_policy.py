@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from netgen import random_network
+from oracle import rollout_policy
 from stdroute import (
     EventCollection,
     LinkUtilitySpec,
@@ -20,7 +21,6 @@ from stdroute import (
     optimal_policy,
     policy_expected_utility,
     policy_outcomes,
-    rollout_policy,
 )
 
 V1 = State(1, 1, EventCollection((1,)))

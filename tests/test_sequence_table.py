@@ -8,15 +8,21 @@ import stdroute.policy
 from netgen import random_network
 from stdroute import (
     LinkUtilitySpec,
+    PolicyChoiceSet,
     PolicyExplosionError,
+    RoutingPolicy,
     ValidationError,
     compile_graph,
+    enumerate_policies,
     enumerate_sequences,
     equivalence_report,
     initial_state,
     load_bundled_network,
     path_probabilities,
+    sample_sequence_counts_nr,
+    sample_sequence_nr,
     sequence_probabilities,
+    sequence_probabilities_nr,
     solve_value_functions,
     solve_value_functions_nr,
 )
@@ -108,7 +114,18 @@ class TestEnumerations:
 
     def test_no_trip_from_the_destination(self, net, spp, s0):
         arrival = enumerate_sequences(net, spp, s0)[0].final_state
-        vf = solve_value_functions(net, spp, LinkUtilitySpec(), initial=arrival)
-        for read in (sequence_probabilities, path_probabilities):
+        utility = LinkUtilitySpec()
+        # the one choice set from the destination: the empty policy
+        cs = PolicyChoiceSet(net, spp, arrival, (RoutingPolicy.from_map(arrival, {}),))
+        calls = [
+            lambda: solve_value_functions(net, spp, utility, initial=arrival),
+            lambda: solve_value_functions_nr(net, spp, utility, initial=arrival),
+            lambda: enumerate_sequences(net, spp, arrival),
+            lambda: enumerate_policies(net, spp, arrival),
+            lambda: sample_sequence_nr(cs, utility, seed=1),
+            lambda: sample_sequence_counts_nr(cs, utility, 5, seed=1),
+            lambda: sequence_probabilities_nr(cs, utility),
+        ]
+        for call in calls:
             with pytest.raises(ValidationError, match="at least a departure and an arrival"):
-                read(vf)
+                call()
