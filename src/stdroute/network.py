@@ -38,7 +38,6 @@ strictly increase along any trajectory.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -177,6 +176,7 @@ class SupportPointSet:
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "_columns", {a: i for i, a in enumerate(self.link_ids)})
         object.__setattr__(self, "_partitions", {})
+        object.__setattr__(self, "_transitions", {})
         object.__setattr__(self, "_graphs", {})
 
     @property
@@ -223,6 +223,23 @@ def event_collections_at(spp: SupportPointSet, t: int) -> tuple[EventCollection,
         classes = sorted((tuple(g) for g in groups.values()), key=lambda g: g[0])
         cache[period] = tuple(EventCollection(c) for c in classes)
     return cache[period]
+
+
+def _transitions(spp: SupportPointSet, ev: EventCollection, t: int) -> tuple:
+    """The classes at time ``t`` that meet ``ev``, in partition order; cached per (set, period).
+
+    Each is ``(class index, transition probability, (class, travel time of
+    each link column at t, mass))``: the members of a class agree on them.
+    """
+    key = (ev.members, min(t, spp.horizon - 1))
+    if key not in spp._transitions:
+        classes, members, times = event_collections_at(spp, t), set(ev.members), spp.travel_times[:, key[1]]
+        spp._transitions[key] = tuple(
+            (c, transition_prob(spp, cls, ev), (cls, times[cls.members[0] - 1].tolist(), spp.mass(cls)))
+            for c, cls in enumerate(classes)
+            if not members.isdisjoint(cls.members)
+        )
+    return spp._transitions[key]
 
 
 def transition_prob(spp: SupportPointSet, ev_next: EventCollection, ev: EventCollection) -> float:
@@ -324,26 +341,9 @@ def travel_time(net: StdNetwork, spp: SupportPointSet, a: int, state: State) -> 
     return times.pop()
 
 
-def successor_states(
-    net: StdNetwork, spp: SupportPointSet, state: State, a: int
-) -> list[tuple[State, float]]:
-    """Possible next states after taking link ``a``, with their probabilities.
-
-    One successor per knowledge class at the arrival time that intersects
-    the current knowledge set; probabilities sum to 1.
-    """
-    t_next = state.time + travel_time(net, spp, a, state)
-    current = set(state.ev.members)
-    result = []
-    for ev_next in event_collections_at(spp, t_next):
-        if current & set(ev_next.members):
-            result.append((State(a, t_next, ev_next), transition_prob(spp, ev_next, state.ev)))
-    return result
-
-
-def is_partition_state(spp: SupportPointSet, state: State) -> bool:
-    """Whether the state's knowledge set is a class of the canonical partition at its time."""
-    return state.ev in event_collections_at(spp, state.time)
+def travel_time_attributes(net: StdNetwork, spp: SupportPointSet, a: int, state: State) -> tuple[float, ...]:
+    """Default single attribute: the realized travel time of the chosen link."""
+    return (float(travel_time(net, spp, a, state)),)
 
 
 def initial_state(net: StdNetwork, spp: SupportPointSet, t0: int = 0) -> State:
@@ -376,43 +376,16 @@ class DecisionGraph:
 
 
 def decision_graph(net: StdNetwork, spp: SupportPointSet, initial: State) -> DecisionGraph:
-    """Expand the reachable state space under every possible choice.
-
-    Time strictly increases along transitions, so the expansion is finite
-    whenever trajectories stay within the trip horizon. Raises
-    :class:`HorizonError` past the horizon and
-    :class:`UnreachableDestinationError` at dead-end states.
-    """
-    t_max = net.trip_horizon(spp)
-    seen: dict[State, None] = {initial: None}
-    terminal: set[State] = set()
-    choices: dict[State, dict[int, tuple[tuple[State, float], ...]]] = {}
-    stack = [initial]
-    while stack:
-        state = stack.pop()
-        if net.is_destination(state.link):
-            terminal.add(state)
-            continue
-        if state.time > t_max:
-            raise HorizonError(
-                f"state {state} exceeds the trip horizon {t_max} without reaching the destination"
-            )
-        outgoing = net.outgoing(state.link)
-        if not outgoing:
-            raise UnreachableDestinationError(f"state {state} has no outgoing links")
-        per_link: dict[int, tuple[tuple[State, float], ...]] = {}
-        for a in outgoing:
-            succ = tuple(successor_states(net, spp, state, a))
-            per_link[a] = succ
-            for nxt, _ in succ:
-                if nxt not in seen:
-                    seen[nxt] = None
-                    stack.append(nxt)
-        choices[state] = per_link
-    states = tuple(sorted(seen, key=lambda s: s.sort_key))
-    return DecisionGraph(
-        initial=initial, states=states, terminal=frozenset(terminal), choices=choices
-    )
+    """The cached :func:`compile_graph` from ``initial`` as State-level mappings, in ``sort_key`` order."""
+    graph = compile_graph(net, spp, initial)
+    states, probs, edge_index = graph.states, graph.edge_prob.tolist(), graph.edge_index
+    choices = {
+        states[i]: {a: tuple((states[k], probs[edge_index[i, k]]) for k in targets) for a, targets in succ}
+        for i, succ in enumerate(graph.successors)
+        if succ
+    }
+    terminal = frozenset(s for s in states if s not in choices)
+    return DecisionGraph(graph.initial, tuple(sorted(states, key=lambda s: s.sort_key)), terminal, choices)
 
 
 class Layer(NamedTuple):
@@ -434,8 +407,10 @@ class CompiledGraph:
     ``edge_ptr[j]:edge_ptr[j+1]`` (one per next knowledge state, in
     partition order) with their transition probabilities. ``action_owner``,
     ``first_action`` and ``edge_owner`` hold positions relative to the
-    start of the owner's layer, so a sweep only slices. The initial state
-    is state 0.
+    start of the owner's layer, so a sweep only slices. ``action_time``
+    holds each state-action's travel time and ``reach`` each state's
+    w(s) = mass(ev_s) / mass(ev_0), the product of the transition
+    probabilities on any path to it. The initial state is state 0.
     """
 
     network: StdNetwork
@@ -445,12 +420,14 @@ class CompiledGraph:
     layers: tuple[Layer, ...]
     action_ptr: np.ndarray
     action_link: np.ndarray
+    action_time: np.ndarray
     action_owner: np.ndarray
     first_action: np.ndarray
     edge_ptr: np.ndarray
     edge_target: np.ndarray
     edge_prob: np.ndarray
     edge_owner: np.ndarray
+    reach: np.ndarray
     _attributes: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -483,19 +460,10 @@ class CompiledGraph:
         )
 
     @cached_property
-    def reach(self) -> np.ndarray:
-        """Probability w(s) of reaching each state's knowledge set, mass(ev_s) / mass(ev_0).
-
-        Partitions refine over time, so the transition probabilities on any
-        path to ``s`` multiply out to this ratio.
-        """
-        mass = np.array([self.support_points.mass(s.ev.members) for s in self.states])
-        return mass / mass[0]
-
-    @cached_property
-    def log_edge_prob(self) -> np.ndarray:
-        """Log transition probability of each edge, taken one edge at a time by ``math.log``."""
-        return np.array([math.log(p) for p in self.edge_prob.tolist()])
+    def padded_edge_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edge probabilities and their logs (by ``math.log``), each ending in 1 and 0 for step-table padding."""
+        probs = self.edge_prob.tolist()
+        return np.array(probs + [1.0]), np.array([math.log(p) for p in probs] + [0.0])
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -520,15 +488,19 @@ class CompiledGraph:
 
         Built once per extractor and cached (the last few extractors are
         kept), so extractors must be pure functions of their arguments.
+        :func:`travel_time_attributes` is read from ``action_time``.
         """
         X = self._attributes.get(extractor)
         if X is None:
-            net, spp, states = self.network, self.support_points, self.states
-            rows = [
-                extractor(net, spp, a, states[i])
-                for i, a in zip(self.action_state.tolist(), self.action_link.tolist())
-            ]
-            X = np.array(rows, dtype=float).reshape(len(rows), -1) if rows else np.zeros((0, 0))
+            if extractor is travel_time_attributes:
+                X = self.action_time.astype(float).reshape(-1, 1)
+            else:
+                net, spp, states = self.network, self.support_points, self.states
+                rows = [
+                    extractor(net, spp, a, states[i])
+                    for i, a in zip(self.action_state.tolist(), self.action_link.tolist())
+                ]
+                X = np.array(rows, dtype=float).reshape(len(rows), -1) if rows else np.zeros((0, 0))
             if len(self._attributes) >= ATTRIBUTE_CACHE_SIZE:
                 del self._attributes[next(iter(self._attributes))]
             self._attributes[extractor] = X
@@ -554,12 +526,13 @@ class CompiledGraph:
 
 
 def compile_graph(net: StdNetwork, spp: SupportPointSet, initial: State) -> CompiledGraph:
-    """The decision graph from ``initial`` as arrays.
+    """The decision graph from ``initial`` as arrays, cached on ``spp`` next to its partitions.
 
-    Built once per (network, support points, initial state) from
-    :func:`decision_graph` and cached on ``spp`` next to its knowledge
-    partitions. A trip needs a departure and an arrival, so an initial
-    state at the destination is refused.
+    A knowledge state is a partition class, so states expand as keys
+    ``(link, time, class)`` sharing their class's travel times and
+    successor lists. The initial state (class -1) may be any set whose
+    scenarios agree on its links, but not at the destination. Raises
+    HorizonError past the trip horizon, UnreachableDestinationError at a dead end.
     """
     if net.is_destination(initial.link):
         raise ValidationError(
@@ -568,53 +541,78 @@ def compile_graph(net: StdNetwork, spp: SupportPointSet, initial: State) -> Comp
     key = (net, initial)
     graph = spp._graphs.get(key)
     if graph is None:
-        graph = spp._graphs[key] = _compile(net, spp, decision_graph(net, spp, initial))
+        graph = spp._graphs[key] = _compile(net, spp, initial)
     return graph
 
 
-def _compile(net: StdNetwork, spp: SupportPointSet, graph: DecisionGraph) -> CompiledGraph:
-    states = sorted(graph.states, key=lambda s: (s.time, s in graph.terminal))
-    index = {s: i for i, s in enumerate(states)}
-    action_ptr, links, owner, first = [0], [], [], []
-    edge_ptr, targets, probs, edge_owner = [0], [], [], []
-    layers = []
-    for _, group in itertools.groupby(range(len(states)), key=lambda i: states[i].time):
-        layer = list(group)
-        lo, a0, e0 = layer[0], len(links), len(targets)
-        for i in layer:
-            first.append(len(links) - a0)
-            for a, succ in graph.choices.get(states[i], {}).items():
-                links.append(a)
-                owner.append(i - lo)
-                for nxt, p in succ:
-                    targets.append(index[nxt])
-                    probs.append(p)
-                    edge_owner.append(len(links) - 1 - a0)
-                edge_ptr.append(len(targets))
-            action_ptr.append(len(links))
-        decisions = sum(1 for i in layer if states[i] not in graph.terminal)
-        if decisions:
-            layers.append(
-                Layer(slice(lo, lo + decisions), slice(a0, len(links)), slice(e0, len(targets)))
+def _compile(net: StdNetwork, spp: SupportPointSet, initial: State) -> CompiledGraph:
+    t_max, adjacency = net.trip_horizon(spp), net.adjacency
+    destination = {l.id for l in net.links if l.head == net.destination_node}
+    root = (initial.link, initial.time, -1)
+    seen = {root: (initial.ev, None, spp.mass(initial.ev))}  # per key: knowledge set, times, mass
+    expanded, stack = {}, [root]
+    while stack:  # depth first, so an error names the state the State-level walk met first
+        key = stack.pop()
+        (link, t, _), (ev, row, _) = key, seen[key]
+        if link in destination:
+            continue
+        if t > t_max:
+            raise HorizonError(
+                f"state {State(link, t, ev)} exceeds the trip horizon {t_max} without reaching the destination"
             )
+        if not adjacency[link]:
+            raise UnreachableDestinationError(f"state {State(link, t, ev)} has no outgoing links")
+        expanded[key] = actions = []
+        for a in adjacency[link]:
+            tau = travel_time(net, spp, a, initial) if row is None else row[spp.column(a)]
+            succ = _transitions(spp, ev, t + tau)
+            actions.append((a, tau, succ))
+            for k, _, data in succ:
+                if (a, t + tau, k) not in seen:
+                    seen[a, t + tau, k] = data
+                    stack.append((a, t + tau, k))
 
-    def ints(values):
-        return np.array(values, dtype=np.intp)
+    # by time, decision states first, then by link and knowledge set
+    keys = sorted(seen, key=lambda k: (k[1], k[0] in destination, k[0], k[2]))
+    index = {key: i for i, key in enumerate(keys)}
+    action_ptr, links, times, owner, first = [0], [], [], [], []
+    edge_ptr, targets, probs, edge_owner = [0], [], [], []
+    layers = {}  # per time layer: its decision states, state-actions and edges, by first state
+    for i, (_, t, _) in enumerate(keys):
+        if i == 0 or t > keys[i - 1][1]:
+            lo, a0, e0 = i, len(links), len(targets)
+        first.append(len(links) - a0)
+        for a, tau, succ in expanded.get(keys[i], ()):
+            links.append(a)
+            times.append(tau)
+            owner.append(i - lo)
+            for k, p, _ in succ:
+                targets.append(index[a, t + tau, k])
+                probs.append(p)
+                edge_owner.append(len(links) - 1 - a0)
+            edge_ptr.append(len(targets))
+        action_ptr.append(len(links))
+        if keys[i] in expanded:
+            layers[lo] = Layer(slice(lo, i + 1), slice(a0, len(links)), slice(e0, len(targets)))
 
+    states = tuple(State(link, t, seen[link, t, c][0]) if c >= 0 else initial for link, t, c in keys)
+    mass = [seen[key][2] for key in keys]
     return CompiledGraph(
         network=net,
         support_points=spp,
-        states=tuple(states),
-        index=index,
-        layers=tuple(layers),
-        action_ptr=ints(action_ptr),
-        action_link=ints(links),
-        action_owner=ints(owner),
-        first_action=ints(first),
-        edge_ptr=ints(edge_ptr),
-        edge_target=ints(targets),
+        states=states,
+        index={s: i for i, s in enumerate(states)},
+        layers=tuple(layers.values()),
+        action_ptr=np.array(action_ptr, dtype=np.intp),
+        action_link=np.array(links, dtype=np.intp),
+        action_time=np.array(times, dtype=np.int64),
+        action_owner=np.array(owner, dtype=np.intp),
+        first_action=np.array(first, dtype=np.intp),
+        edge_ptr=np.array(edge_ptr, dtype=np.intp),
+        edge_target=np.array(targets, dtype=np.intp),
         edge_prob=np.array(probs, dtype=float),
-        edge_owner=ints(edge_owner),
+        edge_owner=np.array(edge_owner, dtype=np.intp),
+        reach=np.array(mass) / mass[0],
     )
 
 

@@ -18,7 +18,6 @@ from .network import (
     SupportPointSet,
     compile_graph,
     event_collections_at,
-    successor_states,
     travel_time,
 )
 from .utility import LinkUtilitySpec, ValueFunction
@@ -193,19 +192,25 @@ def enumerate_policies(
 def policy_outcomes(
     net: StdNetwork, spp: SupportPointSet, policy: RoutingPolicy
 ) -> tuple[tuple[StateSequence, float], ...]:
-    """Leaves of the policy's state tree as (sequence, probability) pairs; mass sums to 1."""
+    """Leaves of the policy's state tree as (sequence, probability) pairs; mass sums to 1.
+
+    The tree is walked on the compiled graph from the policy's initial
+    state, next knowledge states in partition order.
+    """
+    graph = compile_graph(net, spp, policy.initial_state)
+    states, edge_ptr, target, probs = graph.states, graph.edge_ptr, graph.edge_target, graph.edge_prob
     leaves: list[tuple[StateSequence, float]] = []
 
-    def walk(prefix: tuple[State, ...], prob: float) -> None:
-        state = prefix[-1]
-        if net.is_destination(state.link):
+    def walk(i: int, prefix: tuple[State, ...], prob: float) -> None:
+        if graph.terminal[i]:
             leaves.append((StateSequence(prefix), prob))
             return
-        a = policy.next_link(state)
-        for nxt, p in successor_states(net, spp, state, a):
-            walk(prefix + (nxt,), prob * p)
+        j = graph.action(i, policy.next_link(states[i]))
+        for e in range(edge_ptr[j], edge_ptr[j + 1]):
+            k = int(target[e])
+            walk(k, prefix + (states[k],), prob * float(probs[e]))
 
-    walk((policy.initial_state,), 1.0)
+    walk(0, (policy.initial_state,), 1.0)
     return tuple(leaves)
 
 

@@ -22,8 +22,8 @@ from .network import (
     StdNetwork,
     SupportPointSet,
     compile_graph,
+    event_collections_at,
     initial_state as default_initial_state,
-    is_partition_state,
 )
 from .numerics import as_rng, check_sample_size
 from .policy import (
@@ -111,7 +111,7 @@ def step_table(graph: CompiledGraph, sequences) -> StepTable:
     :meth:`StateSequence.validate`, which names the infeasible step; a
     feasible one that the graph does not contain is rejected too.
     """
-    index, edge_index = graph.index, graph.edge_index
+    index, edge_index, spp = graph.index, graph.edge_index, graph.support_points
     rows = []
     for seq in sequences:
         path = [index.get(s) for s in seq.states]
@@ -120,9 +120,9 @@ def step_table(graph: CompiledGraph, sequences) -> StepTable:
             len(path) < 2
             or None in edges
             or not graph.terminal[path[-1]]
-            or not is_partition_state(graph.support_points, seq.states[0])
+            or seq.states[0].ev not in event_collections_at(spp, seq.states[0].time)
         ):
-            seq.validate(graph.network, graph.support_points)
+            seq.validate(graph.network, spp)
             missing = next(s for s, i in zip(seq.states, path) if i is None)
             raise ValidationError(f"state {missing} is not reachable from {graph.initial}")
         rows.append(edges)
@@ -131,22 +131,23 @@ def step_table(graph: CompiledGraph, sequences) -> StepTable:
 
 def sequence_log_likelihoods(vf: ValueFunction, steps: StepTable) -> np.ndarray:
     """Log likelihood of each sequence of a step table: log choice plus log transition terms."""
-    return _fold(np.add, 0.0, vf.log_choice_probs, vf.graph.log_edge_prob, steps)
+    return _fold(np.add, 0.0, vf.padded_log_choice_probs, vf.graph.padded_edge_terms[1], steps)
 
 
 def sequence_likelihoods(vf: ValueFunction, steps: StepTable) -> np.ndarray:
     """Likelihood of each sequence of a step table; see :func:`sequence_likelihood`."""
-    return _fold(np.multiply, 1.0, vf.choice_probs, vf.graph.edge_prob, steps)
+    return _fold(np.multiply, 1.0, vf.padded_choice_probs, vf.graph.padded_edge_terms[0], steps)
 
 
 def _fold(op, identity: float, per_action, per_edge, steps: StepTable) -> np.ndarray:
     """Combine each row's terms step by step, the choice term before the transition term.
 
     The order is that of a scalar walk along one sequence, so a row's
-    result does not depend on the other rows. Padding reads ``identity``.
+    result does not depend on the other rows. The term arrays end in
+    ``identity``, which the step table's padding reads.
     """
-    choice = np.append(per_action, identity)[steps.actions]
-    transition = np.append(per_edge, identity)[steps.edges]
+    choice = per_action[steps.actions]
+    transition = per_edge[steps.edges]
     total = np.full(len(choice), identity)
     for k in range(choice.shape[1]):
         op(total, choice[:, k], out=total)

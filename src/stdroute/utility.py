@@ -9,16 +9,9 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .network import CompiledGraph, State, StdNetwork, SupportPointSet, travel_time
+from .network import CompiledGraph, State, StdNetwork, SupportPointSet, travel_time_attributes
 
 AttributeExtractor = Callable[[StdNetwork, SupportPointSet, int, State], tuple[float, ...]]
-
-
-def travel_time_attributes(
-    net: StdNetwork, spp: SupportPointSet, a: int, state: State
-) -> tuple[float, ...]:
-    """Default single attribute: the realized travel time of the chosen link."""
-    return (float(travel_time(net, spp, a, state)),)
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,7 +22,8 @@ class LinkUtilitySpec:
     utility equals negative travel time. The attribute extractor must be
     a pure function of ``(net, spp, a, state)``: a compiled graph
     evaluates it once per state-action and caches the result per
-    extractor object.
+    extractor object. The default is read from the travel times the
+    graph recorded when it was built, without a call.
     """
 
     beta: tuple[float, ...] = (-1.0,)
@@ -101,6 +95,16 @@ class ValueFunction:
     @cached_property
     def values(self) -> Mapping[State, float]:
         return dict(zip(self.graph.states, self.state_values.tolist()))
+
+    @cached_property
+    def padded_choice_probs(self) -> np.ndarray:
+        """``choice_probs`` and a 1 for the padding of a step table."""
+        return np.append(self.choice_probs, 1.0)
+
+    @cached_property
+    def padded_log_choice_probs(self) -> np.ndarray:
+        """``log_choice_probs`` and a 0 for the padding of a step table."""
+        return np.append(self.log_choice_probs, 0.0)
 
     def state_index(self, state: State) -> int:
         try:

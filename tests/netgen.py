@@ -1,10 +1,11 @@
 """Random small-network generator for property and oracle tests.
 
-Networks are layered (origin node, one or two middle nodes, destination)
-with forward links only, so the destination is reachable from every
-state and every policy terminates. Travel times at the departure period
-are identical across scenarios, keeping the departure knowledge state
-unambiguous.
+``random_network`` draws layered networks (origin node, one or two
+middle nodes, destination) with forward links only, so the destination
+is reachable from every state and every policy terminates;
+``cyclic_network`` allows cycles and dead ends, for the expansion's
+errors. Travel times at the departure period are identical across
+scenarios, keeping the departure knowledge state unambiguous.
 """
 
 from __future__ import annotations
@@ -71,6 +72,34 @@ def random_network(
         link_ids=tuple(l.id for l in links if l.id != 0),
         travel_times=times,
         probabilities=probs,
+    )
+    return net, spp
+
+
+def cyclic_network(rng: np.random.Generator, max_links: int = 7) -> tuple[StdNetwork, SupportPointSet]:
+    """A network with random links among four nodes and the destination: cycles and dead ends allowed.
+
+    Expanding it may run past the trip horizon or reach a node with no
+    outgoing link; it is for checking which error an expansion raises.
+    """
+    nodes = ["o", "a", "b", "c", "z"]
+    tails = rng.choice(4, size=int(rng.integers(2, max_links + 1)))
+    pairs = [(nodes[t], nodes[int(rng.choice([h for h in range(1, 5) if h != t]))]) for t in tails]
+    pairs.append((nodes[int(rng.integers(0, 4))], "z"))
+    links = [Link(0, "o", "o")] + [Link(i + 1, tail, head) for i, (tail, head) in enumerate(pairs)]
+    net = StdNetwork(
+        nodes=tuple(nodes),
+        links=tuple(links),
+        origin_link=0,
+        destination_link=len(pairs),
+        horizon=int(rng.integers(1, 4)),
+    )
+    r = int(rng.integers(1, 4))
+    times = rng.integers(1, 4, size=(r, net.horizon, len(pairs)))
+    times[:, 0, :] = times[0, 0, :]  # common departure period
+    probs = rng.random(r) + 0.2
+    spp = SupportPointSet(
+        link_ids=tuple(range(1, len(pairs) + 1)), travel_times=times, probabilities=probs / probs.sum()
     )
     return net, spp
 

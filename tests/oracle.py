@@ -1,37 +1,205 @@
-"""Slow reference implementations: the recursive model over per-State dicts, and scalar scoring.
+"""Slow reference implementations: the State-level graph, the recursive model over dicts, scalar scoring.
 
-Walks the expanded decision graph state by state, calling
-``successor_states`` and ``LinkUtilitySpec.value`` directly, as a check on
-the compiled-graph sweep; scores an observation set one sequence and
-one step at a time, as a check on the batched likelihood; lists and
-scores every state sequence anew on each call, as a check on the
-sequence table a compiled graph keeps; and draws and marginalizes the
-non-recursive model as the paper states it, a routing policy chosen at
-the origin and executed in one scenario, as a check on sampling the
-solved model link by link.
+Expands the decision graph state by state over ``State`` objects, with
+``successor_states`` rebuilding the knowledge classes from scenario sets
+at every step, and lays it out as arrays, as a check on the compile in
+index space; walks the expanded graph calling ``LinkUtilitySpec.value``
+directly, as a check on the compiled-graph sweep; scores an observation
+set one sequence and one step at a time, as a check on the batched
+likelihood; lists and scores every state sequence anew on each call, as
+a check on the sequence table a compiled graph keeps; and draws and
+marginalizes the non-recursive model as the paper states it, a routing
+policy chosen at the origin and executed in one scenario, as a check on
+sampling the solved model link by link.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from stdroute import (
+    CompiledGraph,
+    DecisionGraph,
     EquivalenceReport,
+    HorizonError,
     LinkUtilitySpec,
+    State,
     StateSequence,
     StdRouteError,
+    UnreachableDestinationError,
     ValidationError,
-    decision_graph,
+    event_collections_at,
     initial_state,
     policy_choice_probs,
     solve_value_functions,
     solve_value_functions_nr,
-    successor_states,
     transition_prob,
+    travel_time,
+    travel_time_attributes,
 )
+from stdroute.network import Layer
 from stdroute.numerics import as_rng, check_sample_size, log_softmax, logsumexp, softmax
+
+
+def successor_states(net, spp, state, a):
+    """Possible next states after taking link ``a``, with their probabilities.
+
+    One successor per knowledge class at the arrival time that intersects
+    the current knowledge set; probabilities sum to 1.
+    """
+    t_next = state.time + travel_time(net, spp, a, state)
+    current = set(state.ev.members)
+    result = []
+    for ev_next in event_collections_at(spp, t_next):
+        if current & set(ev_next.members):
+            result.append((State(a, t_next, ev_next), transition_prob(spp, ev_next, state.ev)))
+    return result
+
+
+def decision_graph(net, spp, initial):
+    """Expand the reachable state space under every possible choice, one ``State`` at a time.
+
+    Raises HorizonError past the trip horizon and
+    UnreachableDestinationError at dead-end states.
+    """
+    t_max = net.trip_horizon(spp)
+    seen = {initial: None}
+    terminal = set()
+    choices = {}
+    stack = [initial]
+    while stack:
+        state = stack.pop()
+        if net.is_destination(state.link):
+            terminal.add(state)
+            continue
+        if state.time > t_max:
+            raise HorizonError(
+                f"state {state} exceeds the trip horizon {t_max} without reaching the destination"
+            )
+        outgoing = net.outgoing(state.link)
+        if not outgoing:
+            raise UnreachableDestinationError(f"state {state} has no outgoing links")
+        per_link = {}
+        for a in outgoing:
+            succ = tuple(successor_states(net, spp, state, a))
+            per_link[a] = succ
+            for nxt, _ in succ:
+                if nxt not in seen:
+                    seen[nxt] = None
+                    stack.append(nxt)
+        choices[state] = per_link
+    states = tuple(sorted(seen, key=lambda s: s.sort_key))
+    return DecisionGraph(
+        initial=initial, states=states, terminal=frozenset(terminal), choices=choices
+    )
+
+
+def compile_expansion(net, spp, graph):
+    """An expanded graph as a ``CompiledGraph``, with travel times and reach taken state by state."""
+    states = sorted(graph.states, key=lambda s: (s.time, s in graph.terminal))
+    index = {s: i for i, s in enumerate(states)}
+    action_ptr, links, times, owner, first = [0], [], [], [], []
+    edge_ptr, targets, probs, edge_owner = [0], [], [], []
+    layers = []
+    for _, group in itertools.groupby(range(len(states)), key=lambda i: states[i].time):
+        layer = list(group)
+        lo, a0, e0 = layer[0], len(links), len(targets)
+        for i in layer:
+            first.append(len(links) - a0)
+            for a, succ in graph.choices.get(states[i], {}).items():
+                links.append(a)
+                times.append(travel_time(net, spp, a, states[i]))
+                owner.append(i - lo)
+                for nxt, p in succ:
+                    targets.append(index[nxt])
+                    probs.append(p)
+                    edge_owner.append(len(links) - 1 - a0)
+                edge_ptr.append(len(targets))
+            action_ptr.append(len(links))
+        decisions = sum(1 for i in layer if states[i] not in graph.terminal)
+        if decisions:
+            layers.append(
+                Layer(slice(lo, lo + decisions), slice(a0, len(links)), slice(e0, len(targets)))
+            )
+
+    def ints(values):
+        return np.array(values, dtype=np.intp)
+
+    mass = np.array([spp.mass(s.ev.members) for s in states])
+    return CompiledGraph(
+        network=net,
+        support_points=spp,
+        states=tuple(states),
+        index=index,
+        layers=tuple(layers),
+        action_ptr=ints(action_ptr),
+        action_link=ints(links),
+        action_time=np.array(times, dtype=np.int64),
+        action_owner=ints(owner),
+        first_action=ints(first),
+        edge_ptr=ints(edge_ptr),
+        edge_target=ints(targets),
+        edge_prob=np.array(probs, dtype=float),
+        edge_owner=ints(edge_owner),
+        reach=mass / mass[0],
+    )
+
+
+def compile_graph(net, spp, initial):
+    """The State-level expansion from ``initial``, laid out as arrays."""
+    return compile_expansion(net, spp, decision_graph(net, spp, initial))
+
+
+ARRAYS = (
+    "action_ptr",
+    "action_link",
+    "action_time",
+    "action_owner",
+    "first_action",
+    "edge_ptr",
+    "edge_target",
+    "edge_prob",
+    "edge_owner",
+    "reach",
+)
+
+
+def _same_array(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def graph_mismatches(graph, reference):
+    """The parts in which two compiled graphs differ, every array compared bit for bit.
+
+    The travel-time attribute matrix of ``graph`` is compared with the
+    reference's taken by one ``travel_time_attributes`` call per state-action.
+    """
+    names = ("states", "index", "layers", "labels")
+    diff = [name for name in names if getattr(graph, name) != getattr(reference, name)]
+    diff += [name for name in ARRAYS if not _same_array(getattr(graph, name), getattr(reference, name))]
+    per_call = reference.attribute_matrix(lambda *args: travel_time_attributes(*args))
+    if not _same_array(graph.attribute_matrix(travel_time_attributes), per_call):
+        diff.append("travel-time attributes")
+    return diff
+
+
+def policy_outcomes(net, spp, policy):
+    """Leaves of a policy's state tree, walked with ``successor_states`` from the initial state."""
+    leaves = []
+
+    def walk(prefix, prob):
+        state = prefix[-1]
+        if net.is_destination(state.link):
+            leaves.append((StateSequence(prefix), prob))
+            return
+        for nxt, p in successor_states(net, spp, state, policy.next_link(state)):
+            walk(prefix + (nxt,), prob * p)
+
+    walk((policy.initial_state,), 1.0)
+    return tuple(leaves)
 
 
 def solve_values(net, spp, utility, initial):

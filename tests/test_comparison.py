@@ -12,6 +12,7 @@ from stdroute import (
     build_two_route_network,
     bundled_network_text,
     closed_form_ratios,
+    decision_graph,
     dominance_class,
     equivalence_report,
     extremeness_check,
@@ -23,7 +24,6 @@ from stdroute import (
     ratio_table,
     scenario_grid,
     solve_value_functions,
-    successor_states,
 )
 from stdroute.comparison import LINK_APPROACH, LINK_ROUTE2, LINK_ROUTE3
 
@@ -64,8 +64,10 @@ class TestBuild:
         )
         vf_bundled = solve_value_functions(net, spp, unit_utility)
         for (built_state, _), (bundled_state, _) in zip(
-            successor_states(build.network, bspp, build.initial_state, LINK_APPROACH),
-            successor_states(net, spp, initial_state(net, spp), 1),
+            decision_graph(build.network, bspp, build.initial_state).choices[build.initial_state][
+                LINK_APPROACH
+            ],
+            decision_graph(net, spp, initial_state(net, spp)).choices[initial_state(net, spp)][1],
         ):
             for a in (LINK_ROUTE2, LINK_ROUTE3):
                 assert link_choice_prob(vf_built, built_state, a) == pytest.approx(

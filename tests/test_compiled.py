@@ -1,5 +1,7 @@
-"""Compiled decision graph: agreement with the dict-walk oracle, caching, and input checks."""
+"""Compiled decision graph: agreement with the State-level oracle, caching, and input checks."""
 
+import importlib
+import itertools
 import json
 import math
 import os
@@ -13,14 +15,19 @@ import pytest
 import oracle
 import stdroute
 import stdroute.network
-from netgen import random_network
+from netgen import cyclic_network, random_network
 from stdroute import (
     EventCollection,
+    HorizonError,
     LinkUtilitySpec,
+    PoiConsistencyError,
     State,
     StateSequence,
     SupportPointSet,
+    TwoRouteScenario,
+    UnreachableDestinationError,
     ValidationError,
+    build_two_route_network,
     bundled_network_text,
     choice_distribution,
     compile_graph,
@@ -38,6 +45,7 @@ from stdroute import (
 from stdroute.cli import main
 
 TOL = 1e-12
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def close(x, y):
@@ -78,6 +86,113 @@ class TestOracle:
             assert np.allclose(np.exp(vf.log_choice_probs), vf.choice_probs, atol=TOL)
 
 
+def bench_module(name):
+    """A module of the benchmark harness, imported from its directory."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def outcome(build, net, spp, initial):
+    """The compiled graph from ``initial``, or the type and message of the error raised."""
+    try:
+        return build(net, spp, initial)
+    except stdroute.StdRouteError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(net, spp, initial):
+    got = outcome(compile_graph, net, spp, initial)
+    expected = outcome(oracle.compile_graph, net, spp, initial)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert oracle.graph_mismatches(got, expected) == []
+
+
+class TestAgainstTheStateLevelExpansion:
+    """Every array of the index-space compile is bitwise the State-level expansion's."""
+
+    def test_random_networks(self):
+        rng = np.random.default_rng(77)
+        for _ in range(200):
+            net, spp = random_network(rng, max_links=8, max_support=4, max_horizon=4)
+            assert_same_outcome(net, spp, initial_state(net, spp))
+
+    def test_benchmark_grids(self):
+        workloads = bench_module("workloads")
+        for wl, grids in ((workloads.RecFit, 3), (workloads.NrFit, 3), (workloads.RecPredict, 1)):
+            for j in range(grids):
+                seed = (1, j) if grids > 1 else (1,)
+                net, spp = load_network(workloads.sized_grid(seed, *wl.grid, wl.target)[0])
+                assert_same_outcome(net, spp, initial_state(net, spp))
+
+    def test_two_route_builds(self):
+        scenarios = bench_module("gen").two_route_grid(1)
+        assert len(scenarios) == 550
+        for a, b, x, y, p in scenarios:
+            build = build_two_route_network(TwoRouteScenario(a=a, b=b, x=x, y=y, p=p))
+            assert_same_outcome(build.network, build.support_points, build.initial_state)
+
+    def test_every_set_of_scenarios_as_the_initial_knowledge(self):
+        # subsets of a class compile; sets whose scenarios disagree on a link raise
+        rng = np.random.default_rng(8)
+        raised = compiled = 0
+        for _ in range(40):
+            net, spp = random_network(rng, max_links=6, max_support=3, max_horizon=3)
+            scenarios = range(1, spp.size + 1)
+            for state in compile_graph(net, spp, initial_state(net, spp)).states[:6]:
+                if net.is_destination(state.link):
+                    continue
+                for n in range(1, spp.size + 1):
+                    for members in itertools.combinations(scenarios, n):
+                        initial = State(state.link, state.time, EventCollection(members))
+                        assert_same_outcome(net, spp, initial)
+                        result = outcome(compile_graph, net, spp, initial)
+                        raised += isinstance(result, tuple)
+                        compiled += not isinstance(result, tuple)
+        assert raised and compiled
+
+    def test_subset_and_inconsistent_initial_states_on_the_bundled_network(self, net, spp):
+        subset = State(0, 0, EventCollection((1,)))
+        assert_same_outcome(net, spp, subset)
+        assert compile_graph(net, spp, subset).reach.tolist() == [1.0, 1.0, 1.0, 1.0]
+        inconsistent = State(1, 1, EventCollection((1, 2)))
+        assert_same_outcome(net, spp, inconsistent)
+        with pytest.raises(PoiConsistencyError, match="disagree on the time of link 2"):
+            compile_graph(net, spp, inconsistent)
+
+    def test_horizon_and_dead_end_errors_name_the_same_state(self):
+        rng = np.random.default_rng(3)
+        kinds = set()
+        for _ in range(300):
+            net, spp = cyclic_network(rng)
+            s0 = initial_state(net, spp)
+            assert_same_outcome(net, spp, s0)
+            result = outcome(compile_graph, net, spp, s0)
+            kinds.add(result[0] if isinstance(result, tuple) else None)
+        assert kinds == {None, HorizonError, UnreachableDestinationError}
+
+    def test_a_destination_state_is_refused(self, net, spp, s0):
+        arrival = enumerate_sequences(net, spp, s0)[0].final_state
+        for build in (compile_graph, decision_graph):
+            with pytest.raises(ValidationError, match="at least a departure and an arrival"):
+                build(net, spp, arrival)
+
+    def test_the_view_is_the_expansion(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            net, spp = random_network(rng, max_links=8)
+            s0 = initial_state(net, spp)
+            view, expanded = decision_graph(net, spp, s0), oracle.decision_graph(net, spp, s0)
+            assert view.initial == expanded.initial
+            assert view.states == expanded.states
+            assert view.terminal == expanded.terminal
+            assert view.choices == expanded.choices
+
+
 class TestGraph:
     def test_layers_are_contiguous_time_slices(self):
         rng = np.random.default_rng(5)
@@ -99,7 +214,7 @@ class TestGraph:
 
     def test_arrays_match_the_expansion(self, net, spp, s0):
         graph = compile_graph(net, spp, s0)
-        expanded = decision_graph(net, spp, s0)
+        expanded = oracle.decision_graph(net, spp, s0)
         assert set(graph.states) == set(expanded.states)
         for i, state in enumerate(graph.states):
             choices = expanded.choices.get(state, {})
@@ -115,18 +230,19 @@ class TestGraph:
     def test_second_solve_reuses_the_compiled_graph(self, monkeypatch):
         net, spp = load_network(bundled_network_text())
         calls = []
-        original = stdroute.network.decision_graph
+        original = stdroute.network._compile
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(stdroute.network, "decision_graph", counted)
+        monkeypatch.setattr(stdroute.network, "_compile", counted)
         s0 = initial_state(net, spp)
         first = solve_value_functions(net, spp, LinkUtilitySpec())
         second = solve_value_functions(net, spp, LinkUtilitySpec(beta=(-2.0,), mu=0.5))
         enumerate_policies(net, spp, s0)
         enumerate_sequences(net, spp, s0)
+        decision_graph(net, spp, s0)
         assert len(calls) == 1
         assert first.graph is second.graph
 

@@ -20,7 +20,6 @@ from stdroute import (
     event_collections_at,
     initial_state,
     load_network,
-    successor_states,
     transition_prob,
     travel_time,
 )
@@ -167,16 +166,18 @@ class TestTravelTime:
 
 
 class TestSuccessorStates:
+    """The successor lists of the decision graph, read through its State-level view."""
+
     def test_departure_splits(self, net, spp, s0):
-        succ = successor_states(net, spp, s0, 1)
-        assert succ == [
+        succ = decision_graph(net, spp, s0).choices[s0][1]
+        assert succ == (
             (State(1, 1, EventCollection((1,))), 0.5),
             (State(1, 1, EventCollection((2,))), 0.5),
-        ]
+        )
 
-    def test_singleton_knowledge_is_deterministic(self, net, spp):
-        succ = successor_states(net, spp, State(1, 1, EventCollection((1,))), 2)
-        assert succ == [(State(2, 4, EventCollection((1,))), 1.0)]
+    def test_singleton_knowledge_is_deterministic(self, net, spp, s0):
+        succ = decision_graph(net, spp, s0).choices[State(1, 1, EventCollection((1,)))][2]
+        assert succ == ((State(2, 4, EventCollection((1,))), 1.0),)
 
     def test_single_support_point_network(self):
         rng = np.random.default_rng(5)
@@ -184,8 +185,8 @@ class TestSuccessorStates:
         s0 = initial_state(net, spp)
         graph = decision_graph(net, spp, s0)
         for state in graph.decision_states():
-            for a in net.outgoing(state.link):
-                succ = successor_states(net, spp, state, a)
+            assert list(graph.choices[state]) == list(net.outgoing(state.link))
+            for succ in graph.choices[state].values():
                 assert len(succ) == 1 and succ[0][1] == 1.0
 
     def test_probabilities_sum_to_one_and_time_increases(self):
@@ -194,8 +195,8 @@ class TestSuccessorStates:
             net, spp = random_network(rng)
             graph = decision_graph(net, spp, initial_state(net, spp))
             for state in graph.decision_states():
-                for a in net.outgoing(state.link):
-                    succ = successor_states(net, spp, state, a)
+                assert list(graph.choices[state]) == list(net.outgoing(state.link))
+                for succ in graph.choices[state].values():
                     assert sum(p for _, p in succ) == pytest.approx(1.0, abs=1e-12)
                     assert all(nxt.time > state.time for nxt, _ in succ)
 

@@ -3,12 +3,14 @@ import json
 import numpy as np
 import pytest
 
+import oracle
 from netgen import random_network
 from oracle import rollout_policy
 from stdroute import (
     EventCollection,
     LinkUtilitySpec,
     PolicyExplosionError,
+    RoutingPolicy,
     State,
     StateSequence,
     ValidationError,
@@ -126,6 +128,20 @@ class TestPolicyExpectedUtility:
             for policy in rcs.policies:
                 mass = sum(p for _, p in policy_outcomes(rnet, rspp, policy))
                 assert mass == pytest.approx(1.0, abs=1e-12)
+
+    def test_outcomes_match_the_successor_walk(self):
+        # same leaves in the same order, probabilities multiplied in the same order
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            rnet, rspp = random_network(rng, max_links=7)
+            rcs = enumerate_policies(rnet, rspp, initial_state(rnet, rspp))
+            for policy in rcs.policies:
+                assert policy_outcomes(rnet, rspp, policy) == oracle.policy_outcomes(rnet, rspp, policy)
+
+    def test_a_missing_decision_is_named(self, net, spp, s0):
+        partial = RoutingPolicy.from_map(s0, {s0: 1, V1: 2})
+        with pytest.raises(ValidationError, match=r"policy has no decision for state State\(1,1,\{2\}\)"):
+            policy_outcomes(net, spp, partial)
 
 
 class TestContains:

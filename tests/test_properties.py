@@ -1,4 +1,4 @@
-"""Probability invariants of both models over random networks and scales (Hypothesis)."""
+"""Probability invariants of both models, and the compile against its oracle, over random networks (Hypothesis)."""
 
 import math
 
@@ -9,9 +9,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from netgen import random_network
 from stdroute import (
     LinkUtilitySpec,
+    compile_graph,
     initial_state,
     path_probabilities,
     sequence_probabilities,
@@ -53,3 +55,9 @@ def test_choice_probabilities_sum_to_one_at_every_decision_state(example, mu, be
         rows = np.bincount(graph.action_state, vf.choice_probs, len(graph.states))
         assert np.allclose(rows[~graph.terminal], 1.0, rtol=0, atol=1e-12)
 
+
+@given(networks)
+def test_compile_is_bitwise_the_state_level_expansion(example):
+    net, spp = example
+    s0 = initial_state(net, spp)
+    assert oracle.graph_mismatches(compile_graph(net, spp, s0), oracle.compile_graph(net, spp, s0)) == []
