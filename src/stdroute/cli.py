@@ -6,6 +6,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -200,6 +201,8 @@ def _parse_grid(text: str, name: str) -> list[float]:
         lo, hi, step = (float(part) for part in text.split(":"))
     except ValueError:
         raise StdRouteError(f"--{name} expects lo:hi:step") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise StdRouteError(f"--{name} bounds and step must be finite")
     if step <= 0:
         raise StdRouteError(f"--{name} step must be positive")
     values = []
@@ -322,6 +325,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not all(map(math.isfinite, (*args.beta, args.mu))):
+            raise StdRouteError("--beta and --mu must be finite")
         return args.func(args)
     except StdRouteError as exc:
         print(f"error: {exc}", file=sys.stderr)

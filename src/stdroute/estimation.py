@@ -5,8 +5,12 @@ value functions with the same backward log-sum sweep (the non-recursive
 model at a per-state scale, see :mod:`stdroute.nonrecursive`) and read
 each sequence's likelihood from the solved arrays. The scale parameter
 is held fixed (it is not separately identified from a single
-attribute's coefficient); the coefficient vector is estimated by
-quasi-Newton ascent with central-difference gradients.
+attribute's coefficient); the coefficient vector is estimated by BFGS
+on the log likelihood per trip. Its gradient is exact: the state space
+is acyclic in time, so the derivatives of the values come out of one
+more backward sweep per coefficient, and each distinct sequence's score
+is a gather over its step table. The same scores give BHHH standard
+errors (Berndt, Hall, Hall & Hausman 1974).
 
 Observation file format (JSON): a list of records
 
@@ -39,10 +43,15 @@ from .network import (
     SupportPointSet,
     event_collections_at,
 )
-from .numerics import finite_difference_gradient, is_integer
+from .numerics import is_integer
 from .nonrecursive import solve_value_functions_nr
 from .policy import StateSequence, StepTable
-from .recursive import sequence_log_likelihoods, solve_value_functions, step_table
+from .recursive import (
+    sequence_log_likelihoods,
+    solve_value_functions,
+    step_table,
+    value_gradients,
+)
 from .utility import LinkUtilitySpec, travel_time_attributes
 
 Model = Literal["recursive", "nonrecursive"]
@@ -256,18 +265,35 @@ def log_likelihood(
     that graph. A non-finite contribution aborts with the index of the
     offending observation.
     """
+    return _score(model, net, spp, obs, beta, mu, attributes, scores=False)[0]
+
+
+def _score(model, net, spp, obs, beta, mu, attributes, scores: bool):
+    """The log likelihood and, if ``scores``, each distinct sequence's score (gradient in beta).
+
+    A score sums the derivatives of a sequence's log choice probabilities,
+    ``(dq - dV(s)) / scale(s)`` per step; transition probabilities do not depend on beta.
+    """
     if model not in ("recursive", "nonrecursive"):
         raise ValidationError(f"unknown model {model!r}")
     solve = solve_value_functions if model == "recursive" else solve_value_functions_nr
     if not len(obs):
-        return 0.0
+        return 0.0, None
     beta_arr = np.asarray(beta, dtype=float)
     utility = LinkUtilitySpec(beta=tuple(beta_arr), mu=mu, attributes=attributes)
     groups = obs._groups
     terms = np.empty(len(groups.sequences))
+    score_rows = np.empty((len(groups.sequences), beta_arr.size)) if scores else None
     for s0, positions in groups.by_initial.items():
         vf = solve(net, spp, utility, initial=s0)
-        terms[positions] = sequence_log_likelihoods(vf, obs._steps(vf.graph))
+        steps = obs._steps(vf.graph)
+        terms[positions] = sequence_log_likelihoods(vf, steps)
+        if scores:
+            dV, dq = value_gradients(vf)
+            state = vf.graph.action_state
+            per_action = (dq - dV[state]) / vf.scale[state, None]
+            padded = np.vstack([per_action, np.zeros(beta_arr.size)])
+            score_rows[positions] = padded[steps.actions].sum(axis=1)
     bad = np.flatnonzero(~np.isfinite(terms))
     if bad.size:
         raise EstimationError(
@@ -275,7 +301,7 @@ def log_likelihood(
             f"under the {model} model at beta={beta_arr.tolist()}"
         )
     # cumsum adds in order of first appearance, as a scalar loop would
-    return float(np.cumsum(groups.counts * terms)[-1])
+    return float(np.cumsum(groups.counts * terms)[-1]), score_rows
 
 
 def minimize(fun, x0, **kwargs):
@@ -291,7 +317,6 @@ def minimize(fun, x0, **kwargs):
 
 GRADIENT_TOL = 1e-6
 MAX_ITERATIONS = 200
-GRADIENT_STEP = 1e-6
 
 
 def fit(
@@ -302,7 +327,6 @@ def fit(
     beta0,
     mu: float = 1.0,
     attributes=travel_time_attributes,
-    compute_std_errors: bool = True,
 ) -> EstimationResult:
     """Maximize the log likelihood over the coefficient vector.
 
@@ -311,69 +335,48 @@ def fit(
     model : "recursive" or "nonrecursive"
     beta0 : initial coefficient vector
     mu : fixed logit scale (not estimated)
-    compute_std_errors : report standard errors from the inverse
-        negative finite-difference Hessian at the optimum
 
-    Convergence requires the gradient infinity norm to drop below 1e-6
-    within 200 iterations; otherwise the best iterate is returned with
-    ``converged`` False.
+    BFGS minimizes the negative log likelihood per trip with its exact
+    gradient, so the convergence rule does not depend on the sample size:
+    the infinity norm of the per-trip gradient, ``gradient_norm``, must
+    drop below 1e-6 within 200 iterations; otherwise the best iterate is
+    returned with ``converged`` False. Standard errors are the BHHH
+    estimate from the outer products of the per-trip scores, None when
+    that matrix is singular or gives a non-positive variance.
     """
     if not len(obs):
         raise EstimationError("cannot fit an empty observation set")
     obs.validate(net, spp)
-    x0 = np.asarray(beta0, dtype=float)
+    counts = obs._groups.counts
+    trips = len(obs)
 
-    def objective(beta: np.ndarray) -> float:
-        return -log_likelihood(model, net, spp, obs, beta, mu, attributes)
-
-    def gradient(beta: np.ndarray) -> np.ndarray:
-        return finite_difference_gradient(objective, beta, rel_step=GRADIENT_STEP)
+    def objective(beta: np.ndarray) -> tuple[float, np.ndarray]:
+        total, scores = _score(model, net, spp, obs, beta, mu, attributes, scores=True)
+        return -total / trips, -(counts @ scores) / trips
 
     result = minimize(
         objective,
-        x0,
-        jac=gradient,
+        np.asarray(beta0, dtype=float),
+        jac=True,
         method="BFGS",
         options={"gtol": GRADIENT_TOL, "maxiter": MAX_ITERATIONS},
     )
     beta_hat = np.asarray(result.x, dtype=float)
-    grad_norm = float(np.max(np.abs(gradient(beta_hat))))
+    total, scores = _score(model, net, spp, obs, beta_hat, mu, attributes, scores=True)
+    grad_norm = float(np.max(np.abs(counts @ scores))) / trips
     converged = bool(result.success or grad_norm < GRADIENT_TOL)
-
-    std_errors = None
-    if compute_std_errors:
-        std_errors = _std_errors(objective, beta_hat)
+    try:
+        variances = np.diag(np.linalg.inv((scores.T * counts) @ scores))
+    except np.linalg.LinAlgError:  # singular
+        variances = np.zeros(beta_hat.size)
+    usable = np.isfinite(variances).all() and (variances > 0).all()
 
     return EstimationResult(
         model=model,
         beta_hat=beta_hat,
-        log_likelihood=float(-result.fun),
+        log_likelihood=total,
         iterations=int(result.nit),
         converged=converged,
         gradient_norm=grad_norm,
-        std_errors=std_errors,
+        std_errors=np.sqrt(variances) if usable else None,
     )
-
-
-def _std_errors(objective, beta_hat: np.ndarray, rel_step: float = 1e-4) -> np.ndarray | None:
-    """Standard errors from the finite-difference Hessian of the negative log likelihood."""
-    p = beta_hat.size
-    hessian = np.empty((p, p))
-    for j in range(p):
-        h = rel_step * max(1.0, abs(beta_hat[j]))
-        up = beta_hat.copy()
-        down = beta_hat.copy()
-        up[j] += h
-        down[j] -= h
-        grad_up = finite_difference_gradient(objective, up, rel_step=rel_step)
-        grad_down = finite_difference_gradient(objective, down, rel_step=rel_step)
-        hessian[j] = (grad_up - grad_down) / (2.0 * h)
-    hessian = 0.5 * (hessian + hessian.T)
-    try:
-        covariance = np.linalg.inv(hessian)
-    except np.linalg.LinAlgError:
-        return None
-    diag = np.diag(covariance)
-    if not np.all(np.isfinite(diag)) or np.any(diag <= 0):
-        return None
-    return np.sqrt(diag)

@@ -89,6 +89,26 @@ def solve_log_sum(
     )
 
 
+def value_gradients(vf: ValueFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Derivatives of the solved values in beta: ``dV[state, k]`` and ``dq[action, k]``.
+
+    A log-sum value's derivative is the choice-probability-weighted mean of
+    its choice values' derivatives, and a choice value's is its attribute
+    plus the expected derivative of the next values: one more sweep per
+    coefficient, with no linear solve. The scales do not depend on beta.
+    """
+    graph = vf.graph
+    owner, probs = graph.action_owner, vf.choice_probs
+
+    def expectation(dq: np.ndarray, layer) -> np.ndarray:
+        a, d = layer.actions, layer.states
+        return np.bincount(owner[a], probs[a] * dq, d.stop - d.start)
+
+    X = graph.attribute_matrix(vf.utility.attributes)
+    dV, dq = zip(*(graph.sweep(x, expectation) for x in X.T))
+    return np.stack(dV, axis=1), np.stack(dq, axis=1)
+
+
 def choice_distribution(vf: ValueFunction, state: State) -> dict[int, float]:
     """Logit probabilities over the outgoing links of a state; sums to 1."""
     graph = vf.graph

@@ -54,9 +54,6 @@ class LinkUtilitySpec:
             )
         return X @ np.array(self.beta)
 
-    def with_beta(self, beta) -> "LinkUtilitySpec":
-        return replace(self, beta=tuple(float(b) for b in beta))
-
     def with_mu(self, mu: float) -> "LinkUtilitySpec":
         return replace(self, mu=float(mu))
 

@@ -7,10 +7,12 @@ index space; walks the expanded graph calling ``LinkUtilitySpec.value``
 directly, as a check on the compiled-graph sweep; scores an observation
 set one sequence and one step at a time, as a check on the batched
 likelihood; lists and scores every state sequence anew on each call, as
-a check on the sequence table a compiled graph keeps; and draws and
+a check on the sequence table a compiled graph keeps; draws and
 marginalizes the non-recursive model as the paper states it, a routing
 policy chosen at the origin and executed in one scenario, as a check on
-sampling the solved model link by link.
+sampling the solved model link by link; and differentiates the log
+likelihood by central differences, as a check on the exact scores and
+their standard errors.
 """
 
 from __future__ import annotations
@@ -41,7 +43,21 @@ from stdroute import (
     travel_time_attributes,
 )
 from stdroute.network import Layer
-from stdroute.numerics import as_rng, check_sample_size, log_softmax, logsumexp, softmax
+from stdroute.numerics import as_rng, check_sample_size, softmax
+
+
+def logsumexp(values):
+    """log(sum(exp(v))) computed with a max shift so tiny scale parameters do not overflow."""
+    arr = np.asarray(values, dtype=float)
+    m = arr.max()
+    if not np.isfinite(m):
+        return float(m)
+    return float(m + np.log(np.exp(arr - m).sum()))
+
+
+def log_softmax(values):
+    arr = np.asarray(values, dtype=float)
+    return arr - logsumexp(arr)
 
 
 def successor_states(net, spp, state, a):
@@ -398,3 +414,45 @@ def policy_scenario_counts(cs, utility, n, seed=None):
             seq = rollout_policy(cs.network, cs.support_points, policy, r)
             result[seq] = result.get(seq, 0) + count
     return dict(sorted(result.items(), key=lambda item: item[0].label()))
+
+
+def finite_difference_gradient(f, x, rel_step=1e-6):
+    """Central-difference gradient with a step relative to each coordinate's magnitude."""
+    x = np.asarray(x, dtype=float)
+    grad = np.empty_like(x)
+    for j in range(x.size):
+        h = rel_step * max(1.0, abs(x[j]))
+        up = x.copy()
+        down = x.copy()
+        up[j] += h
+        down[j] -= h
+        grad[j] = (f(up) - f(down)) / (2.0 * h)
+    return grad
+
+
+def hessian_std_errors(f, x, rel_step=1e-4):
+    """Standard errors from the inverse of the nested central-difference Hessian of ``-f``.
+
+    ``f`` is a log likelihood; the result is None unless the inverse has
+    a positive, finite diagonal.
+    """
+    x = np.asarray(x, dtype=float)
+    hessian = np.empty((x.size, x.size))
+    for j in range(x.size):
+        h = rel_step * max(1.0, abs(x[j]))
+        up = x.copy()
+        down = x.copy()
+        up[j] += h
+        down[j] -= h
+        grad_up = finite_difference_gradient(f, up, rel_step)
+        grad_down = finite_difference_gradient(f, down, rel_step)
+        hessian[j] = -(grad_up - grad_down) / (2.0 * h)
+    hessian = 0.5 * (hessian + hessian.T)
+    try:
+        covariance = np.linalg.inv(hessian)
+    except np.linalg.LinAlgError:
+        return None
+    diag = np.diag(covariance)
+    if not np.all(np.isfinite(diag)) or np.any(diag <= 0):
+        return None
+    return np.sqrt(diag)

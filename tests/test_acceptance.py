@@ -295,13 +295,13 @@ def test_estimation_recovery(model):
     net, spp, s0, utility, vf, cs = model
     start = time.perf_counter()
 
-    rec_counts = sample_sequence_counts(vf, 10**4, seed=1)
+    rec_counts = sample_sequence_counts(vf, 10**6, seed=1)
     rec_fit = fit(
         "recursive", net, spp, ObservationSet.from_counts(rec_counts), beta0=[-0.5]
     )
 
     # the paper's data process: a policy drawn at the origin, rolled out in a drawn scenario
-    nr_counts = policy_scenario_counts(cs, utility, 10**4, seed=1)
+    nr_counts = policy_scenario_counts(cs, utility, 10**6, seed=1)
     nr_fit = fit(
         "nonrecursive", net, spp, ObservationSet.from_counts(nr_counts), beta0=[-0.5]
     )
@@ -310,12 +310,14 @@ def test_estimation_recovery(model):
     ok = (
         abs(rec_fit.beta_hat[0] + 1.0) <= 0.05
         and abs(nr_fit.beta_hat[0] + 1.0) <= 0.05
+        and rec_fit.converged
+        and nr_fit.converged
         and rec_fit.gradient_norm < 1e-6
         and nr_fit.gradient_norm < 1e-6
         and elapsed < 60.0
     )
     check(
-        "coefficient recovery from 1e4 simulated trips (both models, +-0.05)",
+        "coefficient recovery from 1e6 simulated trips (both models, +-0.05)",
         ok,
         f"recursive {rec_fit.beta_hat[0]:.4f}, nonrecursive {nr_fit.beta_hat[0]:.4f}, "
         f"gradients {rec_fit.gradient_norm:.1e}/{nr_fit.gradient_norm:.1e}, {elapsed:.1f}s",

@@ -8,7 +8,8 @@ import pytest
 
 from netgen import network_text, random_network
 from stdroute import bundled_network_text, enumerate_policies, enumerate_sequences, initial_state
-from stdroute.cli import main
+from stdroute import StdRouteError
+from stdroute.cli import _parse_grid, main
 
 
 @pytest.fixture()
@@ -175,6 +176,20 @@ class TestBeyondThePolicyCap:
         assert "# sequences" in captured.out and "# paths" in captured.out
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("command", ["predict", "simulate", "compare"])
+    @pytest.mark.parametrize("option", [["--beta", "nan"], ["--beta", "inf"], ["--mu", "inf"]])
+    def test_rejected_before_the_command_runs(self, network_file, capsys, command, option):
+        assert main([command, network_file, *option]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--beta and --mu must be finite" in captured.err
+
+    def test_a_non_finite_entry_of_several(self, network_file, capsys):
+        assert main(["predict", network_file, "--beta=-1,nan"]) == 1
+        assert "must be finite" in capsys.readouterr().err
+
+
 class TestEstimate:
     def test_fit_from_observation_file(self, network_file, tmp_path, capsys):
         from stdroute import (
@@ -269,6 +284,11 @@ class TestCompare:
         assert code == 0
         rows = read_csv(f"{prefix}_sweep.csv")
         assert all(float(row["max_pipeline_diff"]) < 1e-10 for row in rows)
+
+    @pytest.mark.parametrize("text", ["0:inf:1", "nan:1:0.5", "-inf:1:1", "0:1:inf", "0:1:nan"])
+    def test_non_finite_grid_rejected(self, text):
+        with pytest.raises(StdRouteError, match="--x-grid bounds and step must be finite"):
+            _parse_grid(text, "x-grid")
 
     def test_missing_network_without_sweep(self, capsys):
         assert main(["compare"]) == 1

@@ -1,9 +1,13 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stdroute.estimation
+from netgen import random_network
 from stdroute import (
     EstimationError,
     EventCollection,
@@ -20,12 +24,38 @@ from stdroute import (
     enumerate_sequences,
     fit,
     initial_state,
+    load_bundled_network,
+    load_network,
     log_likelihood,
     sample_sequence_counts,
     sample_sequence_counts_nr,
     solve_value_functions,
+    solve_value_functions_nr,
+    travel_time,
+    travel_time_attributes,
 )
-from stdroute.numerics import finite_difference_gradient
+from oracle import finite_difference_gradient, hessian_std_errors
+
+MODELS = ("recursive", "nonrecursive")
+GEN = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+
+
+def time_and_parity(net, spp, a, state):
+    return (float(travel_time(net, spp, a, state)), float(a % 2))
+
+
+def exact_gradient(model, net, spp, obs, beta, mu=1.0, attributes=time_and_parity):
+    """The gradient of the log likelihood, summed from the scores of the distinct sequences."""
+    _, scores = stdroute.estimation._score(model, net, spp, obs, beta, mu, attributes, scores=True)
+    return obs._groups.counts @ scores
+
+
+def baseline_grid():
+    """The benchmark's grid ([5, 0], 5, 16, 5): 1,739 states."""
+    spec = importlib.util.spec_from_file_location("bench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return load_network(gen.grid_network([5, 0], 5, 16, 5))
 
 
 def branch_sequence(net, spp, s0, via, link):
@@ -108,6 +138,22 @@ class TestFit:
         assert result.gradient_norm < 1e-6
         assert result.beta_hat[0] == pytest.approx(0.0, abs=1e-4)
 
+    def test_no_std_errors_when_no_trip_has_a_choice(self):
+        net = StdNetwork(
+            nodes=("o", "z"),
+            links=(Link(0, "o", "o"), Link(1, "o", "z")),
+            origin_link=0,
+            destination_link=1,
+            horizon=1,
+        )
+        spp = SupportPointSet(
+            link_ids=(1,), travel_times=np.array([[[2]]]), probabilities=np.array([1.0])
+        )
+        seq = StateSequence((initial_state(net, spp), State(1, 2, EventCollection((1,)))))
+        result = fit("recursive", net, spp, ObservationSet((seq,) * 3), beta0=[-1.0])
+        assert result.converged and result.gradient_norm == 0.0
+        assert result.std_errors is None
+
     def test_recovery_smoke(self, net, spp, vf):
         counts = sample_sequence_counts(vf, 2000, seed=1)
         obs = ObservationSet.from_counts(counts)
@@ -122,8 +168,8 @@ class TestFit:
         # reproduce any split between the two informative sequences
         counts = sample_sequence_counts(vf, 4000, seed=6)
         obs = ObservationSet.from_counts(counts)
-        rec = fit("recursive", net, spp, obs, beta0=[-0.5], compute_std_errors=False)
-        nr = fit("nonrecursive", net, spp, obs, beta0=[-0.5], compute_std_errors=False)
+        rec = fit("recursive", net, spp, obs, beta0=[-0.5])
+        nr = fit("nonrecursive", net, spp, obs, beta0=[-0.5])
         assert rec.log_likelihood >= nr.log_likelihood - 1e-6
 
     def test_empty_observations_rejected(self, net, spp):
@@ -146,6 +192,49 @@ class TestFit:
             math.exp(-3) / (math.exp(-3) + math.exp(-2))
         )
         assert nr_value == pytest.approx(expected_nr, abs=1e-12)
+
+
+class TestExactScore:
+    @pytest.mark.parametrize("mu, tol", [(1.0, 1e-6), (0.3, 1e-6), (1e-3, 1e-5)])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_random_networks_match_central_differences(self, model, mu, tol):
+        rng = np.random.default_rng(808)
+        beta = np.array([-1.0, 0.5])
+        worst, informative = 0.0, 0
+        for _ in range(100):
+            net, spp = random_network(rng, max_links=8, max_support=3, max_horizon=3)
+            obs = ObservationSet(tuple(enumerate_sequences(net, spp, initial_state(net, spp))))
+            exact = exact_gradient(model, net, spp, obs, beta, mu)
+            f = lambda b: log_likelihood(model, net, spp, obs, b, mu, time_and_parity)
+            reference = finite_difference_gradient(f, beta)
+            scale = np.max(np.abs(reference))
+            error = np.max(np.abs(exact - reference))
+            worst = max(worst, error / scale if scale > 0 else error)
+            informative += scale > 0
+        assert worst <= tol
+        assert informative >= 50  # a network with a single route has a zero gradient
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("network", ["bundled", "baseline grid"])
+    def test_bhhh_std_errors_match_the_hessian(self, model, network):
+        net, spp = load_bundled_network() if network == "bundled" else baseline_grid()
+        solve = solve_value_functions if model == "recursive" else solve_value_functions_nr
+        vf = solve(net, spp, LinkUtilitySpec(beta=(-1.0,)))
+        obs = ObservationSet.from_counts(sample_sequence_counts(vf, 2000, seed=1))
+        result = fit(model, net, spp, obs, beta0=[-0.5])
+        assert result.converged
+        f = lambda b: log_likelihood(model, net, spp, obs, b)
+        reference = hessian_std_errors(f, result.beta_hat)
+        assert result.std_errors[0] == pytest.approx(reference[0], rel=0.02)
+
+    def test_fit_reports_the_gradient_of_the_mean(self, net, spp, vf):
+        obs = ObservationSet.from_counts(sample_sequence_counts(vf, 2000, seed=1))
+        result = fit("recursive", net, spp, obs, beta0=[-0.5])
+        gradient = exact_gradient(
+            "recursive", net, spp, obs, result.beta_hat, attributes=travel_time_attributes
+        )
+        assert result.gradient_norm == pytest.approx(abs(gradient[0]) / len(obs), rel=1e-9)
+        assert result.log_likelihood == log_likelihood("recursive", net, spp, obs, result.beta_hat)
 
 
 class TestObservationIO:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from netgen import random_network
-from oracle import rollout_policy
+from oracle import logsumexp, rollout_policy
 from stdroute import (
     EventCollection,
     LinkUtilitySpec,
@@ -38,7 +38,6 @@ from stdroute import (
     solve_value_functions,
     solve_value_functions_nr,
 )
-from stdroute.numerics import logsumexp
 
 V1 = State(1, 1, EventCollection((1,)))
 V2 = State(1, 1, EventCollection((2,)))
@@ -298,7 +297,7 @@ class TestWithoutPolicyEnumeration:
             vf = solve_value_functions(cnet, cspp, unit_utility)
             obs = ObservationSet.from_counts(sample_sequence_counts(vf, 200, seed=5))
             assert math.isfinite(log_likelihood("nonrecursive", cnet, cspp, obs, [-1.0]))
-            result = fit("nonrecursive", cnet, cspp, obs, [-0.5], compute_std_errors=False)
+            result = fit("nonrecursive", cnet, cspp, obs, [-0.5])
             assert math.isfinite(result.log_likelihood)
             assert equivalence_report(cnet, cspp).support_count == cspp.size
             probs = sequence_probabilities_nr(cs, unit_utility)

@@ -143,7 +143,7 @@ class TestErrors:
         obs = ObservationSet.from_json(document, net, spp)
         assert checked == [full[0], full[1], full[2]]
         checked.clear()
-        fit("recursive", net, spp, obs, beta0=[-0.5], compute_std_errors=False)
+        fit("recursive", net, spp, obs, beta0=[-0.5])
         assert checked == [full[0], full[1], full[2]]
 
     @pytest.mark.parametrize("model", MODELS)
@@ -217,20 +217,20 @@ class TestCaching:
             return original_hash(self)
 
         per_call = []
-        original_ll = stdroute.estimation.log_likelihood
+        original_score = stdroute.estimation._score
 
-        def counted_ll(*args, **kwargs):
+        def counted_score(*args, **kwargs):
             before = hashes[0]
-            value = original_ll(*args, **kwargs)
+            value = original_score(*args, **kwargs)
             per_call.append(hashes[0] - before)
             return value
 
         monkeypatch.setattr(stdroute.estimation, "step_table", counted_table)
         monkeypatch.setattr(StateSequence, "__hash__", counted_hash)
-        monkeypatch.setattr(stdroute.estimation, "log_likelihood", counted_ll)
+        monkeypatch.setattr(stdroute.estimation, "_score", counted_score)
         fit("recursive", net, spp, obs, beta0=[-0.5])
         # fit groups the observations once, when it validates them, so no
-        # likelihood call hashes a sequence
+        # scoring call hashes a sequence
         assert hashes[0] >= len(obs)
         assert len(per_call) > 3
         assert per_call == [0] * len(per_call)
