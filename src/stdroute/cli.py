@@ -73,7 +73,7 @@ def _emit(args, tables: dict[str, tuple[list[str], list[list[str]]]]) -> None:
 
 
 def _utility_from_args(args) -> LinkUtilitySpec:
-    return LinkUtilitySpec(beta=tuple(args.beta), mu=args.mu)
+    return LinkUtilitySpec(beta=(args.beta,), mu=args.mu)
 
 
 def cmd_validate(args) -> int:
@@ -174,7 +174,7 @@ def cmd_estimate(args) -> int:
     net, spp = load_network_file(args.network)
     with open(args.observations, "r", encoding="utf-8") as fh:
         obs = ObservationSet.from_json(fh.read(), net, spp)
-    result = fit(args.model, net, spp, obs, beta0=args.beta, mu=args.mu)
+    result = fit(args.model, net, spp, obs, beta0=[args.beta], mu=args.mu)
     print(f"model:          {result.model}")
     print(f"observations:   {len(obs)}")
     print(f"beta_hat:       {[float(_fmt(b)) for b in result.beta_hat]}")
@@ -253,12 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="random seed")
     common.add_argument("--mu", type=float, default=1.0, help="logit scale parameter")
-    common.add_argument(
-        "--beta",
-        type=lambda text: [float(v) for v in text.split(",")],
-        default=[-1.0],
-        help="utility coefficients, comma separated",
-    )
+    common.add_argument("--beta", type=float, default=-1.0, help="travel-time coefficient")
     common.add_argument(
         "--cap-policies", type=int, default=10**6, help="enumeration explosion guard"
     )
@@ -325,7 +320,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not all(map(math.isfinite, (*args.beta, args.mu))):
+        if not all(map(math.isfinite, (args.beta, args.mu))):
             raise StdRouteError("--beta and --mu must be finite")
         return args.func(args)
     except StdRouteError as exc:

@@ -191,6 +191,8 @@ def _parse_states(raw, net: StdNetwork, spp: SupportPointSet, record_index: int)
         link, time, members = entry["link"], entry["time"], entry.get("ev_members")
         if not (is_integer(link) and is_integer(time)):
             raise NetworkFormatError(f"record {record_index}: 'link' and 'time' must be integers")
+        if time < 0:
+            raise NetworkFormatError(f"record {record_index}: 'time' must not be negative")
         if not (members is None or isinstance(members, list) and all(map(is_integer, members))):
             raise NetworkFormatError(
                 f"record {record_index}: 'ev_members' must be a list of integers"

@@ -313,7 +313,10 @@ class StdNetwork:
             raise ValidationError(f"unknown link {link_id}") from None
 
     def outgoing(self, link_id: int) -> tuple[int, ...]:
-        return self.adjacency[link_id]
+        try:
+            return self.adjacency[link_id]
+        except KeyError:
+            raise ValidationError(f"unknown link {link_id}") from None
 
     def is_destination(self, link_id: int) -> bool:
         return self.link(link_id).head == self.destination_node
@@ -647,6 +650,8 @@ def load_network(text: str) -> tuple[StdNetwork, SupportPointSet]:
         for key in ("id", "from", "to"):
             _require(key in entry, f"links[{i}] is missing {key!r}")
         _require(is_integer(entry["id"]), f"links[{i}].id must be an integer")
+        for key in ("from", "to"):
+            _require(isinstance(entry[key], str), f"links[{i}].{key} must be a node name")
         links.append(Link(id=entry["id"], tail=entry["from"], head=entry["to"]))
     links.sort(key=lambda l: l.id)
 
@@ -693,6 +698,11 @@ def load_network(text: str) -> tuple[StdNetwork, SupportPointSet]:
                 raise NetworkFormatError(
                     f"support_points[{r}].travel_times key {raw_id!r} is not a link id"
                 ) from None
+            _require(
+                link_id not in seen_links,
+                f"support_points[{r}].travel_times names link {link_id} twice",
+            )
+            seen_links.add(link_id)
             if link_id == net.origin_link:
                 continue  # dummy origin has zero time and is never traversed
             _require(
@@ -710,7 +720,6 @@ def load_network(text: str) -> tuple[StdNetwork, SupportPointSet]:
                     "of magnitude below 2**63",
                 )
             rows[r][col[link_id]] = row
-            seen_links.add(link_id)
         missing = set(traversable) - seen_links
         _require(
             not missing,

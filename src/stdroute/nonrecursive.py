@@ -7,9 +7,11 @@ reaching it (:attr:`CompiledGraph.reach`). En route the traveler executes
 the chosen policy. A policy tree never merges (its branches hold disjoint
 knowledge sets), so the logit's sum over policies factors state by state:
 the origin logit is a link-level logit at scale ``mu / w(s)`` in each
-state, solved by the recursive model's sweep, and sampled by the
-recursive model's sampler. Only per-policy outputs enumerate policies:
-policy utilities and choice probabilities.
+state, solved by :func:`solve_value_functions_nr` as one sweep of the
+recursive model. The solved :class:`ValueFunction` is read by the
+recursive model's readers: likelihoods, sequence and path probabilities
+and the sampler. Only per-policy outputs take a :class:`PolicyChoiceSet`:
+policy utilities (read from the compiled graph) and choice probabilities.
 """
 
 from __future__ import annotations
@@ -29,23 +31,14 @@ from .network import (
 )
 from .numerics import check_sample_size, softmax
 from .policy import (
-    DEFAULT_POLICY_CAP,
     PolicyChoiceSet,
     RoutingPolicy,
     StateSequence,
     _backward_counts,
+    _tree_utility,
     contains,
-    policy_expected_utility,
 )
-from .recursive import (
-    path_probabilities,
-    sample_sequence,
-    sample_sequence_counts,
-    sequence_likelihood,
-    sequence_log_likelihood,
-    sequence_probabilities,
-    solve_log_sum,
-)
+from .recursive import sample_sequence_counts, solve_log_sum
 from .utility import LinkUtilitySpec, ValueFunction
 
 
@@ -68,14 +61,16 @@ def solve_value_functions_nr(
 
 
 def policy_utilities(cs: PolicyChoiceSet, utility: LinkUtilitySpec) -> np.ndarray:
+    """Expected utility of every policy of the choice set, in choice-set order.
+
+    See :func:`~stdroute.policy.policy_expected_utility`; the utilities of
+    the graph's state-actions are computed once for the whole set.
+    """
     if not cs.policies:
         raise ValidationError("policy choice set is empty")
-    return np.array(
-        [
-            policy_expected_utility(cs.network, cs.support_points, policy, utility)
-            for policy in cs.policies
-        ]
-    )
+    graph = compile_graph(cs.network, cs.support_points, cs.initial_state)
+    utilities = utility.utilities(graph)
+    return np.array([_tree_utility(graph, utilities, policy) for policy in cs.policies])
 
 
 def policy_choice_probs(cs: PolicyChoiceSet, utility: LinkUtilitySpec) -> np.ndarray:
@@ -101,54 +96,15 @@ def sequence_prob_given_policy(
     return transition_prob(spp, seq.final_state.ev, seq.initial_state.ev)
 
 
-def _solve(
-    cs: PolicyChoiceSet, utility: LinkUtilitySpec, seq: StateSequence | None = None
-) -> ValueFunction:
-    """The model over a choice set, which must hold every policy from its initial state."""
-    if seq is not None and seq.initial_state != cs.initial_state:
-        raise ValidationError("sequence and choice set have different initial states")
-    vf = solve_value_functions_nr(cs.network, cs.support_points, utility, initial=cs.initial_state)
-    if len(cs) != _backward_counts(vf.graph, math.prod)[0]:
-        raise ValidationError("a choice set must hold every routing policy from its initial state")
-    return vf
-
-
-def sequence_likelihood_nr(
-    seq: StateSequence, cs: PolicyChoiceSet, utility: LinkUtilitySpec
-) -> float:
-    """Marginal sequence probability: sum over policies of choice prob times execution prob."""
-    return sequence_likelihood(_solve(cs, utility, seq), seq)
-
-
-def sequence_log_likelihood_nr(
-    seq: StateSequence, cs: PolicyChoiceSet, utility: LinkUtilitySpec
-) -> float:
-    """Log of the marginal sequence probability, stable for very small scale parameters."""
-    return sequence_log_likelihood(_solve(cs, utility, seq), seq)
-
-
-def sequence_probabilities_nr(
-    cs: PolicyChoiceSet, utility: LinkUtilitySpec, cap: int = DEFAULT_POLICY_CAP
-) -> dict[StateSequence, float]:
-    """Marginal probability of every feasible sequence from the choice set's initial state."""
-    return sequence_probabilities(_solve(cs, utility), cap=cap)
-
-
-def path_probabilities_nr(
-    cs: PolicyChoiceSet, utility: LinkUtilitySpec, cap: int = DEFAULT_POLICY_CAP
-) -> dict[tuple[int, ...], float]:
-    """Marginal sequence probabilities aggregated by traversed link path."""
-    return path_probabilities(_solve(cs, utility), cap=cap)
-
-
-def sample_sequence_nr(cs: PolicyChoiceSet, utility: LinkUtilitySpec, seed=None) -> StateSequence:
-    """One trajectory, drawn link by link from the solved model."""
-    return sample_sequence(_solve(cs, utility), seed)
-
-
 def sample_sequence_counts_nr(
     cs: PolicyChoiceSet, utility: LinkUtilitySpec, n: int, seed=None
 ) -> dict[StateSequence, int]:
-    """Frequencies of ``n`` independent trajectories, drawn link by link from the solved model."""
+    """Frequencies of ``n`` independent trajectories, drawn link by link from the solved model.
+
+    The choice set must hold every routing policy from its initial state.
+    """
     check_sample_size(n)
-    return sample_sequence_counts(_solve(cs, utility), n, seed)
+    vf = solve_value_functions_nr(cs.network, cs.support_points, utility, initial=cs.initial_state)
+    if len(cs) != _backward_counts(vf.graph, math.prod)[0]:
+        raise ValidationError("a choice set must hold every routing policy from its initial state")
+    return sample_sequence_counts(vf, n, seed)

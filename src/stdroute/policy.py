@@ -189,46 +189,45 @@ def enumerate_policies(
     )
 
 
-def policy_outcomes(
-    net: StdNetwork, spp: SupportPointSet, policy: RoutingPolicy
-) -> tuple[tuple[StateSequence, float], ...]:
-    """Leaves of the policy's state tree as (sequence, probability) pairs; mass sums to 1.
-
-    The tree is walked on the compiled graph from the policy's initial
-    state, next knowledge states in partition order.
-    """
-    graph = compile_graph(net, spp, policy.initial_state)
-    states, edge_ptr, target, probs = graph.states, graph.edge_ptr, graph.edge_target, graph.edge_prob
-    leaves: list[tuple[StateSequence, float]] = []
-
-    def walk(i: int, prefix: tuple[State, ...], prob: float) -> None:
-        if graph.terminal[i]:
-            leaves.append((StateSequence(prefix), prob))
-            return
-        j = graph.action(i, policy.next_link(states[i]))
-        for e in range(edge_ptr[j], edge_ptr[j + 1]):
-            k = int(target[e])
-            walk(k, prefix + (states[k],), prob * float(probs[e]))
-
-    walk(0, (policy.initial_state,), 1.0)
-    return tuple(leaves)
-
-
 def policy_expected_utility(
     net: StdNetwork,
     spp: SupportPointSet,
     policy: RoutingPolicy,
     utility: LinkUtilitySpec,
 ) -> float:
-    """Probability-weighted deterministic utility accumulated over the policy's state tree."""
-    total = 0.0
-    for seq, prob in policy_outcomes(net, spp, policy):
-        accumulated = sum(
-            utility.value(net, spp, seq.states[i + 1].link, seq.states[i])
-            for i in range(len(seq.states) - 1)
-        )
-        total += prob * accumulated
-    return total
+    """Sum of w(s) * u(s, policy(s)) over the decision states s of the policy's state tree.
+
+    The tree never merges, since its branches hold disjoint knowledge
+    sets, so each of its states is reached with probability w(s), the
+    compiled graph's ``reach``; this equals the leaf-probability-weighted
+    sum of the utilities accumulated along each leaf's sequence.
+    """
+    graph = compile_graph(net, spp, policy.initial_state)
+    return _tree_utility(graph, utility.utilities(graph), policy)
+
+
+def _tree_utility(graph: CompiledGraph, utilities: np.ndarray, policy: RoutingPolicy) -> float:
+    """The policy's expected utility from the utility of every state-action of its graph."""
+    states = graph.states
+    taken = _walk_tree(graph, lambda i: graph.action(i, policy.next_link(states[i])))
+    return float(graph.reach[list(taken)] @ utilities[list(taken.values())])
+
+
+def _walk_tree(graph: CompiledGraph, choose) -> dict[int, int]:
+    """The state-action ``choose(i)`` of each decision state ``i`` of a policy's tree.
+
+    The tree is walked from state 0 depth first, next knowledge states in
+    partition order; it never merges, so each state is visited once.
+    """
+    taken: dict[int, int] = {}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        if not graph.terminal[i]:
+            j = taken[i] = choose(i)
+            edges = slice(graph.edge_ptr[j], graph.edge_ptr[j + 1])
+            stack.extend(reversed(graph.edge_target[edges].tolist()))
+    return taken
 
 
 def contains(policy: RoutingPolicy, seq: StateSequence) -> bool:
@@ -267,19 +266,9 @@ def optimal_policy(
     best = top[np.searchsorted(top, graph.action_ptr[decision])]
     choice = np.zeros(len(q))
     choice[best] = 1.0
-    best_of = dict(zip(decision.tolist(), (best - graph.action_ptr[decision]).tolist()))
-
-    decisions: dict[State, int] = {}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        if i not in best_of or graph.states[i] in decisions:
-            continue
-        a, targets = graph.successors[i][best_of[i]]
-        decisions[graph.states[i]] = a
-        stack.extend(targets)
-
-    policy = RoutingPolicy.from_map(initial, decisions)
+    taken = _walk_tree(graph, dict(zip(decision.tolist(), best.tolist())).__getitem__)
+    links = graph.action_link.tolist()
+    policy = RoutingPolicy.from_map(initial, {graph.states[i]: links[j] for i, j in taken.items()})
     vf = ValueFunction(
         utility=utility,
         graph=graph,

@@ -129,7 +129,8 @@ def step_table(graph: CompiledGraph, sequences) -> StepTable:
 
     A sequence that leaves the graph is checked by
     :meth:`StateSequence.validate`, which names the infeasible step; a
-    feasible one that the graph does not contain is rejected too.
+    feasible one that the graph does not contain, or that starts at
+    another of its states than the initial one, is rejected too.
     """
     index, edge_index, spp = graph.index, graph.edge_index, graph.support_points
     rows = []
@@ -138,13 +139,16 @@ def step_table(graph: CompiledGraph, sequences) -> StepTable:
         edges = [edge_index.get(pair) for pair in zip(path, path[1:])]
         if (
             len(path) < 2
+            or path[0] != 0
             or None in edges
             or not graph.terminal[path[-1]]
             or seq.states[0].ev not in event_collections_at(spp, seq.states[0].time)
         ):
             seq.validate(graph.network, spp)
-            missing = next(s for s, i in zip(seq.states, path) if i is None)
-            raise ValidationError(f"state {missing} is not reachable from {graph.initial}")
+            missing = [s for s, i in zip(seq.states, path) if i is None]
+            if missing:
+                raise ValidationError(f"state {missing[0]} is not reachable from {graph.initial}")
+            raise ValidationError(f"sequence starts at {seq.states[0]}, not at {graph.initial}")
         rows.append(edges)
     return edge_steps(graph, rows)
 
@@ -235,21 +239,6 @@ def _table_likelihoods(vf: ValueFunction, cap: int) -> tuple[SequenceTable, np.n
     """The solved graph's sequence table and the likelihood of each of its sequences."""
     table = sequence_table(vf.graph, cap)
     return table, sequence_likelihoods(vf, table.steps)
-
-
-def sample_sequence(vf: ValueFunction, seed=None) -> StateSequence:
-    """Generate one trajectory: sample a link, then a next knowledge state, until arrival."""
-    rng = as_rng(seed)
-    graph = vf.graph
-    i = 0
-    states = [graph.states[i]]
-    while not graph.terminal[i]:
-        lo, hi = graph.action_ptr[i], graph.action_ptr[i + 1]
-        j = lo + rng.choice(hi - lo, p=vf.choice_probs[lo:hi])
-        lo, hi = graph.edge_ptr[j], graph.edge_ptr[j + 1]
-        i = graph.edge_target[lo + rng.choice(hi - lo, p=graph.edge_prob[lo:hi])]
-        states.append(graph.states[i])
-    return StateSequence(tuple(states))
 
 
 def sample_sequence_counts(vf: ValueFunction, n: int, seed=None) -> dict[StateSequence, int]:

@@ -35,14 +35,6 @@ class LinkUtilitySpec:
         if not self.mu > 0:
             raise ValidationError("scale parameter mu must be strictly positive")
 
-    def value(self, net: StdNetwork, spp: SupportPointSet, a: int, state: State) -> float:
-        attrs = self.attributes(net, spp, a, state)
-        if len(attrs) != len(self.beta):
-            raise ValidationError(
-                f"attribute vector has {len(attrs)} entries but beta has {len(self.beta)}"
-            )
-        return sum(b * v for b, v in zip(self.beta, attrs))
-
     def utilities(self, graph: CompiledGraph) -> np.ndarray:
         """Utility of every state-action of a compiled graph: one ``X @ beta``."""
         X = graph.attribute_matrix(self.attributes)
@@ -114,16 +106,3 @@ class ValueFunction:
 
     def get(self, state: State, default: float | None = None):
         return self.values.get(state, default)
-
-    def expected_downstream(self, a: int, state: State) -> float:
-        """Expectation of the value over the possible next knowledge states after link ``a``."""
-        graph = self.graph
-        j = graph.action(self.state_index(state), a)
-        edges = slice(graph.edge_ptr[j], graph.edge_ptr[j + 1])
-        return sum(
-            p * v
-            for p, v in zip(
-                graph.edge_prob[edges].tolist(),
-                self.state_values[graph.edge_target[edges]].tolist(),
-            )
-        )

@@ -3,8 +3,10 @@
 Expands the decision graph state by state over ``State`` objects, with
 ``successor_states`` rebuilding the knowledge classes from scenario sets
 at every step, and lays it out as arrays, as a check on the compile in
-index space; walks the expanded graph calling ``LinkUtilitySpec.value``
-directly, as a check on the compiled-graph sweep; scores an observation
+index space; walks the expanded graph calling the attribute extractor
+once per link, as a check on the compiled-graph sweep; walks each
+routing policy's state tree to its leaves, as a check on the policy
+utility read from the compiled graph's reach; scores an observation
 set one sequence and one step at a time, as a check on the batched
 likelihood; lists and scores every state sequence anew on each call, as
 a check on the sequence table a compiled graph keeps; draws and
@@ -202,6 +204,22 @@ def graph_mismatches(graph, reference):
     return diff
 
 
+def link_utility(utility, net, spp, a, state):
+    """Deterministic utility of link ``a`` at ``state``: one extractor call and a dot product with beta."""
+    attrs = utility.attributes(net, spp, a, state)
+    if len(attrs) != len(utility.beta):
+        raise ValidationError(
+            f"attribute vector has {len(attrs)} entries but beta has {len(utility.beta)}"
+        )
+    return sum(b * v for b, v in zip(utility.beta, attrs))
+
+
+def expected_downstream(vf, a, state):
+    """Expectation of the solved value over the possible next knowledge states after link ``a``."""
+    net, spp = vf.network, vf.support_points
+    return sum(p * vf[nxt] for nxt, p in successor_states(net, spp, state, a))
+
+
 def policy_outcomes(net, spp, policy):
     """Leaves of a policy's state tree, walked with ``successor_states`` from the initial state."""
     leaves = []
@@ -218,6 +236,18 @@ def policy_outcomes(net, spp, policy):
     return tuple(leaves)
 
 
+def policy_expected_utility(net, spp, policy, utility):
+    """Leaf-probability-weighted utility accumulated along each leaf sequence of the policy's tree."""
+    total = 0.0
+    for seq, prob in policy_outcomes(net, spp, policy):
+        accumulated = sum(
+            link_utility(utility, net, spp, nxt.link, cur)
+            for cur, nxt in zip(seq.states, seq.states[1:])
+        )
+        total += prob * accumulated
+    return total
+
+
 def solve_values(net, spp, utility, initial):
     """Log-sum value of every reachable state, one state at a time in decreasing time."""
     graph = decision_graph(net, spp, initial)
@@ -229,7 +259,7 @@ def solve_values(net, spp, utility, initial):
         exponents = []
         for a in sorted(graph.choices[state]):
             downstream = sum(p * values[nxt] for nxt, p in graph.choices[state][a])
-            exponents.append((utility.value(net, spp, a, state) + downstream) / utility.mu)
+            exponents.append((link_utility(utility, net, spp, a, state) + downstream) / utility.mu)
         values[state] = utility.mu * logsumexp(exponents)
     return values
 
@@ -238,7 +268,7 @@ def _exponents(net, spp, utility, values, state):
     links = net.outgoing(state.link)
     exponents = [
         (
-            utility.value(net, spp, a, state)
+            link_utility(utility, net, spp, a, state)
             + sum(p * values[nxt] for nxt, p in successor_states(net, spp, state, a))
         )
         / utility.mu

@@ -26,7 +26,6 @@ from stdroute import (
     link_choice_prob,
     load_bundled_network,
     path_probabilities,
-    path_probabilities_nr,
     pipeline_ratios,
     policy_choice_probs,
     policy_expected_utility,
@@ -34,8 +33,8 @@ from stdroute import (
     sample_sequence_counts,
     scenario_grid,
     sequence_probabilities,
-    sequence_probabilities_nr,
     solve_value_functions,
+    solve_value_functions_nr,
 )
 
 V1 = State(1, 1, EventCollection((1,)))
@@ -68,10 +67,10 @@ def test_reference_table_reproduction(model):
     net, spp, s0, utility, _, _ = model
     start = time.perf_counter()
     vf = solve_value_functions(net, spp, utility)
-    cs = enumerate_policies(net, spp, s0)
     rec = {branch_key(q): p for q, p in sequence_probabilities(vf).items()}
-    nr = {branch_key(q): p for q, p in sequence_probabilities_nr(cs, utility).items()}
-    nr_paths = path_probabilities_nr(cs, utility)
+    nr_vf = solve_value_functions_nr(net, spp, utility, initial=s0)
+    nr = {branch_key(q): p for q, p in sequence_probabilities(nr_vf).items()}
+    nr_paths = path_probabilities(nr_vf)
     elapsed = time.perf_counter() - start
 
     expected_rec = {(1, 2): 0.1345, (2, 2): 0.25, (1, 3): 0.3655, (2, 3): 0.25}
@@ -188,9 +187,8 @@ def test_deterministic_network_equivalence():
         net, spp = random_network(rng, max_links=8, support_count=1)
         s0 = initial_state(net, spp)
         vf = solve_value_functions(net, spp, utility, initial=s0)
-        cs = enumerate_policies(net, spp, s0)
         rec = path_probabilities(vf)
-        nr = path_probabilities_nr(cs, utility)
+        nr = path_probabilities(solve_value_functions_nr(net, spp, utility, initial=s0))
         assert set(rec) == set(nr)
         worst = max(worst, max(abs(rec[k] - nr[k]) for k in rec))
     check(
@@ -217,7 +215,7 @@ def test_deterministic_choice_limit(model):
     )
     nr_mass = sum(
         p
-        for seq, p in sequence_probabilities_nr(cs, tiny).items()
+        for seq, p in sequence_probabilities(solve_value_functions_nr(net, spp, tiny)).items()
         if any(contains(policy, seq) for policy in optimal_set)
     )
 
@@ -226,7 +224,7 @@ def test_deterministic_choice_limit(model):
         scaled = utility.with_mu(mu)
         vf_mu = solve_value_functions(net, spp, scaled)
         rec = sequence_probabilities(vf_mu)
-        nr = sequence_probabilities_nr(cs, scaled)
+        nr = sequence_probabilities(solve_value_functions_nr(net, spp, scaled))
         divergences.append(max(abs(rec[q] - nr[q]) for q in rec))
     monotone = all(
         divergences[i + 1] <= divergences[i] + 1e-15 for i in range(len(divergences) - 1)
@@ -253,7 +251,7 @@ def test_small_network_oracles():
         vf = solve_value_functions(net, spp, utility, initial=s0)
         cs = enumerate_policies(net, spp, s0)
         rec = sequence_probabilities(vf)
-        nr = sequence_probabilities_nr(cs, utility)
+        nr = sequence_probabilities(solve_value_functions_nr(net, spp, utility, initial=s0))
 
         worst_total = max(
             worst_total, abs(sum(rec.values()) - 1.0), abs(sum(nr.values()) - 1.0)

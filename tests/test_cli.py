@@ -186,8 +186,11 @@ class TestNonFiniteParameters:
         assert "--beta and --mu must be finite" in captured.err
 
     def test_a_non_finite_entry_of_several(self, network_file, capsys):
-        assert main(["predict", network_file, "--beta=-1,nan"]) == 1
-        assert "must be finite" in capsys.readouterr().err
+        # the command line's only attribute is travel time, so --beta is one number
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", network_file, "--beta=-1,nan"])
+        assert exc.value.code == 2
+        assert "--beta: invalid float value" in capsys.readouterr().err
 
 
 class TestEstimate:

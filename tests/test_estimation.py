@@ -264,6 +264,26 @@ class TestObservationIO:
         with pytest.raises(ValidationError, match="ambiguous"):
             ObservationSet.from_json(json.dumps(records), net, spp)
 
+    @pytest.mark.parametrize("time", [-1, -2, -3, -(2**40)])
+    def test_negative_time_rejected(self, net, spp, s0, time):
+        # without knowledge states the times are read as periods of the travel-time table
+        seq = branch_sequence(net, spp, s0, via=1, link=2)
+        states = [{"link": s.link, "time": s.time} for s in seq.states]
+        states[1]["time"] = time
+        with pytest.raises(NetworkFormatError, match="record 0: 'time' must not be negative"):
+            ObservationSet.from_json(json.dumps([{"states": states}]), net, spp)
+
+    @pytest.mark.parametrize("explicit", [True, False], ids=["explicit", "reconstructed"])
+    def test_unknown_link_rejected(self, net, spp, s0, explicit):
+        records = json.loads(ObservationSet((branch_sequence(net, spp, s0, via=1, link=2),)).to_json())
+        states = records[0]["states"]
+        states[0]["link"] = 99
+        if not explicit:
+            for state in states:
+                del state["ev_members"]
+        with pytest.raises(ValidationError, match="observation 0: unknown link 99"):
+            ObservationSet.from_json(json.dumps(records), net, spp)
+
     def test_impossible_times_rejected(self, net, spp):
         records = [
             {"states": [{"link": 0, "time": 0}, {"link": 1, "time": 9}]}

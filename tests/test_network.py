@@ -277,6 +277,20 @@ def set_travel_time(value):
     return edit
 
 
+def set_first_link_end(key, value):
+    def edit(d):
+        d["links"][1][key] = value
+    return edit
+
+
+def repeat_link_key(key):
+    """Name link 2 a second time in the first support point's travel times, under ``key``."""
+    def edit(d):
+        table = d["support_points"][0]["travel_times"]
+        table[key] = [2, 2]  # the first row reads [2, 3]
+    return edit
+
+
 class TestDocumentTypes:
     """Every mistyped value ends in a NetworkFormatError and exit status 1, never a traceback."""
 
@@ -296,6 +310,12 @@ class TestDocumentTypes:
         "time-2**63": (set_travel_time(2**63), r"travel_times\[2\]\[1\] must be an integer"),
         "time-below-int64": (
             set_travel_time(-(2**70)), r"travel_times\[2\]\[1\] must be an integer"
+        ),
+        "link-from-list": (set_first_link_end("from", ["a"]), r"links\[1\].from must be a node name"),
+        "link-to-object": (set_first_link_end("to", {"b": 1}), r"links\[1\].to must be a node name"),
+        "link-to-number": (set_first_link_end("to", 2), r"links\[1\].to must be a node name"),
+        "travel-times-link-named-twice": (
+            repeat_link_key("02"), r"support_points\[0\].travel_times names link 2 twice"
         ),
     }
     cases = pytest.mark.parametrize("edit, message", list(CASES.values()), ids=list(CASES))

@@ -21,20 +21,17 @@ from stdroute import (
     initial_state,
     log_likelihood,
     path_probabilities,
-    path_probabilities_nr,
     pipeline_ratios,
     policy_choice_prob,
     policy_choice_probs,
     policy_utilities,
     sample_sequence_counts,
     sample_sequence_counts_nr,
-    sample_sequence_nr,
     sequence_likelihood,
-    sequence_likelihood_nr,
     sequence_likelihood_value_form,
-    sequence_log_likelihood_nr,
+    sequence_log_likelihood,
     sequence_prob_given_policy,
-    sequence_probabilities_nr,
+    sequence_probabilities,
     solve_value_functions,
     solve_value_functions_nr,
 )
@@ -47,6 +44,11 @@ def by_branch(probs):
     return {
         (seq.states[1].ev.members[0], seq.states[2].link): p for seq, p in probs.items()
     }
+
+
+def nr_solve(cs, utility):
+    """The non-recursive model from the choice set's initial state."""
+    return solve_value_functions_nr(cs.network, cs.support_points, utility, initial=cs.initial_state)
 
 
 def junction_policy(cs, at_v1, at_v2):
@@ -111,7 +113,7 @@ class TestSequenceGivenPolicy:
 
 class TestSequenceLikelihood:
     def test_example_values(self, cs, unit_utility):
-        probs = by_branch(sequence_probabilities_nr(cs, unit_utility))
+        probs = by_branch(sequence_probabilities(nr_solve(cs, unit_utility)))
         assert probs[(1, 2)] == pytest.approx(
             math.exp(-3.5) / (2 * (math.exp(-3.5) + math.exp(-3))), abs=1e-12
         )
@@ -124,19 +126,20 @@ class TestSequenceLikelihood:
         assert probs[(1, 3)] == pytest.approx(0.3112, abs=5e-5)
 
     def test_path_masses(self, cs, unit_utility):
-        paths = path_probabilities_nr(cs, unit_utility)
+        paths = path_probabilities(nr_solve(cs, unit_utility))
         assert paths[(1, 2)] == pytest.approx(0.4388, abs=5e-5)
         assert paths[(1, 3)] == pytest.approx(0.5612, abs=5e-5)
 
     def test_total_probability(self, cs, unit_utility):
-        assert sum(sequence_probabilities_nr(cs, unit_utility).values()) == pytest.approx(
+        assert sum(sequence_probabilities(nr_solve(cs, unit_utility)).values()) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_log_form_agrees(self, net, spp, s0, cs, unit_utility):
+        vf = nr_solve(cs, unit_utility)
         for seq in enumerate_sequences(net, spp, s0):
-            direct = sequence_likelihood_nr(seq, cs, unit_utility)
-            assert math.exp(sequence_log_likelihood_nr(seq, cs, unit_utility)) == pytest.approx(
+            direct = sequence_likelihood(vf, seq)
+            assert math.exp(sequence_log_likelihood(vf, seq)) == pytest.approx(
                 direct, rel=1e-12
             )
 
@@ -149,7 +152,7 @@ class TestSequenceLikelihood:
             cs = enumerate_policies(net, spp, s0)
             probs = policy_choice_probs(cs, unit_utility)
             start_mass = spp.mass(s0.ev.members)
-            for seq, modeled in sequence_probabilities_nr(cs, unit_utility).items():
+            for seq, modeled in sequence_probabilities(nr_solve(cs, unit_utility)).items():
                 total = 0.0
                 for prob, policy in zip(probs, cs.policies):
                     for r in s0.ev:
@@ -163,7 +166,7 @@ class TestSequenceLikelihood:
 
         seq = StateSequence((other, State(2, 4, EventCollection((1,)))))
         with pytest.raises(ValidationError):
-            sequence_likelihood_nr(seq, cs, unit_utility)
+            sequence_likelihood(nr_solve(cs, unit_utility), seq)
 
 
 class TestDeterministicEquivalence:
@@ -173,9 +176,8 @@ class TestDeterministicEquivalence:
             net, spp = random_network(rng, support_count=1)
             s0 = initial_state(net, spp)
             vf = solve_value_functions(net, spp, unit_utility, initial=s0)
-            cs = enumerate_policies(net, spp, s0)
             rec = path_probabilities(vf)
-            nr = path_probabilities_nr(cs, unit_utility)
+            nr = path_probabilities(solve_value_functions_nr(net, spp, unit_utility, initial=s0))
             for path in rec:
                 assert rec[path] == pytest.approx(nr[path], abs=1e-10)
 
@@ -184,23 +186,25 @@ class TestDeterministicEquivalence:
         for mu in (1.0, 0.1, 0.01, 1e-4):
             scaled = unit_utility.with_mu(mu)
             vf = solve_value_functions(net, spp, scaled, initial=s0)
-            from stdroute import sequence_probabilities
-
             rec = sequence_probabilities(vf)
-            nr = sequence_probabilities_nr(cs, scaled)
+            nr = sequence_probabilities(nr_solve(cs, scaled))
             divergences.append(max(abs(rec[q] - nr[q]) for q in rec))
         assert divergences == sorted(divergences, reverse=True)
         assert divergences[-1] < 1e-9
 
 
+def one_draw(cs, utility, seed):
+    """One trajectory of the non-recursive model."""
+    (seq,) = sample_sequence_counts(nr_solve(cs, utility), 1, seed)
+    return seq
+
+
 class TestSampling:
     def test_determinism_and_support(self, net, spp, s0, cs, unit_utility):
         feasible = set(enumerate_sequences(net, spp, s0))
-        assert sample_sequence_nr(cs, unit_utility, seed=3) == sample_sequence_nr(
-            cs, unit_utility, seed=3
-        )
+        assert one_draw(cs, unit_utility, 3) == one_draw(cs, unit_utility, 3)
         for seed in range(30):
-            assert sample_sequence_nr(cs, unit_utility, seed=seed) in feasible
+            assert one_draw(cs, unit_utility, seed) in feasible
 
     def test_single_policy_choice_set(self, unit_utility):
         rng = np.random.default_rng(83)
@@ -212,12 +216,12 @@ class TestSampling:
                 break
         rollouts = {rollout_policy(net, spp, cs.policies[0], r) for r in s0.ev}
         for seed in range(10):
-            assert sample_sequence_nr(cs, unit_utility, seed=seed) in rollouts
+            assert one_draw(cs, unit_utility, seed) in rollouts
 
     def test_counts_match_probabilities(self, cs, unit_utility):
         n = 10**6
         counts = sample_sequence_counts_nr(cs, unit_utility, n, seed=4)
-        probs = sequence_probabilities_nr(cs, unit_utility)
+        probs = sequence_probabilities(nr_solve(cs, unit_utility))
         assert sum(counts.values()) == n
         for seq, p in probs.items():
             sigma = math.sqrt(p * (1 - p) / n)
@@ -275,7 +279,7 @@ class TestSweep:
             network=net, support_points=spp, initial_state=s0, policies=cs.policies[:2]
         )
         with pytest.raises(ValidationError, match="every routing policy"):
-            sequence_probabilities_nr(partial, unit_utility)
+            sample_sequence_counts_nr(partial, unit_utility, 10, seed=0)
 
 
 def refuse_policy_enumeration(monkeypatch) -> None:
@@ -300,7 +304,7 @@ class TestWithoutPolicyEnumeration:
             result = fit("nonrecursive", cnet, cspp, obs, [-0.5])
             assert math.isfinite(result.log_likelihood)
             assert equivalence_report(cnet, cspp).support_count == cspp.size
-            probs = sequence_probabilities_nr(cs, unit_utility)
+            probs = sequence_probabilities(nr_solve(cs, unit_utility))
             assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
         scenarios = [
             TwoRouteScenario(a=3, b=2, x=-1, y=0, p=0.5),  # the bundled network

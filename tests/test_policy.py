@@ -9,6 +9,7 @@ from oracle import rollout_policy
 from stdroute import (
     EventCollection,
     LinkUtilitySpec,
+    PolicyChoiceSet,
     PolicyExplosionError,
     RoutingPolicy,
     State,
@@ -22,11 +23,19 @@ from stdroute import (
     load_network,
     optimal_policy,
     policy_expected_utility,
-    policy_outcomes,
+    policy_utilities,
+    travel_time,
 )
 
 V1 = State(1, 1, EventCollection((1,)))
 V2 = State(1, 1, EventCollection((2,)))
+
+
+def time_and_departure(net, spp, a, state):
+    return (float(travel_time(net, spp, a, state)), float(state.time))
+
+
+UTILITIES = [LinkUtilitySpec(), LinkUtilitySpec(beta=(-1.0, -0.25), attributes=time_and_departure)]
 
 
 def policy_by_junction(cs, at_v1, at_v2):
@@ -65,7 +74,7 @@ class TestEnumeratePolicies:
             seqs = enumerate_sequences(net, spp, sized)
             assert len(cs.policies) == len(seqs)
             policy_paths = sorted(
-                policy_outcomes(net, spp, p)[0][0].path for p in cs.policies
+                oracle.policy_outcomes(net, spp, p)[0][0].path for p in cs.policies
             )
             assert policy_paths == sorted(q.path for q in seqs)
 
@@ -91,7 +100,7 @@ class TestEnumeratePolicies:
     def test_domain_closure_and_leaf_destination(self, net, spp, cs):
         for policy in cs.policies:
             reached = set()
-            for seq, _ in policy_outcomes(net, spp, policy):
+            for seq, _ in oracle.policy_outcomes(net, spp, policy):
                 reached.update(seq.states[:-1])
                 assert net.is_destination(seq.final_state.link)
             assert reached == set(policy.decision_map)
@@ -110,7 +119,7 @@ class TestPolicyExpectedUtility:
         u = LinkUtilitySpec()
         cs = enumerate_policies(net, spp, s0)
         for policy in cs.policies:
-            (seq, prob), = policy_outcomes(net, spp, policy)
+            (seq, prob), = oracle.policy_outcomes(net, spp, policy)
             assert prob == 1.0
             total = -sum(
                 seq.states[i + 1].time - seq.states[i].time
@@ -118,30 +127,29 @@ class TestPolicyExpectedUtility:
             )
             assert policy_expected_utility(net, spp, policy, u) == pytest.approx(total)
 
-    def test_leaf_probabilities_sum_to_one(self, net, spp, cs):
-        rng = np.random.default_rng(29)
-        for policy in cs.policies:
-            assert sum(p for _, p in policy_outcomes(net, spp, policy)) == pytest.approx(1.0)
-        for _ in range(10):
+    @pytest.mark.parametrize("utility", UTILITIES, ids=["travel-time", "two-attribute"])
+    def test_matches_the_leaf_walk(self, utility):
+        # the reach-weighted sum over the tree's states against the leaf walk, on every policy
+        rng = np.random.default_rng(41)
+        policies = 0
+        for _ in range(120):
             rnet, rspp = random_network(rng)
             rcs = enumerate_policies(rnet, rspp, initial_state(rnet, rspp))
-            for policy in rcs.policies:
-                mass = sum(p for _, p in policy_outcomes(rnet, rspp, policy))
-                assert mass == pytest.approx(1.0, abs=1e-12)
+            expected = [oracle.policy_expected_utility(rnet, rspp, p, utility) for p in rcs.policies]
+            assert policy_utilities(rcs, utility) == pytest.approx(expected, rel=1e-12, abs=0)
+            for policy, value in zip(rcs.policies, expected):
+                got = policy_expected_utility(rnet, rspp, policy, utility)
+                assert got == pytest.approx(value, rel=1e-12, abs=0)
+            policies += len(rcs.policies)
+        assert policies > 300
 
-    def test_outcomes_match_the_successor_walk(self):
-        # same leaves in the same order, probabilities multiplied in the same order
-        rng = np.random.default_rng(31)
-        for _ in range(40):
-            rnet, rspp = random_network(rng, max_links=7)
-            rcs = enumerate_policies(rnet, rspp, initial_state(rnet, rspp))
-            for policy in rcs.policies:
-                assert policy_outcomes(rnet, rspp, policy) == oracle.policy_outcomes(rnet, rspp, policy)
-
-    def test_a_missing_decision_is_named(self, net, spp, s0):
+    def test_a_missing_decision_is_named(self, net, spp, s0, unit_utility):
         partial = RoutingPolicy.from_map(s0, {s0: 1, V1: 2})
-        with pytest.raises(ValidationError, match=r"policy has no decision for state State\(1,1,\{2\}\)"):
-            policy_outcomes(net, spp, partial)
+        message = r"policy has no decision for state State\(1,1,\{2\}\)"
+        with pytest.raises(ValidationError, match=message):
+            policy_expected_utility(net, spp, partial, unit_utility)
+        with pytest.raises(ValidationError, match=message):
+            policy_utilities(PolicyChoiceSet(net, spp, s0, (partial,)), unit_utility)
 
 
 class TestContains:

@@ -1,5 +1,7 @@
-"""Probability invariants of both models, and the compile against its oracle, over random networks (Hypothesis)."""
+"""Probability invariants of both models, the compile against its oracle, and the document readers on arbitrary JSON (Hypothesis)."""
 
+import copy
+import json
 import math
 
 import numpy as np
@@ -13,9 +15,17 @@ import oracle
 from netgen import random_network
 from stdroute import (
     LinkUtilitySpec,
+    ObservationSet,
+    StdRouteError,
+    bundled_network_text,
     compile_graph,
+    enumerate_policies,
+    enumerate_sequences,
     initial_state,
+    load_bundled_network,
+    load_network,
     path_probabilities,
+    policy_utilities,
     sequence_probabilities,
     solve_value_functions,
     solve_value_functions_nr,
@@ -61,3 +71,90 @@ def test_compile_is_bitwise_the_state_level_expansion(example):
     net, spp = example
     s0 = initial_state(net, spp)
     assert oracle.graph_mismatches(compile_graph(net, spp, s0), oracle.compile_graph(net, spp, s0)) == []
+
+
+@given(networks, scales, coefficients)
+def test_nr_initial_value_is_the_log_sum_over_policies(example, mu, beta):
+    net, spp = example
+    s0 = initial_state(net, spp)
+    utility = LinkUtilitySpec(beta=(beta,), mu=mu)
+    vf = solve_value_functions_nr(net, spp, utility, initial=s0)
+    expected = mu * oracle.logsumexp(policy_utilities(enumerate_policies(net, spp, s0), utility) / mu)
+    assert abs(vf[s0] - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+# as many plain values as nested ones: ids, times and counts are where a document goes wrong
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4)
+)
+json_values = json_scalars | st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def positions(doc, prefix=()):
+    """The path of every value inside a JSON document, parents before children."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from positions(value, prefix + (key,))
+
+
+def substituted(doc, path, value) -> str:
+    """The document as JSON text, with the value at ``path`` replaced."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return json.dumps(doc)
+
+
+NETWORK = json.loads(bundled_network_text())
+
+
+def observation_document():
+    """Every trip of the bundled network, two of them without knowledge states (they are read from the times)."""
+    net, spp = load_bundled_network()
+    records = json.loads(ObservationSet(enumerate_sequences(net, spp, initial_state(net, spp))).to_json())
+    for record in records[0], records[2]:
+        for state in record["states"]:
+            del state["ev_members"]
+    return records
+
+
+OBSERVATIONS = observation_document()
+
+
+def read_at_every_position(doc, value, read) -> None:
+    """Read the document with ``value`` in place of each of its values in turn.
+
+    Each reading must succeed or raise a :class:`StdRouteError`.
+    """
+    for path in positions(doc):
+        try:
+            read(substituted(doc, path, value))
+        except StdRouteError:
+            pass
+        except Exception as exc:
+            raise AssertionError(f"{value!r} at {path} raised {exc!r}") from exc
+
+
+@settings(max_examples=50)
+@given(json_values)
+def test_network_document_loads_or_raises_a_package_error(value):
+    read_at_every_position(NETWORK, value, load_network)
+
+
+@settings(max_examples=50)
+@given(json_values)
+def test_observation_document_loads_or_raises_a_package_error(value):
+    net, spp = load_bundled_network()
+    read_at_every_position(OBSERVATIONS, value, lambda text: ObservationSet.from_json(text, net, spp))

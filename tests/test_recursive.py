@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from netgen import random_network
+from oracle import expected_downstream, link_utility
 from stdroute import (
     EventCollection,
     HorizonError,
@@ -21,15 +22,14 @@ from stdroute import (
     link_choice_prob,
     optimal_policy,
     path_probabilities,
-    path_probabilities_nr,
     policy_expected_utility,
-    sample_sequence,
     sample_sequence_counts,
     sequence_likelihood,
     sequence_likelihood_value_form,
     sequence_log_likelihood,
     sequence_probabilities,
     solve_value_functions,
+    solve_value_functions_nr,
     travel_time,
 )
 
@@ -66,7 +66,8 @@ class TestValueFunctions:
                 if cnet.is_destination(state.link):
                     continue
                 exponents = [
-                    (unit_utility.value(cnet, cspp, a, state) + vf.expected_downstream(a, state)) / mu
+                    (link_utility(unit_utility, cnet, cspp, a, state) + expected_downstream(vf, a, state))
+                    / mu
                     for a in cnet.outgoing(state.link)
                 ]
                 shift = max(exponents)
@@ -81,7 +82,8 @@ class TestValueFunctions:
                 continue
             total = sum(
                 math.exp(
-                    (unit_utility.value(net, spp, a, state) + vf.expected_downstream(a, state)) / mu
+                    (link_utility(unit_utility, net, spp, a, state) + expected_downstream(vf, a, state))
+                    / mu
                 )
                 for a in net.outgoing(state.link)
             )
@@ -138,7 +140,7 @@ class TestValueFunctions:
                 optimal_actions = [
                     a
                     for a in cnet.outgoing(state.link)
-                    if unit_utility.value(cnet, cspp, a, state)
+                    if link_utility(unit_utility, cnet, cspp, a, state)
                     + sum(p * opt[nxt] for nxt, p in graph.choices[state][a])
                     >= opt[state] - 1e-9
                 ]
@@ -250,22 +252,27 @@ class TestPathProbabilities:
             net, spp = random_network(rng, support_count=1)
             s0 = initial_state(net, spp)
             nvf = solve_value_functions(net, spp, unit_utility, initial=s0)
-            cs = enumerate_policies(net, spp, s0)
             rec = path_probabilities(nvf)
-            nr = path_probabilities_nr(cs, unit_utility)
+            nr = path_probabilities(solve_value_functions_nr(net, spp, unit_utility, initial=s0))
             assert set(rec) == set(nr)
             for path in rec:
                 assert rec[path] == pytest.approx(nr[path], abs=1e-10)
 
 
+def one_draw(vf, seed):
+    """One sampled trajectory."""
+    (seq,) = sample_sequence_counts(vf, 1, seed)
+    return seq
+
+
 class TestSampling:
     def test_support_and_determinism(self, vf, net, spp, s0):
         feasible = set(enumerate_sequences(net, spp, s0))
-        drawn = {sample_sequence(vf, seed=seed) for seed in range(40)}
-        assert drawn <= feasible
+        drawn = [one_draw(vf, seed) for seed in range(40)]
+        assert set(drawn) <= feasible
         # both knowledge branches show up across seeds
         assert {seq.states[1].ev.members for seq in drawn} == {(1,), (2,)}
-        assert sample_sequence(vf, seed=5) == sample_sequence(vf, seed=5)
+        assert one_draw(vf, 5) == one_draw(vf, 5)
 
     def test_counts_match_probabilities(self, vf):
         n = 200_000

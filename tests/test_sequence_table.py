@@ -20,9 +20,7 @@ from stdroute import (
     load_bundled_network,
     path_probabilities,
     sample_sequence_counts_nr,
-    sample_sequence_nr,
     sequence_probabilities,
-    sequence_probabilities_nr,
     solve_value_functions,
     solve_value_functions_nr,
 )
@@ -122,9 +120,7 @@ class TestEnumerations:
             lambda: solve_value_functions_nr(net, spp, utility, initial=arrival),
             lambda: enumerate_sequences(net, spp, arrival),
             lambda: enumerate_policies(net, spp, arrival),
-            lambda: sample_sequence_nr(cs, utility, seed=1),
             lambda: sample_sequence_counts_nr(cs, utility, 5, seed=1),
-            lambda: sequence_probabilities_nr(cs, utility),
         ]
         for call in calls:
             with pytest.raises(ValidationError, match="at least a departure and an arrival"):
