@@ -453,9 +453,14 @@ class CompiledGraph:
         return np.repeat(np.arange(len(self.action_link)), np.diff(self.edge_ptr))
 
     @cached_property
+    def action_lists(self) -> tuple[list[int], list[int]]:
+        """``action_ptr`` and ``action_link`` as lists, for scalar reads."""
+        return self.action_ptr.tolist(), self.action_link.tolist()
+
+    @cached_property
     def successors(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
         """Per state, ``(link, successor state indices)`` per state-action, for scalar walks."""
-        ptr, links = self.action_ptr.tolist(), self.action_link.tolist()
+        ptr, links = self.action_lists
         edge_ptr, targets = self.edge_ptr.tolist(), self.edge_target.tolist()
         return tuple(
             tuple((links[j], tuple(targets[edge_ptr[j]:edge_ptr[j + 1]])) for j in range(lo, hi))
@@ -469,8 +474,17 @@ class CompiledGraph:
         return np.array(probs + [1.0]), np.array([math.log(p) for p in probs] + [0.0])
 
     @cached_property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(s.label() for s in self.states)
+    def label_rank(self) -> np.ndarray:
+        """Each state's position among the sorted state labels, counted from 1; 0 for state 0.
+
+        The initial state starts every sequence and never recurs, so a
+        row of state indices uses 0 as padding, ranked below every state.
+        """
+        labels = [s.label() for s in self.states]
+        rank = np.empty(len(labels), dtype=np.intp)
+        rank[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(1, len(labels) + 1)
+        rank[0] = 0
+        return rank
 
     @cached_property
     def edge_index(self) -> Mapping[tuple[int, int], int]:

@@ -111,12 +111,12 @@ def value_gradients(vf: ValueFunction) -> tuple[np.ndarray, np.ndarray]:
 
 def choice_distribution(vf: ValueFunction, state: State) -> dict[int, float]:
     """Logit probabilities over the outgoing links of a state; sums to 1."""
-    graph = vf.graph
+    ptr, links = vf.graph.action_lists
     i = vf.state_index(state)
-    actions = slice(graph.action_ptr[i], graph.action_ptr[i + 1])
-    if actions.start == actions.stop:
+    lo, hi = ptr[i], ptr[i + 1]
+    if lo == hi:
         raise ValidationError(f"state {state} has no outgoing links")
-    return dict(zip(graph.action_link[actions].tolist(), vf.choice_probs[actions].tolist()))
+    return dict(zip(links[lo:hi], vf.choice_prob_list[lo:hi]))
 
 
 def link_choice_prob(vf: ValueFunction, state: State, a: int) -> float:
@@ -242,53 +242,62 @@ def _table_likelihoods(vf: ValueFunction, cap: int) -> tuple[SequenceTable, np.n
 
 
 def sample_sequence_counts(vf: ValueFunction, n: int, seed=None) -> dict[StateSequence, int]:
-    """Frequencies of ``n`` independent sampled trajectories.
+    """Frequencies of ``n`` independent sampled trajectories, in ascending sequence-label order.
 
-    Vectorized over walkers: every active walker draws its next state
-    from the combined (link choice x knowledge transition) distribution
-    of its current state. Walks are recorded as rows of state indices,
-    and identical rows are returned as one sequence with its count.
+    Vectorized over walkers: at each step every walker draws one uniform
+    and inverts it against its own state's cumulative probabilities of
+    the combined (link choice x knowledge transition) edges, so a seed
+    reproduces the draws exactly. The inversion is a bisection over the
+    walker's own edges: a step costs O(walkers * log width), and the
+    walks, rows of state indices, take O(n * steps) memory. Identical
+    rows are returned as one sequence with its count.
     """
     check_sample_size(n)
     rng = as_rng(seed)
     graph = vf.graph
-    # each state's edges, combined with their choice probabilities, one row per state
-    first_edge = graph.edge_ptr[graph.action_ptr]
-    widths = np.diff(first_edge)
-    used = np.arange(max(widths.max(), 1)) < widths[:, None]
+    # the cumulative probabilities of each state's edges, laid out as the edges are:
+    # state i owns the segment start[i]:start[i + 1]
+    start = graph.edge_ptr[graph.action_ptr]
+    widths = np.diff(start)
+    used = np.arange(widths.max()) < widths[:, None]
     cum = np.zeros(used.shape)
     cum[used] = vf.choice_probs[graph.edge_action] * graph.edge_prob
-    cum = np.cumsum(cum, axis=1)
-    cum[np.arange(used.shape[1]) >= widths[:, None] - 1] = 1.0 + 1e-12  # rounding guard
-    nxt = np.zeros(used.shape, dtype=np.intp)
-    nxt[used] = graph.edge_target
+    cum = np.cumsum(cum, axis=1)[used]
 
     # walks are rows of visited state indices; 0 (the initial state, never
     # revisited) marks the steps after arrival
     cur = np.zeros(n, dtype=np.intp)
-    alive = ~graph.terminal[cur]
+    alive = np.ones(n, dtype=bool)
     columns = []
     while alive.any():
         rows = cur[alive]
         u = rng.random(rows.size)
-        width = widths[rows].max()
-        chosen = nxt[rows, (u[:, None] >= cum[rows, :width]).sum(axis=1)]
+        # the edge's offset in the segment is the count of entries <= u among all but
+        # the last: a segment never decreases, so bisection finds the same count
+        width = widths[rows]
+        lo = start[rows]
+        hi = lo + width - 1
+        for _ in range(int(width.max() - 1).bit_length()):
+            mid = (lo + hi) >> 1
+            up = (mid < hi) & (u >= cum[mid])
+            lo = np.where(up, mid + 1, lo)
+            hi = np.where(up, hi, mid)
+        chosen = graph.edge_target[lo]
         column = np.zeros(n, dtype=np.min_scalar_type(len(graph.states)))
         column[alive] = chosen
         columns.append(column)
         cur[alive] = chosen
         alive[alive] = ~graph.terminal[chosen]
 
-    walks = np.stack(columns, axis=1) if columns else np.zeros((n, 0), dtype=np.uint8)
+    walks = np.stack(columns, axis=1)
     first, counts = _distinct_rows(walks)
-    labels, states = graph.labels, graph.states
-    result = []
-    for walk, count in zip(walks[first].tolist(), counts.tolist()):
-        path = [0] + [i for i in walk if i]
-        label = ">".join(labels[i] for i in path)
-        result.append((label, StateSequence(tuple(states[i] for i in path)), count))
-    result.sort(key=lambda item: item[0])
-    return {seq: count for _, seq, count in result}
+    # no label is a prefix of another, so ranks order the rows as labels order the sequences
+    order = np.lexsort(graph.label_rank[walks[first]].T[::-1])
+    states = graph.states
+    return {
+        StateSequence((states[0],) + tuple(states[i] for i in walk if i)): count
+        for walk, count in zip(walks[first[order]].tolist(), counts[order].tolist())
+    }
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

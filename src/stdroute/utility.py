@@ -86,6 +86,11 @@ class ValueFunction:
         return dict(zip(self.graph.states, self.state_values.tolist()))
 
     @cached_property
+    def choice_prob_list(self) -> list[float]:
+        """``choice_probs`` as a list, for scalar reads."""
+        return self.choice_probs.tolist()
+
+    @cached_property
     def padded_choice_probs(self) -> np.ndarray:
         """``choice_probs`` and a 1 for the padding of a step table."""
         return np.append(self.choice_probs, 1.0)

@@ -6,15 +6,22 @@ is reachable from every state and every policy terminates;
 ``cyclic_network`` allows cycles and dead ends, for the expansion's
 errors. Travel times at the departure period are identical across
 scenarios, keeping the departure knowledge state unambiguous.
+``bench_module`` imports a module of the benchmark harness, for tests
+on the benchmark's own networks.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from stdroute import Link, StdNetwork, SupportPointSet
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def random_network(
@@ -125,3 +132,12 @@ def network_text(net: StdNetwork, spp: SupportPointSet) -> str:
             "support_points": points,
         }
     )
+
+
+def bench_module(name):
+    """A module of the benchmark harness, imported from its directory."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(BENCH))

@@ -12,9 +12,11 @@ likelihood; lists and scores every state sequence anew on each call, as
 a check on the sequence table a compiled graph keeps; draws and
 marginalizes the non-recursive model as the paper states it, a routing
 policy chosen at the origin and executed in one scenario, as a check on
-sampling the solved model link by link; and differentiates the log
-likelihood by central differences, as a check on the exact scores and
-their standard errors.
+sampling the solved model link by link; compares each uniform with a
+whole padded row of cumulative probabilities and sorts the distinct
+walks by label string, as a check on the bisection sampler and its rank
+order; and differentiates the log likelihood by central differences, as
+a check on the exact scores and their standard errors.
 """
 
 from __future__ import annotations
@@ -195,7 +197,7 @@ def graph_mismatches(graph, reference):
     The travel-time attribute matrix of ``graph`` is compared with the
     reference's taken by one ``travel_time_attributes`` call per state-action.
     """
-    names = ("states", "index", "layers", "labels")
+    names = ("states", "index", "layers")
     diff = [name for name in names if getattr(graph, name) != getattr(reference, name)]
     diff += [name for name in ARRAYS if not _same_array(getattr(graph, name), getattr(reference, name))]
     per_call = reference.attribute_matrix(lambda *args: travel_time_attributes(*args))
@@ -444,6 +446,53 @@ def policy_scenario_counts(cs, utility, n, seed=None):
             seq = rollout_policy(cs.network, cs.support_points, policy, r)
             result[seq] = result.get(seq, 0) + count
     return dict(sorted(result.items(), key=lambda item: item[0].label()))
+
+
+def dense_sequence_counts(vf, n, seed=None):
+    """Frequencies of ``n`` trips, drawn as ``sample_sequence_counts`` draws them, in label order.
+
+    Each step compares every live walker's uniform with the whole padded
+    cumulative row of its state's edges, as wide as the widest live
+    state, and the distinct walks are sorted by their label strings.
+    """
+    check_sample_size(n)
+    rng = as_rng(seed)
+    graph = vf.graph
+    first_edge = graph.edge_ptr[graph.action_ptr]
+    widths = np.diff(first_edge)
+    used = np.arange(widths.max()) < widths[:, None]
+    cum = np.zeros(used.shape)
+    cum[used] = vf.choice_probs[graph.edge_action] * graph.edge_prob
+    cum = np.cumsum(cum, axis=1)
+    cum[np.arange(used.shape[1]) >= widths[:, None] - 1] = 1.0 + 1e-12  # rounding guard
+    nxt = np.zeros(used.shape, dtype=np.intp)
+    nxt[used] = graph.edge_target
+
+    cur = np.zeros(n, dtype=np.intp)
+    alive = ~graph.terminal[cur]
+    columns = []
+    while alive.any():
+        rows = cur[alive]
+        u = rng.random(rows.size)
+        width = widths[rows].max()
+        chosen = nxt[rows, (u[:, None] >= cum[rows, :width]).sum(axis=1)]
+        column = np.zeros(n, dtype=np.intp)
+        column[alive] = chosen
+        columns.append(column)
+        cur[alive] = chosen
+        alive[alive] = ~graph.terminal[chosen]
+
+    walks = np.stack(columns, axis=1)
+    rows = walks.view(np.dtype((np.void, walks.itemsize * walks.shape[1]))).ravel()
+    _, first, counts = np.unique(rows, return_index=True, return_counts=True)
+    states = graph.states
+    result = []
+    for walk, count in zip(walks[first].tolist(), counts.tolist()):
+        path = [0] + [i for i in walk if i]
+        seq = StateSequence(tuple(states[i] for i in path))
+        result.append((seq.label(), seq, count))
+    result.sort(key=lambda item: item[0])
+    return {seq: count for _, seq, count in result}
 
 
 def finite_difference_gradient(f, x, rel_step=1e-6):

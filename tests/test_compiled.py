@@ -1,6 +1,5 @@
 """Compiled decision graph: agreement with the State-level oracle, caching, and input checks."""
 
-import importlib
 import itertools
 import json
 import math
@@ -15,7 +14,7 @@ import pytest
 import oracle
 import stdroute
 import stdroute.network
-from netgen import cyclic_network, random_network
+from netgen import bench_module, cyclic_network, random_network
 from stdroute import (
     EventCollection,
     HorizonError,
@@ -45,7 +44,6 @@ from stdroute import (
 from stdroute.cli import main
 
 TOL = 1e-12
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def close(x, y):
@@ -84,15 +82,6 @@ class TestOracle:
             totals = np.bincount(graph.action_state, vf.choice_probs, len(graph.states))
             assert np.allclose(totals[~graph.terminal], 1.0, atol=TOL)
             assert np.allclose(np.exp(vf.log_choice_probs), vf.choice_probs, atol=TOL)
-
-
-def bench_module(name):
-    """A module of the benchmark harness, imported from its directory."""
-    sys.path.insert(0, str(BENCH))
-    try:
-        return importlib.import_module(name)
-    finally:
-        sys.path.remove(str(BENCH))
 
 
 def outcome(build, net, spp, initial):

@@ -1,4 +1,4 @@
-"""Probability invariants of both models, the compile against its oracle, and the document readers on arbitrary JSON (Hypothesis)."""
+"""Probability invariants of both models, the compile, the label ranks and the exact value gradient against their oracles, and the document readers on arbitrary JSON (Hypothesis)."""
 
 import copy
 import json
@@ -30,6 +30,8 @@ from stdroute import (
     solve_value_functions,
     solve_value_functions_nr,
 )
+from stdroute.policy import sequence_table
+from stdroute.recursive import value_gradients
 
 # the same examples on every run, and no example database
 settings.register_profile(
@@ -81,6 +83,27 @@ def test_nr_initial_value_is_the_log_sum_over_policies(example, mu, beta):
     vf = solve_value_functions_nr(net, spp, utility, initial=s0)
     expected = mu * oracle.logsumexp(policy_utilities(enumerate_policies(net, spp, s0), utility) / mu)
     assert abs(vf[s0] - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+@given(networks)
+def test_label_rank_rows_order_sequences_as_their_labels(example):
+    net, spp = example
+    graph = compile_graph(net, spp, initial_state(net, spp))
+    rows = lambda seq: graph.label_rank[[graph.index[s] for s in seq.states]].tolist()
+    sequences = sequence_table(graph).sequences
+    assert sorted(sequences, key=rows) == sorted(sequences, key=lambda seq: seq.label())
+
+
+@given(networks, scales, coefficients)
+def test_initial_value_gradient_is_the_central_difference(example, mu, beta):
+    net, spp = example
+    s0 = initial_state(net, spp)
+    tol = 1e-5 if mu <= 1e-3 else 1e-6
+    for solve in SOLVERS:
+        value = lambda b: solve(net, spp, LinkUtilitySpec(beta=tuple(b), mu=mu), initial=s0)[s0]
+        exact = value_gradients(solve(net, spp, LinkUtilitySpec(beta=(beta,), mu=mu), initial=s0))[0][0]
+        reference = oracle.finite_difference_gradient(value, [beta])
+        assert np.abs(exact - reference) <= tol * np.abs(reference)
 
 
 # as many plain values as nested ones: ids, times and counts are where a document goes wrong

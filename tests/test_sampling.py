@@ -3,23 +3,29 @@
 The non-recursive model is sampled link by link from its solve at scale
 mu / w(s), and checked against the paper's data process marginalized
 exactly: a routing policy chosen at the origin, rolled out in each
-scenario.
+scenario. The draws themselves, and their order, are checked against
+the dense sampler of the oracle.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from netgen import random_network
+import oracle
+from netgen import bench_module, random_network
 from oracle import policy_scenario_probabilities
 from stdroute import (
     LinkUtilitySpec,
     enumerate_policies,
     initial_state,
+    load_network,
     sample_sequence_counts,
     sample_sequence_counts_nr,
     sequence_probabilities,
     solve_value_functions,
+    solve_value_functions_nr,
 )
 
 TRIPS = 20_000
@@ -62,3 +68,41 @@ def test_frequencies_match_exact_probabilities(model):
         assert sum(counts.values()) == TRIPS
         p_values.append(pearson_p_value(counts, probs, TRIPS))
     assert min(p_values) > 1e-4, sorted(p_values)[:3]
+
+
+@pytest.mark.parametrize("solve", [solve_value_functions, solve_value_functions_nr])
+def test_draws_and_order_are_the_dense_samplers(solve):
+    rng = np.random.default_rng(29)
+    for k in range(200):
+        net, spp = random_network(rng, max_links=8, max_support=4, max_horizon=4)
+        for mu in (1.0, 0.05):
+            utility = LinkUtilitySpec(beta=(-float(rng.uniform(0.5, 2.0)),), mu=mu)
+            vf = solve(net, spp, utility, initial=initial_state(net, spp))
+            for n in (1, 7, 5000):
+                expected = oracle.dense_sequence_counts(vf, n, seed=k)
+                assert list(sample_sequence_counts(vf, n, seed=k).items()) == list(expected.items())
+
+
+@pytest.fixture(scope="module")
+def grid_vf():
+    """The recursive solve on the benchmark's seed-1 rec-predict grid (6x6, R=32, K=6)."""
+    workloads = bench_module("workloads")
+    wl = workloads.RecPredict
+    net, spp = load_network(workloads.sized_grid((1,), *wl.grid, wl.target)[0])
+    return solve_value_functions(net, spp, wl.utility)
+
+
+def test_draws_and_order_on_the_benchmark_grid(grid_vf):
+    expected = oracle.dense_sequence_counts(grid_vf, 20_000, seed=1)
+    assert list(sample_sequence_counts(grid_vf, 20_000, seed=1).items()) == list(expected.items())
+
+
+def test_memory_holds_the_walks_not_a_walker_by_edge_gather(grid_vf):
+    # the departure state has 64 edges: a dense compare gathers 200,000 x 64 floats at once
+    tracemalloc.start()
+    try:
+        sample_sequence_counts(grid_vf, 200_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6, peak
