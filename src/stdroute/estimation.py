@@ -12,6 +12,11 @@ more backward sweep per coefficient, and each distinct sequence's score
 is a gather over its step table. The same scores give BHHH standard
 errors (Berndt, Hall, Hall & Hausman 1974).
 
+Observations are validated by the same step tables: a sequence is
+feasible when it is a walk, from its initial state to the destination,
+of the decision graph compiled from that state. Validation builds the
+tables, and every likelihood and fit reads them.
+
 Observation file format (JSON): a list of records
 
     [{"traveler_id": "n1",
@@ -34,13 +39,14 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .errors import EstimationError, NetworkFormatError, ValidationError
+from .errors import EstimationError, NetworkFormatError, StdRouteError, ValidationError
 from .network import (
     CompiledGraph,
     EventCollection,
     State,
     StdNetwork,
     SupportPointSet,
+    compile_graph,
     event_collections_at,
 )
 from .numerics import is_integer
@@ -121,13 +127,33 @@ class ObservationSet:
         return table
 
     def validate(self, net: StdNetwork, spp: SupportPointSet) -> None:
-        """Check each distinct sequence once; a failure names its first observation."""
+        """Check that every sequence is a walk of the graph compiled from its initial state.
+
+        Builds and keeps the step table of each observed initial state's
+        graph, which every later likelihood reads; a sequence is feasible
+        when each of its steps is an edge of that graph and it ends at the
+        destination. After a failure, each distinct sequence is checked by
+        :meth:`StateSequence.validate` in order of first appearance, so
+        the error names the first infeasible observation; when all of
+        them are feasible, the graph's own error (a trip past the
+        horizon, a dead end) is raised.
+        """
         groups = self._groups
+        error = None
+        try:
+            for s0 in groups.by_initial:
+                self._steps(compile_graph(net, spp, s0))
+        except StdRouteError as exc:
+            error = exc
+        # an empty sequence has no initial state, so no graph: the loop below rejects it
+        if error is None and sum(map(len, groups.by_initial.values())) == len(groups.sequences):
+            return
         for seq, i in zip(groups.sequences, groups.first_index):
             try:
                 seq.validate(net, spp)
             except ValidationError as exc:
                 raise ValidationError(f"observation {i}: {exc}") from None
+        raise error
 
     def grouped(self) -> dict[StateSequence, int]:
         """Distinct sequences with multiplicities; identical trips share one likelihood term."""

@@ -79,10 +79,6 @@ class EventCollection:
     def __hash__(self) -> int:
         return self._hash
 
-    @property
-    def is_singleton(self) -> bool:
-        return len(self.members) == 1
-
     def __contains__(self, r: int) -> bool:
         return r in self.members
 
@@ -322,9 +318,13 @@ class StdNetwork:
         return self.link(link_id).head == self.destination_node
 
     def trip_horizon(self, spp: SupportPointSet) -> int:
-        """Upper bound on arrival times: horizon plus one static-tail traversal per link."""
-        tail_max = int(spp.travel_times[:, -1, :].max())
-        return self.horizon + len(self.links) * tail_max
+        """Upper bound on the duration of a trip that visits no link twice.
+
+        The sum, over the traversable links, of each link's longest time
+        in any scenario and period: a decision state later than its
+        departure time plus this bound lies on a cycle.
+        """
+        return sum(spp.travel_times.max(axis=(0, 1)).tolist())
 
 
 def travel_time(net: StdNetwork, spp: SupportPointSet, a: int, state: State) -> int:
@@ -548,12 +548,20 @@ def compile_graph(net: StdNetwork, spp: SupportPointSet, initial: State) -> Comp
     A knowledge state is a partition class, so states expand as keys
     ``(link, time, class)`` sharing their class's travel times and
     successor lists. The initial state (class -1) may be any set whose
-    scenarios agree on its links, but not at the destination. Raises
-    HorizonError past the trip horizon, UnreachableDestinationError at a dead end.
+    scenarios agree on its links, but not at the destination or before
+    time 0. Raises HorizonError for a decision state later than the
+    initial time plus the trip horizon, UnreachableDestinationError at a
+    dead end.
     """
     if net.is_destination(initial.link):
         raise ValidationError(
             f"a state sequence needs at least a departure and an arrival; {initial} is at the destination"
+        )
+    if initial.time < 0:
+        raise ValidationError("time period must be non-negative")
+    if initial.ev.members[-1] > spp.size:
+        raise ValidationError(
+            f"scenario {initial.ev.members[-1]} is not one of the {spp.size} support points"
         )
     key = (net, initial)
     graph = spp._graphs.get(key)
@@ -563,7 +571,7 @@ def compile_graph(net: StdNetwork, spp: SupportPointSet, initial: State) -> Comp
 
 
 def _compile(net: StdNetwork, spp: SupportPointSet, initial: State) -> CompiledGraph:
-    t_max, adjacency = net.trip_horizon(spp), net.adjacency
+    t_max, adjacency = initial.time + net.trip_horizon(spp), net.adjacency
     destination = {l.id for l in net.links if l.head == net.destination_node}
     root = (initial.link, initial.time, -1)
     seen = {root: (initial.ev, None, spp.mass(initial.ev))}  # per key: knowledge set, times, mass

@@ -54,9 +54,19 @@ def solve_value_functions_nr(
     state. The initial state's value is mu times the log-sum over
     policies of exp(policy utility / mu), and each state's choice
     probabilities are the chance that the chosen policy takes each link
-    there, given that the trip reaches the state.
+    there, given that the trip reaches the state. A state reached with
+    a probability w(s) <= mu / 1e300 is rejected: a scale below 1e300,
+    times the log of any number of links, stays finite, but a larger one
+    can overflow the values.
     """
     graph = compile_graph(net, spp, initial or default_initial_state(net, spp))
+    rarest = int(np.argmin(graph.reach))
+    w = float(graph.reach[rarest])
+    if w * 1e300 <= utility.mu:
+        raise ValidationError(
+            f"state {graph.states[rarest]} is reached with probability {w!r}; "
+            "the non-recursive scale mu / w(s) needs w(s) > mu / 1e300"
+        )
     return solve_log_sum(graph, utility, utility.mu / graph.reach)
 
 

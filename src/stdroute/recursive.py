@@ -127,23 +127,20 @@ def link_choice_prob(vf: ValueFunction, state: State, a: int) -> float:
 def step_table(graph: CompiledGraph, sequences) -> StepTable:
     """Find every step of each sequence in the compiled graph.
 
-    A sequence that leaves the graph is checked by
-    :meth:`StateSequence.validate`, which names the infeasible step; a
-    feasible one that the graph does not contain, or that starts at
-    another of its states than the initial one, is rejected too.
+    A sequence is a walk of the graph from its initial state, whose
+    knowledge set is a partition class, to the destination. One that is
+    not is checked by :meth:`StateSequence.validate`, which names the
+    infeasible step; a feasible one that the graph does not contain, or
+    that starts at another of its states than the initial one, is
+    rejected too.
     """
     index, edge_index, spp = graph.index, graph.edge_index, graph.support_points
+    start = 0 if graph.initial.ev in event_collections_at(spp, graph.initial.time) else None
     rows = []
     for seq in sequences:
         path = [index.get(s) for s in seq.states]
         edges = [edge_index.get(pair) for pair in zip(path, path[1:])]
-        if (
-            len(path) < 2
-            or path[0] != 0
-            or None in edges
-            or not graph.terminal[path[-1]]
-            or seq.states[0].ev not in event_collections_at(spp, seq.states[0].time)
-        ):
+        if len(path) < 2 or path[0] != start or None in edges or not graph.terminal[path[-1]]:
             seq.validate(graph.network, spp)
             missing = [s for s, i in zip(seq.states, path) if i is None]
             if missing:
@@ -260,9 +257,13 @@ def sample_sequence_counts(vf: ValueFunction, n: int, seed=None) -> dict[StateSe
     start = graph.edge_ptr[graph.action_ptr]
     widths = np.diff(start)
     used = np.arange(widths.max()) < widths[:, None]
+    probs = vf.choice_probs[graph.edge_action] * graph.edge_prob
     cum = np.zeros(used.shape)
-    cum[used] = vf.choice_probs[graph.edge_action] * graph.edge_prob
+    cum[used] = probs
     cum = np.cumsum(cum, axis=1)[used]
+    # each state's last edge of positive probability
+    positive = np.flatnonzero(probs > 0)
+    last = positive[np.searchsorted(positive, start[1:]) - 1]
 
     # walks are rows of visited state indices; 0 (the initial state, never
     # revisited) marks the steps after arrival
@@ -272,12 +273,11 @@ def sample_sequence_counts(vf: ValueFunction, n: int, seed=None) -> dict[StateSe
     while alive.any():
         rows = cur[alive]
         u = rng.random(rows.size)
-        # the edge's offset in the segment is the count of entries <= u among all but
-        # the last: a segment never decreases, so bisection finds the same count
-        width = widths[rows]
-        lo = start[rows]
-        hi = lo + width - 1
-        for _ in range(int(width.max() - 1).bit_length()):
+        # the edge's offset in the segment is the count of entries <= u before the
+        # last edge of positive probability: a segment never decreases, so
+        # bisection finds the same count, and no edge of probability 0 is chosen
+        lo, hi = start[rows], last[rows]
+        for _ in range(int((hi - lo).max()).bit_length()):
             mid = (lo + hi) >> 1
             up = (mid < hi) & (u >= cum[mid])
             lo = np.where(up, mid + 1, lo)

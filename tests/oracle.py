@@ -8,14 +8,15 @@ once per link, as a check on the compiled-graph sweep; walks each
 routing policy's state tree to its leaves, as a check on the policy
 utility read from the compiled graph's reach; scores an observation
 set one sequence and one step at a time, as a check on the batched
-likelihood; lists and scores every state sequence anew on each call, as
-a check on the sequence table a compiled graph keeps; draws and
-marginalizes the non-recursive model as the paper states it, a routing
-policy chosen at the origin and executed in one scenario, as a check on
-sampling the solved model link by link; compares each uniform with a
-whole padded row of cumulative probabilities and sorts the distinct
-walks by label string, as a check on the bisection sampler and its rank
-order; and differentiates the log likelihood by central differences, as
+likelihood; checks each observed sequence step by step, as a check on
+validation by the step table; lists and scores every state sequence
+anew on each call, as a check on the sequence table a compiled graph
+keeps; draws and marginalizes the non-recursive model as the paper
+states it, a routing policy chosen at the origin and executed in one
+scenario, as a check on sampling the solved model link by link;
+compares each uniform with a whole padded row of cumulative
+probabilities and sorts the distinct walks by label string, as a check
+on the bisection sampler and its rank order; and differentiates the log likelihood by central differences, as
 a check on the exact scores and their standard errors.
 """
 
@@ -85,7 +86,7 @@ def decision_graph(net, spp, initial):
     Raises HorizonError past the trip horizon and
     UnreachableDestinationError at dead-end states.
     """
-    t_max = net.trip_horizon(spp)
+    t_max = initial.time + net.trip_horizon(spp)
     seen = {initial: None}
     terminal = set()
     choices = {}
@@ -294,6 +295,21 @@ def sequence_log_likelihood(net, spp, utility, values, seq):
     return total
 
 
+def scalar_validate(obs, net, spp):
+    """Check each distinct sequence with ``StateSequence.validate``, in order of first appearance.
+
+    A failure names the sequence's first observation.
+    """
+    first = {}
+    for i, seq in enumerate(obs.observations):
+        first.setdefault(seq, i)
+    for seq, i in first.items():
+        try:
+            seq.validate(net, spp)
+        except ValidationError as exc:
+            raise ValidationError(f"observation {i}: {exc}") from None
+
+
 def log_likelihood(model, net, spp, obs, beta, mu):
     """Sum over distinct sequences, in order of first appearance, of count times the log term.
 
@@ -453,7 +469,8 @@ def dense_sequence_counts(vf, n, seed=None):
 
     Each step compares every live walker's uniform with the whole padded
     cumulative row of its state's edges, as wide as the widest live
-    state, and the distinct walks are sorted by their label strings.
+    state, up to the row's last edge of positive probability, and the
+    distinct walks are sorted by their label strings.
     """
     check_sample_size(n)
     rng = as_rng(seed)
@@ -461,10 +478,13 @@ def dense_sequence_counts(vf, n, seed=None):
     first_edge = graph.edge_ptr[graph.action_ptr]
     widths = np.diff(first_edge)
     used = np.arange(widths.max()) < widths[:, None]
-    cum = np.zeros(used.shape)
-    cum[used] = vf.choice_probs[graph.edge_action] * graph.edge_prob
-    cum = np.cumsum(cum, axis=1)
-    cum[np.arange(used.shape[1]) >= widths[:, None] - 1] = 1.0 + 1e-12  # rounding guard
+    probs = np.zeros(used.shape)
+    probs[used] = vf.choice_probs[graph.edge_action] * graph.edge_prob
+    cum = np.cumsum(probs, axis=1)
+    # from each row's last edge of positive probability on, no uniform reaches the entry
+    columns = np.arange(used.shape[1])
+    last = np.where(probs > 0, columns, -1).max(axis=1)
+    cum[columns >= last[:, None]] = 1.0 + 1e-12
     nxt = np.zeros(used.shape, dtype=np.intp)
     nxt[used] = graph.edge_target
 

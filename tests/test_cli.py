@@ -52,6 +52,32 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 1
         assert "sum" in capsys.readouterr().err
 
+    def test_reports_the_trip_horizon_bound(self, network_file, capsys):
+        assert main(["validate", network_file]) == 0
+        assert "trip horizon bound: 7\n" in capsys.readouterr().out
+
+    def test_a_long_first_period_time_is_not_past_the_horizon(self, tmp_path, capsys):
+        # a -> b -> c -> d: link 1 takes 100 periods at departure, then 1
+        times = {"1": [100, 1], "2": [1, 1], "3": [1, 1]}
+        doc = {
+            "nodes": ["a", "b", "c", "d"],
+            "links": [
+                {"id": 0, "from": "a", "to": "a"},
+                {"id": 1, "from": "a", "to": "b"},
+                {"id": 2, "from": "b", "to": "c"},
+                {"id": 3, "from": "c", "to": "d"},
+            ],
+            "origin_link": 0,
+            "destination_link": 3,
+            "horizon": 2,
+            "support_points": [{"probability": 1.0, "travel_times": times}],
+        }
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "trip horizon bound: 102\n" in out and "reachable states: 4\n" in out
+
     def test_missing_file(self, capsys):
         assert main(["validate", "nope.json"]) == 1
         assert "i/o error" in capsys.readouterr().err

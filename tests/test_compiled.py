@@ -164,6 +164,14 @@ class TestAgainstTheStateLevelExpansion:
             kinds.add(result[0] if isinstance(result, tuple) else None)
         assert kinds == {None, HorizonError, UnreachableDestinationError}
 
+    def test_an_initial_state_outside_the_support_points_is_refused(self, net, spp, s0):
+        for state, message in (
+            (State(0, -1, s0.ev), "time period must be non-negative"),
+            (State(0, 0, EventCollection((1, 3))), "scenario 3 is not one of the 2 support points"),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                compile_graph(net, spp, state)
+
     def test_a_destination_state_is_refused(self, net, spp, s0):
         arrival = enumerate_sequences(net, spp, s0)[0].final_state
         for build in (compile_graph, decision_graph):

@@ -253,6 +253,47 @@ class TestStateSpace:
         assert len({s0, State(s0.link, s0.time, s0.ev)}) == 1
 
 
+def chain(first_link_times):
+    """The acyclic chain a -> b -> c -> d over two periods, every time 1 except link 1's."""
+    net = StdNetwork(
+        nodes=("a", "b", "c", "d"),
+        links=(Link(0, "a", "a"), Link(1, "a", "b"), Link(2, "b", "c"), Link(3, "c", "d")),
+        origin_link=0,
+        destination_link=3,
+        horizon=2,
+    )
+    times = np.ones((1, 2, 3), dtype=np.int64)
+    times[0, :, 0] = first_link_times
+    spp = SupportPointSet(link_ids=(1, 2, 3), travel_times=times, probabilities=np.array([1.0]))
+    return net, spp
+
+
+class TestTripHorizon:
+    def test_the_bound_sums_each_links_longest_time(self, net, spp):
+        # links 1, 2 and 3 of the bundled network take at most 2, 3 and 2
+        assert net.trip_horizon(spp) == 7
+
+    def test_a_late_departure_is_not_past_the_horizon(self):
+        net, spp = chain([1, 1])
+        graph = decision_graph(net, spp, initial_state(net, spp, 6))
+        assert [s.time for s in graph.states] == [6, 7, 8, 9]
+
+    def test_a_long_stochastic_period_time_is_not_past_the_horizon(self):
+        net, spp = chain([100, 1])
+        graph = decision_graph(net, spp, initial_state(net, spp))
+        assert [s.time for s in graph.states] == [0, 100, 101, 102]
+        assert net.trip_horizon(spp) == 102
+
+    def test_no_acyclic_random_network_reaches_the_bound(self):
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            net, spp = random_network(rng, max_links=8)
+            bound = net.trip_horizon(spp)
+            for start in decision_graph(net, spp, initial_state(net, spp)).decision_states():
+                graph = decision_graph(net, spp, start)
+                assert max(s.time for s in graph.states) <= start.time + bound
+
+
 def set_probability(value):
     def edit(d):
         d["support_points"][0]["probability"] = value

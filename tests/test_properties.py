@@ -17,6 +17,7 @@ from stdroute import (
     LinkUtilitySpec,
     ObservationSet,
     StdRouteError,
+    ValidationError,
     bundled_network_text,
     compile_graph,
     enumerate_policies,
@@ -104,6 +105,82 @@ def test_initial_value_gradient_is_the_central_difference(example, mu, beta):
         exact = value_gradients(solve(net, spp, LinkUtilitySpec(beta=(beta,), mu=mu), initial=s0))[0][0]
         reference = oracle.finite_difference_gradient(value, [beta])
         assert np.abs(exact - reference) <= tol * np.abs(reference)
+
+
+@st.composite
+def network_documents(draw):
+    """Network documents of at most 5 nodes, 8 links, 3 periods and 3 scenarios, times 1 to 5.
+
+    The origin is a loop on n0 and the destination the last node, so most
+    documents load; links may form cycles and dead ends. Departure times
+    agree across scenarios, and some probabilities are as small as a
+    float gets. No expansion passes a few hundred states.
+    """
+    nodes = [f"n{i}" for i in range(draw(st.integers(2, 5)))]
+    tails = st.sampled_from(nodes[:-1])
+    pairs = draw(st.lists(st.tuples(tails, st.sampled_from(nodes)), min_size=1, max_size=6))
+    pairs.append((draw(tails), nodes[-1]))
+    horizon = draw(st.integers(1, 3))
+    weight = st.floats(0, 1, exclude_min=True) | st.sampled_from([5e-324, 1e-310, 6e-309, 1e-300])
+    weights = draw(st.lists(weight, min_size=1, max_size=3))
+    departure = [draw(st.integers(1, 5)) for _ in pairs]
+    later = st.lists(st.integers(1, 5), min_size=horizon - 1, max_size=horizon - 1)
+    points = [
+        {
+            "probability": w / sum(weights),
+            "travel_times": {str(i + 1): [d] + draw(later) for i, d in enumerate(departure)},
+        }
+        for w in weights
+    ]
+    links = [("n0", "n0")] + pairs
+    return json.dumps(
+        {
+            "nodes": nodes,
+            "links": [{"id": i, "from": tail, "to": head} for i, (tail, head) in enumerate(links)],
+            "origin_link": 0,
+            "destination_link": len(pairs),
+            "horizon": horizon,
+            "support_points": points,
+        }
+    )
+
+
+@given(network_documents())
+def test_a_loaded_network_solves_to_finite_values_or_raises_a_package_error(text):
+    try:
+        net, spp = load_network(text)
+        s0 = initial_state(net, spp)
+        assert len(compile_graph(net, spp, s0).states) <= 10_000
+        solved = [solve(net, spp, LinkUtilitySpec(), initial=s0) for solve in SOLVERS]
+    except StdRouteError:
+        return
+    for vf in solved:
+        for values in (vf.state_values, vf.action_values, vf.choice_probs):
+            assert np.isfinite(values).all()
+
+
+def test_a_state_reached_with_a_subnormal_probability_is_refused():
+    # the minimal document of the fuzz test above: its second scenario has probability 5e-324,
+    # so the non-recursive scale mu / w(s) of the state that knows it is infinite
+    document = {
+        "nodes": ["n0", "n1", "n2"],
+        "links": [
+            {"id": 0, "from": "n0", "to": "n0"},
+            {"id": 1, "from": "n0", "to": "n1"},
+            {"id": 2, "from": "n1", "to": "n2"},
+        ],
+        "origin_link": 0,
+        "destination_link": 2,
+        "horizon": 2,
+        "support_points": [
+            {"probability": 1.0, "travel_times": {"1": [1, 1], "2": [1, 1]}},
+            {"probability": 5e-324, "travel_times": {"1": [1, 1], "2": [1, 2]}},
+        ],
+    }
+    net, spp = load_network(json.dumps(document))
+    solve_value_functions(net, spp, LinkUtilitySpec())
+    with pytest.raises(ValidationError, match=r"State\(1,1,\{2\}\) is reached with probability 5e-324"):
+        solve_value_functions_nr(net, spp, LinkUtilitySpec())
 
 
 # as many plain values as nested ones: ids, times and counts are where a document goes wrong

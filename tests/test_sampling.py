@@ -17,12 +17,16 @@ import oracle
 from netgen import bench_module, random_network
 from oracle import policy_scenario_probabilities
 from stdroute import (
+    Link,
     LinkUtilitySpec,
+    StdNetwork,
+    SupportPointSet,
     enumerate_policies,
     initial_state,
     load_network,
     sample_sequence_counts,
     sample_sequence_counts_nr,
+    sequence_likelihood,
     sequence_probabilities,
     solve_value_functions,
     solve_value_functions_nr,
@@ -106,3 +110,44 @@ def test_memory_holds_the_walks_not_a_walker_by_edge_gather(grid_vf):
     finally:
         tracemalloc.stop()
     assert peak < 60e6, peak
+
+
+class Sliver(np.random.Generator):
+    """A generator whose every uniform is the largest float below 1, in the sliver [1 - 2**-52, 1)."""
+
+    def random(self, size=None):
+        return np.full(size, 1.0 - 2.0**-53)
+
+
+def sliver_network():
+    """Two links from a to the destination z; the slow one's choice probability underflows to 0.
+
+    The three scenarios split at period 1. Their transition
+    probabilities, 9/28, 18/28 and 1/28, add up to 1 - 2**-53, so the
+    fast link's last cumulative probability is below the sliver uniform.
+    """
+    net = StdNetwork(
+        nodes=("a", "z"),
+        links=(Link(0, "a", "a"), Link(1, "a", "z"), Link(2, "a", "z")),
+        origin_link=0,
+        destination_link=1,
+        horizon=2,
+    )
+    times = np.array([[[1, 50], [1, 50]], [[1, 50], [2, 50]], [[1, 50], [3, 50]]])
+    spp = SupportPointSet(
+        link_ids=(1, 2), travel_times=times, probabilities=np.array([9.0, 18.0, 1.0]) / 28
+    )
+    return net, spp
+
+
+@pytest.mark.parametrize("solve", [solve_value_functions, solve_value_functions_nr])
+def test_no_edge_of_probability_zero_is_drawn(solve):
+    net, spp = sliver_network()
+    vf = solve(net, spp, LinkUtilitySpec(beta=(-1.0,), mu=0.01), initial=initial_state(net, spp))
+    probs = vf.choice_probs[vf.graph.edge_action] * vf.graph.edge_prob
+    assert probs[-1] == 0.0 and np.cumsum(probs)[-1] == 1.0 - 2.0**-53
+    for sample in (sample_sequence_counts, oracle.dense_sequence_counts):
+        counts = sample(vf, 10, seed=Sliver(np.random.PCG64(0)))
+        assert [seq.path for seq in counts] == [(1,)]
+        assert counts == {seq: 10 for seq in counts}
+        assert sequence_likelihood(vf, next(iter(counts))) > 0

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import itertools
 import json
 import pickle
 import re
@@ -15,10 +16,15 @@ from netgen import random_network
 from stdroute import (
     EstimationError,
     EventCollection,
+    HorizonError,
+    Link,
     LinkUtilitySpec,
     ObservationSet,
     State,
     StateSequence,
+    StdNetwork,
+    StdRouteError,
+    SupportPointSet,
     ValidationError,
     bundled_network_text,
     enumerate_sequences,
@@ -92,6 +98,71 @@ class TestAgainstTheScalarLoop:
         assert several_initial_states > 50
 
 
+def mutated(rng, seq, net, spp):
+    """The sequence with one change that usually makes it infeasible, and the change's name."""
+    states = list(seq.states)
+    k = int(rng.integers(len(states)))
+    state = states[k]
+    kind = MUTATIONS[int(rng.integers(len(MUTATIONS)))]
+    if kind == "time":
+        states[k] = State(state.link, max(0, state.time + int(rng.choice([-1, 1]))), state.ev)
+    elif kind == "knowledge":
+        subsets = [
+            members
+            for size in range(1, spp.size + 1)
+            for members in itertools.combinations(range(1, spp.size + 1), size)
+            if members != state.ev.members
+        ]
+        members = subsets[int(rng.integers(len(subsets)))]
+        states[k] = State(state.link, state.time, EventCollection(members))
+    elif kind == "link":
+        k = max(k, 1)
+        previous = states[k - 1].link
+        others = [l.id for l in net.links if l.id not in net.outgoing(previous)] + [99]
+        states[k] = State(int(rng.choice(others)), states[k].time, states[k].ev)
+    elif kind == "truncate":
+        states = states[: max(1, k)]
+    elif kind == "short":
+        states = states[: int(rng.integers(2))]
+    else:  # a non-partition initial set: one of the scenarios it should hold, or all of them
+        first = states[0]
+        ev = first.ev.members
+        members = ev[:1] if len(ev) > 1 else tuple(range(1, spp.size + 1))
+        states[0] = State(first.link, first.time, EventCollection(members))
+    return StateSequence(tuple(states)), kind
+
+
+MUTATIONS = ("time", "knowledge", "link", "truncate", "short", "initial")
+
+
+def validation_outcome(validate):
+    try:
+        validate()
+    except StdRouteError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestValidationAgainstTheScalarLoop:
+    def test_mutated_random_observation_sets(self):
+        rng = np.random.default_rng(808)
+        outcomes = {kind: set() for kind in MUTATIONS}
+        for _ in range(200):
+            support = int(rng.integers(2, 4))
+            net, spp = random_network(rng, max_links=8, max_horizon=3, support_count=support)
+            vf = solve_value_functions(net, spp, LinkUtilitySpec(beta=(-1.0,)))
+            counts = sample_sequence_counts(vf, 20, seed=rng)
+            observations = with_mid_network_starts(s for s, c in counts.items() for _ in range(c))
+            j = int(rng.integers(len(observations)))
+            observations[j], kind = mutated(rng, observations[j], net, spp)
+            obs = ObservationSet(tuple(observations))
+            expected = validation_outcome(lambda: oracle.scalar_validate(obs, net, spp))
+            assert validation_outcome(lambda: obs.validate(net, spp)) == expected
+            outcomes[kind].add(expected if expected is None else expected[0])
+        # every kind of change is met, and each is rejected at least once
+        assert all(ValidationError in kinds for kinds in outcomes.values()), outcomes
+
+
 def nan_in_scenario_2(net, spp, a, state):
     """Travel time, except NaN at states that know scenario 2 was drawn."""
     return (float("nan") if state.ev.members == (2,) else float(travel_time(net, spp, a, state)),)
@@ -133,18 +204,48 @@ class TestErrors:
             checked.append(self)
             return original(self, *args)
 
+        rows = []
+        original_table = stdroute.estimation.step_table
+
+        def counted_table(graph, sequences):
+            rows.extend(sequences)
+            return original_table(graph, sequences)
+
         monkeypatch.setattr(StateSequence, "validate", counted)
+        monkeypatch.setattr(stdroute.estimation, "step_table", counted_table)
         with pytest.raises(ValidationError, match=re.escape(f"observation 3: {expected.value}")):
             ObservationSet(observations).validate(net, spp)
-        assert checked == [full[0], full[1], bad]
+        # the step table words its rejection, then the scalar loop names the first failure
+        assert rows == [full[0], full[1], bad, full[2]]
+        assert checked == [bad, full[0], full[1], bad]
 
         checked.clear()
+        rows.clear()
         document = ObservationSet(observations[:3] * 4 + (full[2],)).to_json()
         obs = ObservationSet.from_json(document, net, spp)
-        assert checked == [full[0], full[1], full[2]]
-        checked.clear()
         fit("recursive", net, spp, obs, beta0=[-0.5])
-        assert checked == [full[0], full[1], full[2]]
+        # a valid set is checked by its step table alone, which fit finds built
+        assert checked == []
+        assert rows == [full[0], full[1], full[2]]
+
+    def test_a_feasible_set_on_a_graph_past_the_horizon_raises_the_graphs_error(self):
+        # o -> m -> n -> z with a cycle m -> n -> m: the trip is feasible, its graph infinite
+        net = StdNetwork(
+            nodes=("o", "m", "n", "z"),
+            links=tuple(
+                Link(i, tail, head)
+                for i, (tail, head) in enumerate(("oo", "om", "mn", "nm", "nz"))
+            ),
+            origin_link=0,
+            destination_link=4,
+            horizon=1,
+        )
+        spp = SupportPointSet((1, 2, 3, 4), np.ones((1, 1, 4), dtype=np.int64), np.array([1.0]))
+        ev = EventCollection((1,))
+        trip = StateSequence(tuple(State(link, t, ev) for t, link in enumerate((0, 1, 2, 4))))
+        trip.validate(net, spp)
+        with pytest.raises(HorizonError, match="exceeds the trip horizon"):
+            ObservationSet.from_json(ObservationSet((trip,)).to_json(), net, spp)
 
     @pytest.mark.parametrize("model", MODELS)
     def test_empty_sequence_is_a_validation_error(self, net, spp, s0, model):
