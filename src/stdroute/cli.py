@@ -1,10 +1,14 @@
-"""Command-line interface: validate, enumerate-policies, predict, simulate, estimate, compare."""
+"""Command-line interface: validate, enumerate-policies, predict, simulate, estimate, compare, sweep.
+
+Each command takes only the options it reads; ``sweep`` needs no network file.
+"""
 
 from __future__ import annotations
 
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -73,6 +77,8 @@ def _emit(args, tables: dict[str, tuple[list[str], list[list[str]]]]) -> None:
 
 
 def _utility_from_args(args) -> LinkUtilitySpec:
+    if not all(map(math.isfinite, (args.beta, args.mu))):
+        raise StdRouteError("--beta and --mu must be finite")
     return LinkUtilitySpec(beta=(args.beta,), mu=args.mu)
 
 
@@ -171,10 +177,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    utility = _utility_from_args(args)
     net, spp = load_network_file(args.network)
     with open(args.observations, "r", encoding="utf-8") as fh:
         obs = ObservationSet.from_json(fh.read(), net, spp)
-    result = fit(args.model, net, spp, obs, beta0=[args.beta], mu=args.mu)
+    result = fit(args.model, net, spp, obs, beta0=utility.beta, mu=utility.mu)
     print(f"model:          {result.model}")
     print(f"observations:   {len(obs)}")
     print(f"beta_hat:       {[float(_fmt(b)) for b in result.beta_hat]}")
@@ -205,6 +212,8 @@ def _parse_grid(text: str, name: str) -> list[float]:
         raise StdRouteError(f"--{name} bounds and step must be finite")
     if step <= 0:
         raise StdRouteError(f"--{name} step must be positive")
+    if lo > hi:
+        raise StdRouteError(f"--{name} is empty: lo {_fmt(lo)} exceeds hi {_fmt(hi)}")
     values = []
     value = lo
     while value <= hi + 1e-9:
@@ -213,31 +222,29 @@ def _parse_grid(text: str, name: str) -> list[float]:
     return values
 
 
-def cmd_compare(args) -> int:
-    if args.sweep:
-        rows = []
-        for x in _parse_grid(args.x_grid, "x-grid"):
-            for y in _parse_grid(args.y_grid, "y-grid"):
-                for p in _parse_grid(args.p_grid, "p-grid"):
-                    scenario = TwoRouteScenario(a=args.a, b=args.b, x=x, y=y, p=p)
-                    ratios = closed_form_ratios(scenario)
-                    closed = (*ratios.recursive, *ratios.nonrecursive)
-                    row = [_fmt(x), _fmt(y), _fmt(p), dominance_class(scenario)]
-                    row += [extremeness_check(scenario), *map(_fmt, closed)]
-                    if args.pipeline:
-                        numeric = pipeline_ratios(scenario)
-                        piped = (*numeric.recursive, *numeric.nonrecursive)
-                        row.append(_fmt(max(abs(c - n) for c, n in zip(closed, piped))))
-                    rows.append(row)
-        header = ["x", "y", "p", "dominance", "extremeness"]
-        header += [f"{m}_ratio_{f}" for m in ("rec", "nr") for f in RouteRatios._fields]
+def cmd_sweep(args) -> int:
+    rows = []
+    grids = [_parse_grid(getattr(args, f"{n}_grid"), f"{n}-grid") for n in "xyp"]
+    for x, y, p in itertools.product(*grids):
+        scenario = TwoRouteScenario(a=args.a, b=args.b, x=x, y=y, p=p)
+        ratios = closed_form_ratios(scenario)
+        closed = (*ratios.recursive, *ratios.nonrecursive)
+        row = [_fmt(x), _fmt(y), _fmt(p), dominance_class(scenario)]
+        row += [extremeness_check(scenario), *map(_fmt, closed)]
         if args.pipeline:
-            header.append("max_pipeline_diff")
-        _emit(args, {"sweep": (header, rows)})
-        return 0
+            numeric = pipeline_ratios(scenario)
+            piped = (*numeric.recursive, *numeric.nonrecursive)
+            row.append(_fmt(max(abs(c - n) for c, n in zip(closed, piped))))
+        rows.append(row)
+    header = ["x", "y", "p", "dominance", "extremeness"]
+    header += [f"{m}_ratio_{f}" for m in ("rec", "nr") for f in RouteRatios._fields]
+    if args.pipeline:
+        header.append("max_pipeline_diff")
+    _emit(args, {"sweep": (header, rows)})
+    return 0
 
-    if not args.network:
-        raise StdRouteError("compare needs a network file unless --sweep is given")
+
+def cmd_compare(args) -> int:
     net, spp = load_network_file(args.network)
     report = equivalence_report(net, spp, _utility_from_args(args))
     print(f"support points: {report.support_count}")
@@ -250,14 +257,13 @@ def cmd_compare(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument("--mu", type=float, default=1.0, help="logit scale parameter")
-    common.add_argument("--beta", type=float, default=-1.0, help="travel-time coefficient")
-    common.add_argument(
-        "--cap-policies", type=int, default=10**6, help="enumeration explosion guard"
-    )
-    common.add_argument("--output", default=None, help="output file prefix (default: stdout)")
+    scale = argparse.ArgumentParser(add_help=False)
+    scale.add_argument("--mu", type=float, default=1.0, help="logit scale parameter")
+    scale.add_argument("--beta", type=float, default=-1.0, help="travel-time coefficient")
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument("--cap-policies", type=int, default=10**6, help="enumeration explosion guard")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default=None, help="output file prefix (default: stdout)")
 
     parser = argparse.ArgumentParser(
         prog="stdroute",
@@ -265,42 +271,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="load and validate a network file")
+    p = sub.add_parser("validate", help="load and validate a network file")
     p.add_argument("network")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser(
-        "enumerate-policies", parents=[common], help="list all routing policies"
-    )
+    p = sub.add_parser("enumerate-policies", parents=[cap, output], help="list all routing policies")
     p.add_argument("network")
     p.set_defaults(func=cmd_enumerate_policies)
 
     p = sub.add_parser(
-        "predict", parents=[common], help="choice probabilities and sequence/path likelihoods"
+        "predict",
+        parents=[scale, cap, output],
+        help="choice probabilities and sequence/path likelihoods",
     )
     p.add_argument("network")
-    p.add_argument(
-        "--model", choices=("recursive", "nonrecursive", "both"), default="both"
-    )
+    p.add_argument("--model", choices=("recursive", "nonrecursive", "both"), default="both")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("simulate", parents=[common], help="sample trajectories")
+    p = sub.add_parser("simulate", parents=[scale, cap, output], help="sample trajectories")
     p.add_argument("network")
     p.add_argument("--model", choices=("recursive", "nonrecursive"), default="recursive")
     p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("estimate", parents=[common], help="fit coefficients to observations")
+    p = sub.add_parser("estimate", parents=[scale, output], help="fit coefficients to observations")
     p.add_argument("network")
     p.add_argument("observations")
     p.add_argument("--model", choices=("recursive", "nonrecursive"), default="recursive")
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser(
-        "compare", parents=[common], help="model equivalence report or two-route sweep"
-    )
-    p.add_argument("network", nargs="?")
-    p.add_argument("--sweep", action="store_true", help="run the two-route parameter sweep")
+    p = sub.add_parser("compare", parents=[scale], help="model equivalence report")
+    p.add_argument("network")
+    p.set_defaults(func=cmd_compare)
+
+    p = sub.add_parser("sweep", parents=[output], help="two-route parameter sweep")
     p.add_argument("--a", type=float, default=2.0)
     p.add_argument("--b", type=float, default=2.0)
     p.add_argument("--x-grid", default="-1.8:5:0.68")
@@ -311,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check closed forms against the full models",
     )
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_sweep)
 
     return parser
 
@@ -320,8 +325,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not all(map(math.isfinite, (args.beta, args.mu))):
-            raise StdRouteError("--beta and --mu must be finite")
         return args.func(args)
     except StdRouteError as exc:
         print(f"error: {exc}", file=sys.stderr)

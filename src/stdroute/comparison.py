@@ -33,6 +33,9 @@ from .recursive import choice_distribution, sequence_likelihoods, solve_value_fu
 from .utility import LinkUtilitySpec, ValueFunction
 
 MAX_TIME_DENOMINATOR = 10**4
+EQUIVALENCE_MUS = (1.0, 0.1, 0.01, 1e-4)
+# marginal route-probability margins closer than this are "equal" extremeness
+EXTREMENESS_TOL = 1e-12
 
 LINK_ORIGIN = 0
 LINK_APPROACH = 1
@@ -94,36 +97,30 @@ def _as_fraction(value: float, name: str) -> Fraction:
     return frac
 
 
-def build_two_route_network(
-    s: TwoRouteScenario, time_scale: int | None = None
-) -> TwoRouteBuild:
+def build_two_route_network(s: TwoRouteScenario) -> TwoRouteBuild:
     """Materialize the scenario as a network with two travel-time scenarios.
 
     The approach link takes one unit in both scenarios at the departure
     period and differs at the next period, so the junction states are
-    always distinguishable. Route times follow the scenario parameters.
+    always distinguishable. Route times follow the scenario parameters,
+    scaled by the least common multiple of their denominators.
     """
     fa = _as_fraction(s.a, "a")
     fb = _as_fraction(s.b, "b")
     f3a = _as_fraction(s.a + s.x, "a+x")
     f3b = _as_fraction(s.b + s.y, "b+y")
-    scale = time_scale
-    if scale is None:
-        scale = math.lcm(fa.denominator, fb.denominator, f3a.denominator, f3b.denominator)
-    if scale > MAX_TIME_DENOMINATOR:
-        raise ValidationError(f"required time scale {scale} exceeds {MAX_TIME_DENOMINATOR}")
+    g = math.lcm(fa.denominator, fb.denominator, f3a.denominator, f3b.denominator)
+    if g > MAX_TIME_DENOMINATOR:
+        raise ValidationError(f"required time scale {g} exceeds {MAX_TIME_DENOMINATOR}")
 
     def scaled(frac: Fraction, name: str) -> int:
-        value = frac * scale
-        if value.denominator != 1:
-            raise ValidationError(f"{name} is not an integer at time scale {scale}")
+        value = int(frac * g)
         if value < 1:
             raise ValidationError(f"{name} scales to a non-positive travel time")
-        return int(value)
+        return value
 
     t2_s1, t2_s2 = scaled(fa, "a"), scaled(fb, "b")
     t3_s1, t3_s2 = scaled(f3a, "a+x"), scaled(f3b, "b+y")
-    g = int(scale)
 
     net = StdNetwork(
         nodes=("a", "b", "c"),
@@ -261,12 +258,12 @@ def _margin(ratio: float) -> float:
     return (ratio - 1.0) / (ratio + 1.0)
 
 
-def extremeness_check(s: TwoRouteScenario, tol: float = 1e-12) -> str:
+def extremeness_check(s: TwoRouteScenario) -> str:
     """Which model spreads the marginal route probabilities further apart."""
     ratios = closed_form_ratios(s)
     rec = abs(_margin(ratios.recursive.marginal))
     nr = abs(_margin(ratios.nonrecursive.marginal))
-    if abs(rec - nr) <= tol:
+    if abs(rec - nr) <= EXTREMENESS_TOL:
         return "equal"
     return "recursive_more_extreme" if rec > nr else "nonrecursive_more_extreme"
 
@@ -287,16 +284,15 @@ def equivalence_report(
     net: StdNetwork,
     spp: SupportPointSet,
     utility: LinkUtilitySpec | None = None,
-    mus: tuple[float, ...] = (1.0, 0.1, 0.01, 1e-4),
 ) -> EquivalenceReport:
     """Compare the two models on one network.
 
     Reports the largest per-path probability difference at the base
     scale and the largest per-sequence divergence for each scale in
-    ``mus``, which shrinks toward zero as choice becomes deterministic.
-    On a single-scenario network the models must agree per path to
-    1e-10; a larger difference raises, since it can only be a solver
-    defect.
+    ``EQUIVALENCE_MUS``, which shrinks toward zero as choice becomes
+    deterministic. On a single-scenario network the models must agree
+    per path to 1e-10; a larger difference raises, since it can only be
+    a solver defect.
     """
     if utility is None:
         utility = LinkUtilitySpec()
@@ -315,7 +311,7 @@ def equivalence_report(
         )
 
     divergences = []
-    for mu in mus:
+    for mu in EQUIVALENCE_MUS:
         scaled = utility.with_mu(mu)
         rec = probabilities(solve_value_functions, scaled)
         nr = probabilities(solve_value_functions_nr, scaled)
@@ -327,23 +323,17 @@ def equivalence_report(
         support_count=spp.size,
         deterministic=spp.size == 1,
         path_probability_max_diff=path_diff,
-        mus=tuple(mus),
+        mus=EQUIVALENCE_MUS,
         sequence_divergences=tuple(divergences),
         divergence_monotone=monotone,
     )
 
 
-def scenario_grid(
-    a: float = 2.0,
-    b: float = 2.0,
-    x_values: tuple[float, ...] = (-1.8, -1.1, -0.4, 0.3, 1.0, 1.7, 2.4, 3.1, 3.8, 4.5, 5.0),
-    y_values: tuple[float, ...] = (-1.8, -1.1, -0.4, 0.3, 1.0, 1.7, 2.4, 3.1, 3.8, 5.0),
-    p_values: tuple[float, ...] = (0.05, 0.275, 0.5, 0.725, 0.95),
-) -> tuple[TwoRouteScenario, ...]:
-    """Default benchmark grid: 550 scenarios spanning both offsets and the state probability."""
+def scenario_grid() -> tuple[TwoRouteScenario, ...]:
+    """Benchmark grid: 550 scenarios at a = b = 2 over both offsets and the state probability."""
     return tuple(
-        TwoRouteScenario(a=a, b=b, x=x, y=y, p=p)
-        for x in x_values
-        for y in y_values
-        for p in p_values
+        TwoRouteScenario(a=2.0, b=2.0, x=x, y=y, p=p)
+        for x in (-1.8, -1.1, -0.4, 0.3, 1.0, 1.7, 2.4, 3.1, 3.8, 4.5, 5.0)
+        for y in (-1.8, -1.1, -0.4, 0.3, 1.0, 1.7, 2.4, 3.1, 3.8, 5.0)
+        for p in (0.05, 0.275, 0.5, 0.725, 0.95)
     )

@@ -60,7 +60,8 @@ def solve_log_sum(
     Each decision state's value is its scale times the shifted
     log-sum-exp of (utility + expected downstream value) / scale over its
     outgoing links; destination states are worth 0. The choice
-    probabilities are the softmax terms of the same sums.
+    probabilities are the softmax terms of the same sums. Finite
+    utilities that give a non-finite value raise ``ValidationError``.
     """
     owner, first, state = graph.action_owner, graph.first_action, graph.action_state
     action_scale = scale[state]
@@ -77,7 +78,11 @@ def solve_log_sum(
         log_sums[d] = shift + np.log(sums[d])
         return scale[d] * log_sums[d]
 
-    values, q = graph.sweep(utility.utilities(graph), log_sum)
+    u = utility.utilities(graph)
+    values, q = graph.sweep(u, log_sum)
+    # a NaN or infinite value anywhere reaches the initial state (index 0) as NaN or infinity
+    if not math.isfinite(values[0]) and np.isfinite(u).all():
+        raise ValidationError(f"the values are not finite at logit scale mu={utility.mu!r}")
     return ValueFunction(
         utility=utility,
         graph=graph,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Mapping
@@ -32,8 +33,8 @@ class LinkUtilitySpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
-        if not self.mu > 0:
-            raise ValidationError("scale parameter mu must be strictly positive")
+        if not 0 < self.mu < math.inf:
+            raise ValidationError("scale parameter mu must be finite and strictly positive")
 
     def utilities(self, graph: CompiledGraph) -> np.ndarray:
         """Utility of every state-action of a compiled graph: one ``X @ beta``."""

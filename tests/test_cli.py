@@ -1,6 +1,8 @@
+import argparse
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from netgen import network_text, random_network
 from stdroute import bundled_network_text, enumerate_policies, enumerate_sequences, initial_state
 from stdroute import StdRouteError
-from stdroute.cli import _parse_grid, main
+from stdroute.cli import _parse_grid, build_parser, main
 
 
 @pytest.fixture()
@@ -17,6 +19,21 @@ def network_file(tmp_path):
     path = tmp_path / "net.json"
     path.write_text(bundled_network_text())
     return str(path)
+
+
+@pytest.fixture()
+def observation_file(tmp_path):
+    from stdroute import LinkUtilitySpec, ObservationSet, load_bundled_network
+    from stdroute import sample_sequence_counts, solve_value_functions
+
+    net, spp = load_bundled_network()
+    vf = solve_value_functions(net, spp, LinkUtilitySpec())
+    path = tmp_path / "obs.json"
+    path.write_text(ObservationSet.from_counts(sample_sequence_counts(vf, 50, seed=3)).to_json())
+    return str(path)
+
+
+MODELS = ("recursive", "nonrecursive")
 
 
 def read_csv(path):
@@ -211,6 +228,29 @@ class TestNonFiniteParameters:
         assert captured.out == ""
         assert "--beta and --mu must be finite" in captured.err
 
+    @pytest.mark.parametrize("option", [["--beta", "nan"], ["--mu", "inf"]])
+    def test_estimate_rejects_before_reading_the_observations(self, network_file, capsys, option):
+        assert main(["estimate", network_file, "no-such-file.json", *option]) == 1
+        assert "--beta and --mu must be finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "command, model",
+        [
+            *((c, m) for c in ("predict", "simulate", "estimate") for m in MODELS),
+            ("compare", None),
+        ],
+    )
+    def test_a_scale_whose_values_are_not_finite(
+        self, network_file, observation_file, capsys, command, model
+    ):
+        args = [command, network_file, *([observation_file] if command == "estimate" else [])]
+        args += ["--model", model] if model else []
+        assert main([*args, "--mu", "1e-310"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: the values are not finite at logit scale mu=1e-310\n" in captured.err
+
     def test_a_non_finite_entry_of_several(self, network_file, capsys):
         # the command line's only attribute is travel time, so --beta is one number
         with pytest.raises(SystemExit) as exc:
@@ -274,8 +314,7 @@ class TestCompare:
         prefix = str(tmp_path / "sweep")
         code = main(
             [
-                "compare",
-                "--sweep",
+                "sweep",
                 "--x-grid=-1:2:1",
                 "--y-grid=-1:2:1",
                 "--p-grid=0.25:0.75:0.25",
@@ -297,8 +336,7 @@ class TestCompare:
         prefix = str(tmp_path / "sweep")
         code = main(
             [
-                "compare",
-                "--sweep",
+                "sweep",
                 "--x-grid",
                 "0.5:1.5:0.5",
                 "--y-grid",
@@ -319,6 +357,124 @@ class TestCompare:
         with pytest.raises(StdRouteError, match="--x-grid bounds and step must be finite"):
             _parse_grid(text, "x-grid")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0:1", "--x-grid expects lo:hi:step"),
+            ("0:1:0.5:2", "--x-grid expects lo:hi:step"),
+            ("0:1:a", "--x-grid expects lo:hi:step"),
+            ("0:1:0", "--x-grid step must be positive"),
+            ("0:1:-1", "--x-grid step must be positive"),
+            ("2:1:1", "--x-grid is empty: lo 2 exceeds hi 1"),
+        ],
+    )
+    def test_malformed_grid_rejected(self, text, message):
+        with pytest.raises(StdRouteError, match=re.escape(message)):
+            _parse_grid(text, "x-grid")
+
+    def test_an_empty_grid_writes_nothing(self, tmp_path, capsys):
+        prefix = tmp_path / "sweep"
+        assert main(["sweep", "--p-grid=0.9:0.1:0.1", "--output", str(prefix)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --p-grid is empty: lo 0.9 exceeds hi 0.1\n"
+        assert not Path(f"{prefix}_sweep.csv").exists()
+
     def test_missing_network_without_sweep(self, capsys):
-        assert main(["compare"]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["compare"])
+        assert exc.value.code == 2
         assert "network" in capsys.readouterr().err
+
+
+class RecordingNamespace(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        object.__setattr__(self, "_read", set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+def subparsers():
+    action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def options(command):
+    """The destinations of a command's optional arguments, ``--help`` aside."""
+    return [
+        action.dest
+        for action in subparsers()[command]._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+    ]
+
+
+class TestEveryOptionIsRead:
+    """Each command takes exactly the options it reads."""
+
+    @pytest.fixture()
+    def arguments(self, network_file, observation_file):
+        return {
+            "validate": [network_file],
+            "enumerate-policies": [network_file],
+            "predict": [network_file],
+            "simulate": [network_file, "--samples", "100"],
+            "estimate": [network_file, observation_file],
+            "compare": [network_file],
+            "sweep": ["--x-grid=1:1:1", "--y-grid=1:1:1", "--p-grid=0.5:0.5:1"],
+        }
+
+    def test_the_commands(self, arguments):
+        assert set(arguments) == set(subparsers())
+
+    @pytest.mark.parametrize("command", sorted(subparsers()))
+    def test_every_option_is_read(self, command, arguments, monkeypatch, capsys):
+        parse_args = argparse.ArgumentParser.parse_args
+        parsed = []
+
+        def recording_parse_args(parser, args=None, namespace=None):
+            parsed.append(RecordingNamespace(**vars(parse_args(parser, args, namespace))))
+            return parsed[-1]
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording_parse_args)
+        assert main([command, *arguments[command]]) == 0
+        assert [dest for dest in options(command) if dest not in parsed[0]._read] == []
+
+    def test_option_count(self):
+        assert {command: len(options(command)) for command in subparsers()} == {
+            "validate": 0,
+            "enumerate-policies": 2,
+            "predict": 5,
+            "simulate": 7,
+            "estimate": 4,
+            "compare": 2,
+            "sweep": 7,
+        }
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            *(("validate", o) for o in ("--seed", "--mu", "--beta", "--cap-policies", "--output")),
+            *(("enumerate-policies", o) for o in ("--seed", "--mu", "--beta")),
+            ("predict", "--seed"),
+            ("estimate", "--seed"),
+            ("estimate", "--cap-policies"),
+            *(("compare", o) for o in ("--seed", "--cap-policies", "--output", "--a", "--x-grid")),
+            ("compare", "--sweep"),
+            ("compare", "--pipeline"),
+            *(("sweep", o) for o in ("--seed", "--mu", "--beta", "--cap-policies")),
+        ],
+    )
+    def test_an_option_the_command_does_not_read_is_a_usage_error(
+        self, command, option, arguments, capsys
+    ):
+        value = [] if option in ("--sweep", "--pipeline") else ["1"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *arguments[command], option, *value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
