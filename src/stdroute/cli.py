@@ -129,6 +129,8 @@ def cmd_predict(args) -> int:
         columns.append(sequence_likelihoods(vf, table.steps))
 
     if "nonrecursive" in models:
+        vf = solve_value_functions_nr(net, spp, utility, initial=s0)
+        columns.append(sequence_likelihoods(vf, table.steps))
         try:
             cs = enumerate_policies(net, spp, s0, cap=args.cap_policies)
         except PolicyExplosionError as exc:
@@ -142,8 +144,6 @@ def cmd_predict(args) -> int:
                 for i in range(len(cs.policies))
             ]
             tables["policy_probs"] = (["policy", "expected_utility", "probability"], rows)
-        vf = solve_value_functions_nr(net, spp, utility, initial=s0)
-        columns.append(sequence_likelihoods(vf, table.steps))
 
     seq_rows = [
         [str(i), seq.label(), _path_text(seq.path), *map(_fmt, probs)]

@@ -27,9 +27,9 @@ from .network import (
     compile_graph,
     initial_state as departure_state,
 )
-from .nonrecursive import solve_value_functions_nr
+from .nonrecursive import nonrecursive_scale
 from .policy import sequence_table
-from .recursive import choice_distribution, sequence_likelihoods, solve_value_functions
+from .recursive import sequence_likelihoods, solve_log_sum
 from .utility import LinkUtilitySpec, ValueFunction
 
 MAX_TIME_DENOMINATOR = 10**4
@@ -194,24 +194,41 @@ def closed_form_ratios(s: TwoRouteScenario) -> ModelRatios:
     )
 
 
-def _junction_states(graph: CompiledGraph) -> tuple[State, State]:
-    """The next states of the approach link from the departure state, in partition order."""
+def _junction_actions(graph: CompiledGraph) -> list[tuple[int, int]]:
+    """The route 2 and route 3 state-actions at each junction state, in partition order."""
     j = graph.action(0, LINK_APPROACH)
     targets = graph.edge_target[graph.edge_ptr[j]:graph.edge_ptr[j + 1]].tolist()
     if len(targets) != 2:
         raise ValidationError("expected exactly two junction states")
-    return graph.states[targets[0]], graph.states[targets[1]]
+    return [(graph.action(i, LINK_ROUTE2), graph.action(i, LINK_ROUTE3)) for i in targets]
 
 
-def _route_ratios(vf: ValueFunction, st1: State, st2: State, p: float) -> RouteRatios:
+def _route_ratios(probs: list[float], junctions: list[tuple[int, int]], p: float) -> RouteRatios:
     """Route odds at each junction state of a solved model, then mixed by the state probability."""
-    d1 = choice_distribution(vf, st1)
-    d2 = choice_distribution(vf, st2)
-    m2 = p * d1[LINK_ROUTE2] + (1.0 - p) * d2[LINK_ROUTE2]
-    m3 = p * d1[LINK_ROUTE3] + (1.0 - p) * d2[LINK_ROUTE3]
-    return RouteRatios(
-        d1[LINK_ROUTE2] / d1[LINK_ROUTE3], d2[LINK_ROUTE2] / d2[LINK_ROUTE3], m2 / m3
-    )
+    (r2_1, r3_1), (r2_2, r3_2) = ((probs[j2], probs[j3]) for j2, j3 in junctions)
+    m2 = p * r2_1 + (1.0 - p) * r2_2
+    m3 = p * r3_1 + (1.0 - p) * r3_2
+    return RouteRatios(r2_1 / r3_1, r2_2 / r3_2, m2 / m3)
+
+
+def _solve_both(graph: CompiledGraph, utility: LinkUtilitySpec, mus) -> ValueFunction:
+    """Both models at each scale of ``mus`` as one batch solve, columns in that order.
+
+    Column ``2 i`` is the recursive and column ``2 i + 1`` the
+    non-recursive model at ``mus[i]``. The checks of the separate solves
+    run per column in the same order: a column whose non-recursive scale
+    is refused is reported only if the columns before it solve to finite
+    values.
+    """
+    scale = np.empty((len(graph.states), 2 * len(mus)))
+    for i, mu in enumerate(mus):
+        scale[:, 2 * i] = mu
+        try:
+            scale[:, 2 * i + 1] = nonrecursive_scale(graph, mu)
+        except ValidationError:
+            solve_log_sum(graph, utility, scale[:, : 2 * i + 1])
+            raise
+    return solve_log_sum(graph, utility, scale)
 
 
 def pipeline_ratios(s: TwoRouteScenario) -> ModelRatios:
@@ -222,13 +239,12 @@ def pipeline_ratios(s: TwoRouteScenario) -> ModelRatios:
     logit's marginal route shares.
     """
     build = build_two_route_network(s)
-    st1, st2 = _junction_states(
-        compile_graph(build.network, build.support_points, build.initial_state)
-    )
-    args = (build.network, build.support_points, build.utility, build.initial_state)
+    graph = compile_graph(build.network, build.support_points, build.initial_state)
+    junctions = _junction_actions(graph)
+    rec, nr = _solve_both(graph, build.utility, (build.utility.mu,)).choice_probs.T.tolist()
     return ModelRatios(
-        recursive=_route_ratios(solve_value_functions(*args), st1, st2, s.p),
-        nonrecursive=_route_ratios(solve_value_functions_nr(*args), st1, st2, s.p),
+        recursive=_route_ratios(rec, junctions, s.p),
+        nonrecursive=_route_ratios(nr, junctions, s.p),
     )
 
 
@@ -296,26 +312,19 @@ def equivalence_report(
     """
     if utility is None:
         utility = LinkUtilitySpec()
-    s0 = departure_state(net, spp)
-    table = sequence_table(compile_graph(net, spp, s0))
-
-    def probabilities(solve, spec: LinkUtilitySpec) -> np.ndarray:
-        return sequence_likelihoods(solve(net, spp, spec, initial=s0), table.steps)
-
-    rec = probabilities(solve_value_functions, utility)
-    nr = probabilities(solve_value_functions_nr, utility)
-    path_diff = float(np.max(np.abs(table.path_sums(rec) - table.path_sums(nr))))
+    graph = compile_graph(net, spp, departure_state(net, spp))
+    table = sequence_table(graph)
+    probs = sequence_likelihoods(
+        _solve_both(graph, utility, (utility.mu, *EQUIVALENCE_MUS)), table.steps
+    )
+    rec, nr = probs[:, 0::2], probs[:, 1::2]
+    path_diff = float(np.max(np.abs(table.path_sums(rec[:, 0]) - table.path_sums(nr[:, 0]))))
     if spp.size == 1 and path_diff > 1e-10:
         raise StdRouteError(
             f"single-scenario network: the models must agree per path but differ by {path_diff!r}"
         )
 
-    divergences = []
-    for mu in EQUIVALENCE_MUS:
-        scaled = utility.with_mu(mu)
-        rec = probabilities(solve_value_functions, scaled)
-        nr = probabilities(solve_value_functions_nr, scaled)
-        divergences.append(float(np.max(np.abs(rec - nr))))
+    divergences = np.max(np.abs(rec[:, 1:] - nr[:, 1:]), axis=0).tolist()
     monotone = all(
         divergences[i + 1] <= divergences[i] + 1e-15 for i in range(len(divergences) - 1)
     )

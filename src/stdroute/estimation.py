@@ -8,9 +8,9 @@ is held fixed (it is not separately identified from a single
 attribute's coefficient); the coefficient vector is estimated by BFGS
 on the log likelihood per trip. Its gradient is exact: the state space
 is acyclic in time, so the derivatives of the values come out of one
-more backward sweep per coefficient, and each distinct sequence's score
-is a gather over its step table. The same scores give BHHH standard
-errors (Berndt, Hall, Hall & Hausman 1974).
+more backward sweep with the coefficients as its batch, and each
+distinct sequence's score is a gather over its step table. The same
+scores give BHHH standard errors (Berndt, Hall, Hall & Hausman 1974).
 
 Observations are validated by the same step tables: a sequence is
 feasible when it is a walk, from its initial state to the destination,

@@ -54,7 +54,7 @@ from .errors import (
     UnreachableDestinationError,
     ValidationError,
 )
-from .numerics import is_integer
+from .numerics import is_integer, segment_sums
 
 PROBABILITY_TOL = 1e-12
 ATTRIBUTE_CACHE_SIZE = 8  # attribute matrices kept per compiled graph
@@ -530,14 +530,20 @@ class CompiledGraph:
         states``; per decision state ``value = reduce(q of the layer's
         state-actions, layer)``. Destination states are worth 0. Returns
         the values per state and ``q`` per state-action.
+
+        ``utilities`` may have trailing batch axes, shape ``(actions, ...)``:
+        every batch column is swept as it would be alone, and ``reduce``
+        receives and returns arrays with the same trailing axes.
         """
-        values = np.zeros(len(self.states))
-        q = np.empty(len(self.action_link))
+        batch = utilities.shape[1:]
+        prob = self.edge_prob.reshape(-1, *(1,) * len(batch))
+        values = np.zeros((len(self.states), *batch))
+        q = np.empty(utilities.shape)
         for layer in reversed(self.layers):
             a, e = layer.actions, layer.edges
-            weighted = self.edge_prob[e] * values[self.edge_target[e]]
-            # bincount adds in edge order, as a plain sum over successors would
-            q[a] = utilities[a] + np.bincount(self.edge_owner[e], weighted, a.stop - a.start)
+            weighted = prob[e] * values[self.edge_target[e]]
+            # summed in edge order, as a plain sum over successors would be
+            q[a] = utilities[a] + segment_sums(self.edge_owner[e], weighted, a.stop - a.start)
             values[layer.states] = reduce(q[a], layer)
         return values, q
 

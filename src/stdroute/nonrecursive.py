@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .network import (
+    CompiledGraph,
     State,
     StdNetwork,
     SupportPointSet,
@@ -54,20 +55,28 @@ def solve_value_functions_nr(
     state. The initial state's value is mu times the log-sum over
     policies of exp(policy utility / mu), and each state's choice
     probabilities are the chance that the chosen policy takes each link
-    there, given that the trip reaches the state. A state reached with
-    a probability w(s) <= mu / 1e300 is rejected: a scale below 1e300,
-    times the log of any number of links, stays finite, but a larger one
-    can overflow the values.
+    there, given that the trip reaches the state. A state too rarely
+    reached for its scale is refused (:func:`nonrecursive_scale`).
     """
     graph = compile_graph(net, spp, initial or default_initial_state(net, spp))
+    return solve_log_sum(graph, utility, nonrecursive_scale(graph, utility.mu))
+
+
+def nonrecursive_scale(graph: CompiledGraph, mu: float) -> np.ndarray:
+    """The model's logit scale mu / w(s) in every state of the graph.
+
+    A state reached with a probability w(s) <= mu / 1e300 is rejected: a
+    scale below 1e300, times the log of any number of links, stays
+    finite, but a larger one can overflow the values.
+    """
     rarest = int(np.argmin(graph.reach))
     w = float(graph.reach[rarest])
-    if w * 1e300 <= utility.mu:
+    if w * 1e300 <= mu:
         raise ValidationError(
             f"state {graph.states[rarest]} is reached with probability {w!r}; "
             "the non-recursive scale mu / w(s) needs w(s) > mu / 1e300"
         )
-    return solve_log_sum(graph, utility, utility.mu / graph.reach)
+    return mu / graph.reach
 
 
 def policy_utilities(cs: PolicyChoiceSet, utility: LinkUtilitySpec) -> np.ndarray:
@@ -84,8 +93,18 @@ def policy_utilities(cs: PolicyChoiceSet, utility: LinkUtilitySpec) -> np.ndarra
 
 
 def policy_choice_probs(cs: PolicyChoiceSet, utility: LinkUtilitySpec) -> np.ndarray:
-    """Logit probabilities over the whole choice set, in choice-set order."""
-    return softmax(policy_utilities(cs, utility) / utility.mu)
+    """Logit probabilities over the whole choice set, in choice-set order.
+
+    Finite utilities that give a non-finite probability raise
+    ``ValidationError``, as they do in the solve.
+    """
+    utilities = policy_utilities(cs, utility)
+    probs = softmax(utilities / utility.mu)
+    if not np.isfinite(probs).all() and np.isfinite(utilities).all():
+        raise ValidationError(
+            f"the policy choice probabilities are not finite at logit scale mu={utility.mu!r}"
+        )
+    return probs
 
 
 def policy_choice_prob(cs: PolicyChoiceSet, policy: RoutingPolicy, utility: LinkUtilitySpec) -> float:

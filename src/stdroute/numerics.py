@@ -1,7 +1,8 @@
-"""Small numerical helpers: softmax, random generators, integer checks."""
+"""Small numerical helpers: softmax, segment sums, random generators, integer checks."""
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -13,6 +14,21 @@ def softmax(values: Sequence[float]) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     shifted = np.exp(arr - arr.max())
     return shifted / shifted.sum()
+
+
+def segment_sums(owner: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Sums of ``weights`` over their first axis into ``n`` bins by ``owner``.
+
+    ``np.bincount`` adds in input order, as a plain loop would. Trailing
+    batch axes are one bincount over the flat bin ``owner * size + b``,
+    so every batch column is summed exactly as it would be alone.
+    """
+    if weights.ndim == 1:
+        return np.bincount(owner, weights, n)
+    batch = weights.shape[1:]
+    size = math.prod(batch)
+    flat = (owner[:, None] * size + np.arange(size)).ravel()
+    return np.bincount(flat, weights.ravel(), n * size).reshape(n, *batch)
 
 
 def as_rng(seed) -> np.random.Generator:

@@ -25,7 +25,7 @@ from .network import (
     event_collections_at,
     initial_state as default_initial_state,
 )
-from .numerics import as_rng, check_sample_size
+from .numerics import as_rng, check_sample_size, segment_sums
 from .policy import (
     DEFAULT_POLICY_CAP,
     SequenceTable,
@@ -60,29 +60,40 @@ def solve_log_sum(
     Each decision state's value is its scale times the shifted
     log-sum-exp of (utility + expected downstream value) / scale over its
     outgoing links; destination states are worth 0. The choice
-    probabilities are the softmax terms of the same sums. Finite
-    utilities that give a non-finite value raise ``ValidationError``.
+    probabilities are the softmax terms of the same sums.
+
+    ``scale`` may have trailing batch axes, shape ``(states, ...)``: one
+    sweep then solves every column at the same utilities, each exactly
+    as it would be alone, and every array of the result has the same
+    trailing axes. Finite utilities that give a non-finite value raise
+    ``ValidationError`` naming the first such column's scale at the
+    initial state, which is mu in both models (w(s0) = 1).
     """
     owner, first, state = graph.action_owner, graph.first_action, graph.action_state
+    batch = scale.shape[1:]
     action_scale = scale[state]
-    exps = np.empty(len(graph.action_link))
-    sums = np.ones(len(graph.states))
-    log_sums = np.zeros(len(graph.states))
+    exps = np.empty((len(graph.action_link), *batch))
+    sums = np.ones(scale.shape)
+    log_sums = np.zeros(scale.shape)
 
     def log_sum(q: np.ndarray, layer) -> np.ndarray:
         a, d = layer.actions, layer.states
         x = q / action_scale[a]
         shift = np.maximum.reduceat(x, first[d])
         exps[a] = np.exp(x - shift[owner[a]])
-        sums[d] = np.bincount(owner[a], exps[a], d.stop - d.start)
+        sums[d] = segment_sums(owner[a], exps[a], d.stop - d.start)
         log_sums[d] = shift + np.log(sums[d])
         return scale[d] * log_sums[d]
 
     u = utility.utilities(graph)
+    if batch:  # every column sweeps the same utilities
+        u = u.repeat(math.prod(batch)).reshape(len(u), *batch)
     values, q = graph.sweep(u, log_sum)
     # a NaN or infinite value anywhere reaches the initial state (index 0) as NaN or infinity
-    if not math.isfinite(values[0]) and np.isfinite(u).all():
-        raise ValidationError(f"the values are not finite at logit scale mu={utility.mu!r}")
+    finite = np.isfinite(values[0])
+    if not finite.all() and np.isfinite(u).all():
+        mu = float(np.extract(~finite, scale[0])[0])
+        raise ValidationError(f"the values are not finite at logit scale mu={mu!r}")
     return ValueFunction(
         utility=utility,
         graph=graph,
@@ -99,19 +110,18 @@ def value_gradients(vf: ValueFunction) -> tuple[np.ndarray, np.ndarray]:
 
     A log-sum value's derivative is the choice-probability-weighted mean of
     its choice values' derivatives, and a choice value's is its attribute
-    plus the expected derivative of the next values: one more sweep per
-    coefficient, with no linear solve. The scales do not depend on beta.
+    plus the expected derivative of the next values: one more sweep, with
+    the coefficients as its batch and no linear solve. The scales do not
+    depend on beta.
     """
     graph = vf.graph
-    owner, probs = graph.action_owner, vf.choice_probs
+    owner, probs = graph.action_owner, vf.choice_probs[:, None]
 
     def expectation(dq: np.ndarray, layer) -> np.ndarray:
         a, d = layer.actions, layer.states
-        return np.bincount(owner[a], probs[a] * dq, d.stop - d.start)
+        return segment_sums(owner[a], probs[a] * dq, d.stop - d.start)
 
-    X = graph.attribute_matrix(vf.utility.attributes)
-    dV, dq = zip(*(graph.sweep(x, expectation) for x in X.T))
-    return np.stack(dV, axis=1), np.stack(dq, axis=1)
+    return graph.sweep(graph.attribute_matrix(vf.utility.attributes), expectation)
 
 
 def choice_distribution(vf: ValueFunction, state: State) -> dict[int, float]:
@@ -156,7 +166,10 @@ def step_table(graph: CompiledGraph, sequences) -> StepTable:
 
 
 def sequence_log_likelihoods(vf: ValueFunction, steps: StepTable) -> np.ndarray:
-    """Log likelihood of each sequence of a step table: log choice plus log transition terms."""
+    """Log likelihood of each sequence of a step table: log choice plus log transition terms.
+
+    A batch solve gives one column of likelihoods per batch column.
+    """
     return _fold(np.add, 0.0, vf.padded_log_choice_probs, vf.graph.padded_edge_terms[1], steps)
 
 
@@ -170,11 +183,13 @@ def _fold(op, identity: float, per_action, per_edge, steps: StepTable) -> np.nda
 
     The order is that of a scalar walk along one sequence, so a row's
     result does not depend on the other rows. The term arrays end in
-    ``identity``, which the step table's padding reads.
+    ``identity``, which the step table's padding reads; trailing batch
+    axes of ``per_action`` trail the result.
     """
     choice = per_action[steps.actions]
-    transition = per_edge[steps.edges]
-    total = np.full(len(choice), identity)
+    # the transition terms are shared by every batch column
+    transition = per_edge[steps.edges].reshape(*steps.edges.shape, *(1,) * (per_action.ndim - 1))
+    total = np.full((len(choice), *per_action.shape[1:]), identity)
     for k in range(choice.shape[1]):
         op(total, choice[:, k], out=total)
         op(total, transition[:, k], out=total)

@@ -59,7 +59,10 @@ class ValueFunction:
     was solved at (0 for the max table of an optimal policy) and
     ``state_values`` (0 at the destination); per state-action the choice value ``q`` (utility plus expected downstream
     value) with the choice probabilities and their logs. The container keeps the inputs it was solved from so
-    probability queries need no extra arguments.
+    probability queries need no extra arguments. A batch solve
+    (:func:`~stdroute.recursive.solve_log_sum`) gives every array trailing
+    batch axes, which the step-table likelihoods keep; the per-state
+    readers take an unbatched table.
     """
 
     utility: LinkUtilitySpec
@@ -94,12 +97,12 @@ class ValueFunction:
     @cached_property
     def padded_choice_probs(self) -> np.ndarray:
         """``choice_probs`` and a 1 for the padding of a step table."""
-        return np.append(self.choice_probs, 1.0)
+        return _padded(self.choice_probs, 1.0)
 
     @cached_property
     def padded_log_choice_probs(self) -> np.ndarray:
         """``log_choice_probs`` and a 0 for the padding of a step table."""
-        return np.append(self.log_choice_probs, 0.0)
+        return _padded(self.log_choice_probs, 0.0)
 
     def state_index(self, state: State) -> int:
         try:
@@ -112,3 +115,8 @@ class ValueFunction:
 
     def get(self, state: State, default: float | None = None):
         return self.values.get(state, default)
+
+
+def _padded(per_action: np.ndarray, pad: float) -> np.ndarray:
+    """One more row ``pad`` after the last state-action."""
+    return np.concatenate([per_action, np.full((1, *per_action.shape[1:]), pad)])

@@ -39,9 +39,12 @@ from stdroute import (
     sample_sequence_counts_nr,
     sequence_log_likelihood,
     solve_value_functions,
+    solve_value_functions_nr,
     travel_time,
 )
 from stdroute.cli import main
+from stdroute.policy import sequence_table
+from stdroute.recursive import sequence_log_likelihoods, solve_log_sum, value_gradients
 
 TOL = 1e-12
 
@@ -265,6 +268,56 @@ class TestGraph:
             compile_graph(net, spp, arrival)
         with pytest.raises(ValidationError, match="at least a departure and an arrival"):
             solve_value_functions(net, spp, LinkUtilitySpec(), initial=arrival)
+
+
+SOLVERS = (solve_value_functions, solve_value_functions_nr)
+
+
+def time_and_parity(net, spp, a, state):
+    return (float(travel_time(net, spp, a, state)), float(a % 2))
+
+
+class TestBatchSweep:
+    """A batch is swept as its columns would be alone: every array is bitwise equal."""
+
+    def test_a_batch_of_both_models_and_scales_is_its_single_solves(self):
+        rng = np.random.default_rng(1313)
+        for _ in range(200):
+            net, spp = random_network(rng, max_links=8, max_support=3, max_horizon=3)
+            utility = LinkUtilitySpec(beta=(-float(rng.uniform(0.5, 2.0)),))
+            graph = compile_graph(net, spp, initial_state(net, spp))
+            steps = sequence_table(graph).steps
+            singles, scales = [], []
+            for mu in (1.0, 0.3, 1e-3):
+                scaled = utility.with_mu(mu)
+                singles += [solve(net, spp, scaled) for solve in SOLVERS]
+                scales += [np.full(len(graph.states), mu), mu / graph.reach]
+            batch = solve_log_sum(graph, utility, np.stack(scales, axis=1))
+            log_likelihoods = sequence_log_likelihoods(batch, steps)
+            for b, vf in enumerate(singles):
+                for name in ("state_values", "action_values", "choice_probs", "log_choice_probs"):
+                    assert np.array_equal(getattr(batch, name)[:, b], getattr(vf, name)), name
+                assert np.array_equal(log_likelihoods[:, b], sequence_log_likelihoods(vf, steps))
+
+    def test_gradients_are_one_sweep_per_coefficient(self):
+        rng = np.random.default_rng(1314)
+        for _ in range(200):
+            net, spp = random_network(rng, max_links=8, max_support=3, max_horizon=3)
+            mu = float(rng.choice([1.0, 0.3, 1e-3]))
+            utility = LinkUtilitySpec(beta=(-1.0, 0.5), mu=mu, attributes=time_and_parity)
+            for solve in SOLVERS:
+                vf = solve(net, spp, utility)
+                graph, probs = vf.graph, vf.choice_probs
+
+                def expectation(dq, layer):
+                    a, d = layer.actions, layer.states
+                    return np.bincount(graph.action_owner[a], probs[a] * dq, d.stop - d.start)
+
+                X = graph.attribute_matrix(time_and_parity)
+                dV, dq = value_gradients(vf)
+                for k in range(X.shape[1]):
+                    dV_k, dq_k = graph.sweep(X[:, k], expectation)
+                    assert np.array_equal(dV[:, k], dV_k) and np.array_equal(dq[:, k], dq_k)
 
 
 class TestLikelihoodLookups:

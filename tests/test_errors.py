@@ -2,7 +2,8 @@
 
 The logit-scale tests check that a scale no solve can use is an error, not
 a table of NaN: ``LinkUtilitySpec`` refuses a non-finite ``mu``, and a solve
-whose finite utilities give non-finite values names the scale.
+(or a policy logit) whose finite utilities give non-finite values names the
+scale; a batch solve names its first such column.
 """
 
 import math
@@ -27,11 +28,15 @@ from stdroute import (
     build_two_route_network,
     choice_distribution,
     compile_graph,
+    enumerate_policies,
     enumerate_sequences,
     event_collections_at,
+    policy_choice_prob,
+    policy_choice_probs,
     solve_value_functions,
     solve_value_functions_nr,
 )
+from stdroute.recursive import solve_log_sum
 
 
 def support_points(times, probabilities=(1.0,)):
@@ -144,6 +149,24 @@ class TestLogitScale:
     def test_solve_names_the_scale(self, net, spp, solve, mu, message):
         with pytest.raises(ValidationError, match=re.escape(message)):
             solve(net, spp, LinkUtilitySpec(mu=mu))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_batch_names_its_first_column_that_is_not_finite(self, net, spp, s0):
+        graph = compile_graph(net, spp, s0)
+        scale = np.ones((len(graph.states), 1)) * [1.0, 1e-310, 1e-320]
+        message = "the values are not finite at logit scale mu=1e-310"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            solve_log_sum(graph, LinkUtilitySpec(), scale)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_policy_probabilities_name_the_scale(self, net, spp, s0):
+        cs = enumerate_policies(net, spp, s0)
+        utility = LinkUtilitySpec(mu=1e-310)
+        message = "the policy choice probabilities are not finite at logit scale mu=1e-310"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            policy_choice_probs(cs, utility)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            policy_choice_prob(cs, cs.policies[0], utility)
 
     @pytest.mark.parametrize("solve", [solve_value_functions, solve_value_functions_nr])
     def test_small_scale_that_stays_finite_is_solved(self, net, spp, solve):

@@ -22,6 +22,7 @@ from stdroute import (
     compile_graph,
     enumerate_policies,
     enumerate_sequences,
+    equivalence_report,
     initial_state,
     load_bundled_network,
     load_network,
@@ -159,28 +160,72 @@ def test_a_loaded_network_solves_to_finite_values_or_raises_a_package_error(text
             assert np.isfinite(values).all()
 
 
+def outcome(compare, net, spp, utility=None):
+    """What ``compare`` returns, or the class and message of the error it raises."""
+    try:
+        return compare(net, spp, utility)
+    except Exception as exc:  # any error: its class and message are compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(network_documents())
+def test_a_loaded_network_compares_as_separate_solves_do(text):
+    # one batch solve for every (model, mu) column: the report, or the first column's error
+    try:
+        net, spp = load_network(text)
+        assert len(compile_graph(net, spp, initial_state(net, spp)).states) <= 10_000
+    except StdRouteError:
+        return
+    assert outcome(equivalence_report, net, spp) == outcome(oracle.equivalence_report, net, spp)
+
+
+# the minimal document of the fuzz tests above: its second scenario has probability 5e-324,
+# so the non-recursive scale mu / w(s) of the state that knows it is infinite
+SUBNORMAL_DOCUMENT = {
+    "nodes": ["n0", "n1", "n2"],
+    "links": [
+        {"id": 0, "from": "n0", "to": "n0"},
+        {"id": 1, "from": "n0", "to": "n1"},
+        {"id": 2, "from": "n1", "to": "n2"},
+    ],
+    "origin_link": 0,
+    "destination_link": 2,
+    "horizon": 2,
+    "support_points": [
+        {"probability": 1.0, "travel_times": {"1": [1, 1], "2": [1, 1]}},
+        {"probability": 5e-324, "travel_times": {"1": [1, 1], "2": [1, 2]}},
+    ],
+}
+
+
 def test_a_state_reached_with_a_subnormal_probability_is_refused():
-    # the minimal document of the fuzz test above: its second scenario has probability 5e-324,
-    # so the non-recursive scale mu / w(s) of the state that knows it is infinite
-    document = {
-        "nodes": ["n0", "n1", "n2"],
-        "links": [
-            {"id": 0, "from": "n0", "to": "n0"},
-            {"id": 1, "from": "n0", "to": "n1"},
-            {"id": 2, "from": "n1", "to": "n2"},
-        ],
-        "origin_link": 0,
-        "destination_link": 2,
-        "horizon": 2,
-        "support_points": [
-            {"probability": 1.0, "travel_times": {"1": [1, 1], "2": [1, 1]}},
-            {"probability": 5e-324, "travel_times": {"1": [1, 1], "2": [1, 2]}},
-        ],
-    }
-    net, spp = load_network(json.dumps(document))
+    net, spp = load_network(json.dumps(SUBNORMAL_DOCUMENT))
     solve_value_functions(net, spp, LinkUtilitySpec())
     with pytest.raises(ValidationError, match=r"State\(1,1,\{2\}\) is reached with probability 5e-324"):
         solve_value_functions_nr(net, spp, LinkUtilitySpec())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "document, beta, mu, message",
+    [
+        (None, -1.0, 1e-310, "the values are not finite at logit scale mu=1e-310"),
+        (None, -1e306, 1.0, "the values are not finite at logit scale mu=0.01"),
+        (None, -1.0, 1e301, "is reached with probability 0.5"),
+        (SUBNORMAL_DOCUMENT, -1.0, 1.0, "is reached with probability 5e-324"),
+        # the recursive column at mu=1 solves before the non-recursive column's scale is refused
+        (SUBNORMAL_DOCUMENT, -1.0, 1e-30, "is reached with probability 5e-324"),
+        # the base columns are not finite, and come before the refused scale at mu=1
+        (SUBNORMAL_DOCUMENT, -1.0, 1e-310, "the values are not finite at logit scale mu=1e-310"),
+    ],
+)
+def test_the_comparison_raises_the_first_error_of_the_separate_solves(document, beta, mu, message):
+    net, spp = load_network(json.dumps(document)) if document else load_bundled_network()
+    utility = LinkUtilitySpec(beta=(beta,), mu=mu)
+    error = outcome(equivalence_report, net, spp, utility)
+    assert error == outcome(oracle.equivalence_report, net, spp, utility)
+    assert error[0] is ValidationError and message in error[1]
 
 
 # as many plain values as nested ones: ids, times and counts are where a document goes wrong
