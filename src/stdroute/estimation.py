@@ -9,7 +9,8 @@ attribute's coefficient); the coefficient vector is estimated by BFGS
 on the log likelihood per trip. Its gradient is exact: the state space
 is acyclic in time, so the derivatives of the values come out of one
 more backward sweep with the coefficients as its batch, and each
-distinct sequence's score is a gather over its step table. The same
+distinct sequence's score is a gather over its flat step table, added
+left to right by ``segment_sums`` over the steps' sequences. The same
 scores give BHHH standard errors (Berndt, Hall, Hall & Hausman 1974).
 
 Observations are validated by the same step tables: a sequence is
@@ -49,7 +50,7 @@ from .network import (
     compile_graph,
     event_collections_at,
 )
-from .numerics import is_integer
+from .numerics import is_integer, segment_sums
 from .nonrecursive import solve_value_functions_nr
 from .policy import StateSequence, StepTable
 from .recursive import (
@@ -300,7 +301,8 @@ def _score(model, net, spp, obs, beta, mu, attributes, scores: bool):
     """The log likelihood and, if ``scores``, each distinct sequence's score (gradient in beta).
 
     A score sums the derivatives of a sequence's log choice probabilities,
-    ``(dq - dV(s)) / scale(s)`` per step; transition probabilities do not depend on beta.
+    ``(dq - dV(s)) / scale(s)`` per step, left to right; transition
+    probabilities do not depend on beta.
     """
     if model not in ("recursive", "nonrecursive"):
         raise ValidationError(f"unknown model {model!r}")
@@ -320,8 +322,7 @@ def _score(model, net, spp, obs, beta, mu, attributes, scores: bool):
             dV, dq = value_gradients(vf)
             state = vf.graph.action_state
             per_action = (dq - dV[state]) / vf.scale[state, None]
-            padded = np.vstack([per_action, np.zeros(beta_arr.size)])
-            score_rows[positions] = padded[steps.actions].sum(axis=1)
+            score_rows[positions] = segment_sums(steps.rows, per_action[steps.actions], len(positions))
     bad = np.flatnonzero(~np.isfinite(terms))
     if bad.size:
         raise EstimationError(

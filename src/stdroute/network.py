@@ -468,10 +468,9 @@ class CompiledGraph:
         )
 
     @cached_property
-    def padded_edge_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge probabilities and their logs (by ``math.log``), each ending in 1 and 0 for step-table padding."""
-        probs = self.edge_prob.tolist()
-        return np.array(probs + [1.0]), np.array([math.log(p) for p in probs] + [0.0])
+    def log_edge_prob(self) -> np.ndarray:
+        """Log of each edge's transition probability, by ``math.log`` as a scalar walk takes it."""
+        return np.array([math.log(p) for p in self.edge_prob.tolist()])
 
     @cached_property
     def label_rank(self) -> np.ndarray:
@@ -677,7 +676,10 @@ def load_network(text: str) -> tuple[StdNetwork, SupportPointSet]:
         _require(isinstance(entry, dict), f"links[{i}] must be an object")
         for key in ("id", "from", "to"):
             _require(key in entry, f"links[{i}] is missing {key!r}")
-        _require(is_integer(entry["id"]), f"links[{i}].id must be an integer")
+        _require(
+            is_integer(entry["id"]) and abs(entry["id"]) <= INT64_MAX,
+            f"links[{i}].id must be an integer of magnitude below 2**63",
+        )
         for key in ("from", "to"):
             _require(isinstance(entry[key], str), f"links[{i}].{key} must be a node name")
         links.append(Link(id=entry["id"], tail=entry["from"], head=entry["to"]))

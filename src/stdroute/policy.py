@@ -282,13 +282,15 @@ def optimal_policy(
 
 
 class StepTable(NamedTuple):
-    """Steps of sequences in a compiled graph: one row per sequence, one column per step.
+    """Steps of sequences in a compiled graph, flat: sequence after sequence, in walk order.
 
-    ``actions[r, k]`` and ``edges[r, k]`` are the state-action and edge of
-    step k of sequence r. Rows shorter than the longest are padded with
-    one past the last state-action and edge.
+    Step k is the state-action ``actions[k]`` and the edge ``edges[k]`` of
+    sequence ``rows[k]``; sequence r's steps start at ``starts[r]``. Every
+    sequence has at least one step.
     """
 
+    rows: np.ndarray
+    starts: np.ndarray
     actions: np.ndarray
     edges: np.ndarray
 
@@ -296,10 +298,9 @@ class StepTable(NamedTuple):
 def edge_steps(graph: CompiledGraph, rows: list[list[int]]) -> StepTable:
     """The step table of sequences given as lists of the graph's edges, one list per sequence."""
     lengths = np.array([len(row) for row in rows], dtype=np.intp)
-    edges = np.full((len(rows), lengths.max(initial=0)), len(graph.edge_prob))
-    edges[np.arange(edges.shape[1]) < lengths[:, None]] = list(itertools.chain(*rows))
-    actions = np.append(graph.edge_action, len(graph.action_link))[edges]
-    return StepTable(actions, edges)
+    edges = np.array(list(itertools.chain(*rows)), dtype=np.intp)
+    owner = np.repeat(np.arange(len(rows)), lengths)
+    return StepTable(owner, np.cumsum(lengths) - lengths, graph.edge_action[edges], edges)
 
 
 class SequenceTable(NamedTuple):

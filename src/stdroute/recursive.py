@@ -168,32 +168,25 @@ def step_table(graph: CompiledGraph, sequences) -> StepTable:
 def sequence_log_likelihoods(vf: ValueFunction, steps: StepTable) -> np.ndarray:
     """Log likelihood of each sequence of a step table: log choice plus log transition terms.
 
-    A batch solve gives one column of likelihoods per batch column.
+    The terms are added left to right in walk order, as a scalar walk
+    adds them. A batch solve gives one column per batch column.
     """
-    return _fold(np.add, 0.0, vf.padded_log_choice_probs, vf.graph.padded_edge_terms[1], steps)
+    terms = _walk_terms(vf.log_choice_probs, vf.graph.log_edge_prob, steps)
+    return segment_sums(steps.rows.repeat(2), terms, len(steps.starts))
 
 
 def sequence_likelihoods(vf: ValueFunction, steps: StepTable) -> np.ndarray:
-    """Likelihood of each sequence of a step table; see :func:`sequence_likelihood`."""
-    return _fold(np.multiply, 1.0, vf.padded_choice_probs, vf.graph.padded_edge_terms[0], steps)
+    """Likelihood of each sequence of a step table, its terms multiplied left to right in walk order."""
+    terms = _walk_terms(vf.choice_probs, vf.graph.edge_prob, steps)
+    return np.multiply.reduceat(terms, 2 * steps.starts)
 
 
-def _fold(op, identity: float, per_action, per_edge, steps: StepTable) -> np.ndarray:
-    """Combine each row's terms step by step, the choice term before the transition term.
-
-    The order is that of a scalar walk along one sequence, so a row's
-    result does not depend on the other rows. The term arrays end in
-    ``identity``, which the step table's padding reads; trailing batch
-    axes of ``per_action`` trail the result.
-    """
-    choice = per_action[steps.actions]
-    # the transition terms are shared by every batch column
-    transition = per_edge[steps.edges].reshape(*steps.edges.shape, *(1,) * (per_action.ndim - 1))
-    total = np.full((len(choice), *per_action.shape[1:]), identity)
-    for k in range(choice.shape[1]):
-        op(total, choice[:, k], out=total)
-        op(total, transition[:, k], out=total)
-    return total
+def _walk_terms(per_action, per_edge, steps: StepTable) -> np.ndarray:
+    """Each step's choice term, then its transition term; batch columns share the transitions."""
+    terms = np.empty((2 * len(steps.actions), *per_action.shape[1:]))
+    terms[0::2] = per_action[steps.actions]
+    terms[1::2] = per_edge[steps.edges].reshape(-1, *(1,) * (per_action.ndim - 1))
+    return terms
 
 
 def sequence_log_likelihood(vf: ValueFunction, seq: StateSequence) -> float:
@@ -224,7 +217,7 @@ def sequence_likelihood_value_form(vf: ValueFunction, seq: StateSequence) -> flo
     graph = vf.graph
     steps = step_table(graph, [seq])
     prob = 1.0
-    for j, e in zip(steps.actions[0].tolist(), steps.edges[0].tolist()):
+    for j, e in zip(steps.actions.tolist(), steps.edges.tolist()):
         i = graph.action_state[j]
         scale = vf.scale[i]
         if not scale > 0:
@@ -270,6 +263,8 @@ def sample_sequence_counts(vf: ValueFunction, n: int, seed=None) -> dict[StateSe
     rows are returned as one sequence with its count.
     """
     check_sample_size(n)
+    if not np.isfinite(vf.choice_probs).all():
+        raise ValidationError("cannot sample: a choice probability of the solve is not finite")
     rng = as_rng(seed)
     graph = vf.graph
     # the cumulative probabilities of each state's edges, laid out as the edges are:

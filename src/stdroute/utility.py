@@ -37,7 +37,12 @@ class LinkUtilitySpec:
             raise ValidationError("scale parameter mu must be finite and strictly positive")
 
     def utilities(self, graph: CompiledGraph) -> np.ndarray:
-        """Utility of every state-action of a compiled graph: one ``X @ beta``."""
+        """Utility of every state-action of a compiled graph: one ``X @ beta``.
+
+        Finite coefficients and attributes whose products overflow raise
+        ``ValidationError``; a non-finite coefficient or attribute is
+        passed on, for the likelihood to name the observation it spoils.
+        """
         X = graph.attribute_matrix(self.attributes)
         if not len(X):
             return np.zeros(0)
@@ -45,7 +50,12 @@ class LinkUtilitySpec:
             raise ValidationError(
                 f"attribute vector has {X.shape[1]} entries but beta has {len(self.beta)}"
             )
-        return X @ np.array(self.beta)
+        beta = np.array(self.beta)
+        with np.errstate(over="ignore"):  # an overflow is the error raised below
+            u = X @ beta
+        if not np.isfinite(u).all() and np.isfinite(beta).all() and np.isfinite(X).all():
+            raise ValidationError(f"the link utilities are not finite at beta={list(self.beta)}")
+        return u
 
     def with_mu(self, mu: float) -> "LinkUtilitySpec":
         return replace(self, mu=float(mu))
@@ -94,16 +104,6 @@ class ValueFunction:
         """``choice_probs`` as a list, for scalar reads."""
         return self.choice_probs.tolist()
 
-    @cached_property
-    def padded_choice_probs(self) -> np.ndarray:
-        """``choice_probs`` and a 1 for the padding of a step table."""
-        return _padded(self.choice_probs, 1.0)
-
-    @cached_property
-    def padded_log_choice_probs(self) -> np.ndarray:
-        """``log_choice_probs`` and a 0 for the padding of a step table."""
-        return _padded(self.log_choice_probs, 0.0)
-
     def state_index(self, state: State) -> int:
         try:
             return self.graph.index[state]
@@ -115,8 +115,3 @@ class ValueFunction:
 
     def get(self, state: State, default: float | None = None):
         return self.values.get(state, default)
-
-
-def _padded(per_action: np.ndarray, pad: float) -> np.ndarray:
-    """One more row ``pad`` after the last state-action."""
-    return np.concatenate([per_action, np.full((1, *per_action.shape[1:]), pad)])

@@ -8,10 +8,11 @@ once per link, as a check on the compiled-graph sweep; walks each
 routing policy's state tree to its leaves, as a check on the policy
 utility read from the compiled graph's reach; scores an observation
 set one sequence and one step at a time, as a check on the batched
-likelihood; checks each observed sequence step by step, as a check on
-validation by the step table; lists and scores every state sequence
-anew on each call, as a check on the sequence table a compiled graph
-keeps; draws and marginalizes the non-recursive model as the paper
+likelihood, and sums each sequence's score one step at a time, as a
+check on the scores read from the flat step table; checks each observed
+sequence step by step, as a check on validation by the step table;
+lists and scores every state sequence anew on each call, as a check on
+the sequence table a compiled graph keeps; draws and marginalizes the non-recursive model as the paper
 states it, a routing policy chosen at the origin and executed in one
 scenario, as a check on sampling the solved model link by link;
 compares each uniform with a whole padded row of cumulative
@@ -49,6 +50,7 @@ from stdroute import (
 )
 from stdroute.network import Layer
 from stdroute.numerics import as_rng, check_sample_size, softmax
+from stdroute.recursive import value_gradients
 
 
 def logsumexp(values):
@@ -336,6 +338,23 @@ def log_likelihood(model, net, spp, obs, beta, mu):
             term += math.log(graph.edge_prob[graph.edge_index[(i, k)]])
         total += count * term
     return total
+
+
+def sequence_score(vf, seq):
+    """A sequence's score: ``(dq - dV(s)) / scale(s)`` per step, added left to right.
+
+    ``dV`` and ``dq`` are the value derivatives of :func:`value_gradients`,
+    read by scalar lookups at each step's state and chosen link.
+    """
+    graph = vf.graph
+    dV, dq = value_gradients(vf)
+    score = [0.0] * dV.shape[1]
+    for cur, nxt in zip(seq.states, seq.states[1:]):
+        i = graph.index[cur]
+        j = graph.action(i, nxt.link)
+        for k in range(len(score)):
+            score[k] += float((dq[j, k] - dV[i, k]) / vf.scale[i])
+    return score
 
 
 def enumerate_sequences(graph):

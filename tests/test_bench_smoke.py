@@ -16,7 +16,8 @@ RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
 
 @pytest.mark.parametrize(
-    "workload, trace", [("nr-fit", "1"), ("rec-fit", "0"), ("small-nets", "0")]
+    "workload, trace",
+    [("nr-fit", "1"), ("rec-fit", "0"), ("small-nets", "0"), ("rec-predict", "0")],
 )
 def test_one_short_run_passes_its_checks(workload, trace):
     args = ["--workload", workload, "--seed", "1", "--seconds", "0", "--trace", trace]

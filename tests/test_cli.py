@@ -251,6 +251,14 @@ class TestNonFiniteParameters:
         assert captured.out == ""
         assert "error: the values are not finite at logit scale mu=1e-310\n" in captured.err
 
+    @pytest.mark.parametrize("command", ["predict", "simulate", "compare"])
+    @pytest.mark.parametrize("beta", ["1e308", "-1e308"])
+    def test_finite_coefficients_whose_utilities_overflow(self, network_file, capsys, command, beta):
+        assert main([command, network_file, f"--beta={beta}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the link utilities are not finite at beta=[{float(beta)!r}]\n"
+
     def test_a_non_finite_entry_of_several(self, network_file, capsys):
         # the command line's only attribute is travel time, so --beta is one number
         with pytest.raises(SystemExit) as exc:

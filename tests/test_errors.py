@@ -181,7 +181,9 @@ class TestLogitScale:
         outcomes = set()
         for _ in range(40):
             net, spp = random_network(rng)
-            for beta, mu in [(-1, 1e-320), (-1, 1e-308), (-1, 1e308), (-1e307, 1), (-1e306, 1e-3)]:
+            for beta, mu in [
+                (-1, 1e-320), (-1, 1e-308), (-1, 1e308), (-1e307, 1), (-1e306, 1e-3), (1e308, 1)
+            ]:
                 for solve in (solve_value_functions, solve_value_functions_nr):
                     try:
                         vf = solve(net, spp, LinkUtilitySpec(beta=(beta,), mu=mu))

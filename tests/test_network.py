@@ -318,6 +318,15 @@ def set_travel_time(value):
     return edit
 
 
+def renumber_link_3(value):
+    """Give link 3 the id ``value``, in the links and in every travel-time table."""
+    def edit(d):
+        d["links"][3]["id"] = value
+        for point in d["support_points"]:
+            point["travel_times"][str(value)] = point["travel_times"].pop("3")
+    return edit
+
+
 def set_first_link_end(key, value):
     def edit(d):
         d["links"][1][key] = value
@@ -347,6 +356,10 @@ class TestDocumentTypes:
             set_key("destination_link", True), "'destination_link' must be a link id"
         ),
         "link-id-bool": (set_first_link_id(True), r"links\[1\].id must be an integer"),
+        "link-id-2**63": (renumber_link_3(2**63), r"links\[3\].id must be an integer of magnitude"),
+        "link-id-below-int64": (
+            renumber_link_3(-(2**70)), r"links\[3\].id must be an integer of magnitude"
+        ),
         "time-bool": (set_travel_time(True), r"travel_times\[2\]\[1\] must be an integer"),
         "time-2**63": (set_travel_time(2**63), r"travel_times\[2\]\[1\] must be an integer"),
         "time-below-int64": (

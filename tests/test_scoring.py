@@ -12,7 +12,7 @@ import pytest
 
 import oracle
 import stdroute.estimation
-from netgen import random_network
+from netgen import bench_module, random_network
 from stdroute import (
     EstimationError,
     EventCollection,
@@ -33,7 +33,9 @@ from stdroute import (
     log_likelihood,
     sample_sequence_counts,
     solve_value_functions,
+    solve_value_functions_nr,
     travel_time,
+    travel_time_attributes,
 )
 
 MODELS = ("recursive", "nonrecursive")
@@ -96,6 +98,23 @@ class TestAgainstTheScalarLoop:
                 assert log_likelihood(model, net, spp, obs, beta, mu) == expected
                 assert log_likelihood(model, net, spp, obs, beta, mu) == expected
         assert several_initial_states > 50
+
+    @pytest.mark.parametrize("mu", [1.0, 0.3, 1e-3])
+    def test_long_trips_and_their_scores_bitwise(self, mu):
+        # every trip across a 5 x 5 grid has 8 steps: 16 likelihood terms, 8 score terms
+        net, spp = load_network(bench_module("gen").grid_network([7, 0], 5, 4, 4))
+        vf = solve_value_functions(net, spp, LinkUtilitySpec(beta=(-1.0,)))
+        obs = ObservationSet.from_counts(sample_sequence_counts(vf, 200, seed=7))
+        assert {len(seq.states) for seq in obs.observations} == {9}
+        beta = [-0.7]
+        for model, solve in zip(MODELS, (solve_value_functions, solve_value_functions_nr)):
+            total, scores = stdroute.estimation._score(
+                model, net, spp, obs, beta, mu, travel_time_attributes, scores=True
+            )
+            assert total == oracle.log_likelihood(model, net, spp, obs, beta, mu)
+            solved = solve(net, spp, LinkUtilitySpec(beta=tuple(beta), mu=mu))
+            for seq, row in zip(obs._groups.sequences, scores.tolist()):
+                assert row == oracle.sequence_score(solved, seq)
 
 
 def mutated(rng, seq, net, spp):
@@ -176,6 +195,13 @@ class TestErrors:
         obs = ObservationSet((via[V1], via[V1], via[V2], full[0], via[V2]))
         with pytest.raises(EstimationError, match="observation 2 has zero or non-finite"):
             log_likelihood(model, net, spp, obs, [-1.0], attributes=nan_in_scenario_2)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("attributes", [nan_in_scenario_2, lambda *args: (float("nan"),)])
+    def test_sampling_refuses_choice_probabilities_that_are_not_finite(self, net, spp, attributes):
+        vf = solve_value_functions(net, spp, LinkUtilitySpec(attributes=attributes))
+        with pytest.raises(ValidationError, match="a choice probability of the solve is not finite"):
+            sample_sequence_counts(vf, 5, seed=1)
 
     @pytest.mark.parametrize("model", MODELS)
     def test_sequence_leaving_the_graph_reports_the_validation_error(self, net, spp, s0, model):
