@@ -306,11 +306,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep", parents=[output], help="two-route parameter sweep")
-    p.add_argument("--a", type=float, default=2.0)
-    p.add_argument("--b", type=float, default=2.0)
-    p.add_argument("--x-grid", default="-1.8:5:0.68")
-    p.add_argument("--y-grid", default="-1.8:5:0.68")
-    p.add_argument("--p-grid", default="0.05:0.95:0.225")
+    p.add_argument("--a", type=float, default=2.0, help="time of link 2 in state 1")
+    p.add_argument("--b", type=float, default=2.0, help="time of link 2 in state 2")
+    for axis, values, default in (
+        ("x", "offsets of link 3 from link 2 in state 1", "-1.8:5:0.68"),
+        ("y", "offsets of link 3 from link 2 in state 2", "-1.8:5:0.68"),
+        ("p", "probabilities of state 1", "0.05:0.95:0.225"),
+    ):
+        p.add_argument(
+            f"--{axis}-grid",
+            default=default,
+            help=f"{values} as start:stop:step, default {default}; write it with =, as in "
+            f"--{axis}-grid={default}, since a negative start alone reads as an option",
+        )
     p.add_argument(
         "--pipeline",
         action="store_true",

@@ -11,7 +11,9 @@ the compiled decision graph, and every later query reads its arrays.
 
 from __future__ import annotations
 
+import contextlib
 import math
+from operator import itemgetter
 
 import numpy as np
 
@@ -88,10 +90,13 @@ def solve_log_sum(
     u = utility.utilities(graph)
     if batch:  # every column sweeps the same utilities
         u = u.repeat(math.prod(batch)).reshape(len(u), *batch)
-    values, q = graph.sweep(u, log_sum)
+    # from finite utilities a non-finite value is the error raised below, not a warning
+    checked = np.isfinite(u).all()
+    with np.errstate(all="ignore") if checked else contextlib.nullcontext():
+        values, q = graph.sweep(u, log_sum)
     # a NaN or infinite value anywhere reaches the initial state (index 0) as NaN or infinity
     finite = np.isfinite(values[0])
-    if not finite.all() and np.isfinite(u).all():
+    if not finite.all() and checked:
         mu = float(np.extract(~finite, scale[0])[0])
         raise ValidationError(f"the values are not finite at logit scale mu={mu!r}")
     return ValueFunction(
@@ -136,6 +141,7 @@ def choice_distribution(vf: ValueFunction, state: State) -> dict[int, float]:
 
 def link_choice_prob(vf: ValueFunction, state: State, a: int) -> float:
     """Probability of choosing outgoing link ``a`` at ``state``."""
+    vf.require_unbatched()
     return float(vf.choice_probs[vf.graph.action(vf.state_index(state), a)])
 
 
@@ -191,6 +197,7 @@ def _walk_terms(per_action, per_edge, steps: StepTable) -> np.ndarray:
 
 def sequence_log_likelihood(vf: ValueFunction, seq: StateSequence) -> float:
     """Log of the sequence likelihood: sum of log choice and log transition terms."""
+    vf.require_unbatched()
     return float(sequence_log_likelihoods(vf, step_table(vf.graph, [seq]))[0])
 
 
@@ -202,6 +209,7 @@ def sequence_likelihood(vf: ValueFunction, seq: StateSequence) -> float:
     value function over all possible next knowledge states, not just the
     observed one, so adjacent values do not cancel.
     """
+    vf.require_unbatched()
     return float(sequence_likelihoods(vf, step_table(vf.graph, [seq]))[0])
 
 
@@ -214,6 +222,7 @@ def sequence_likelihood_value_form(vf: ValueFunction, seq: StateSequence) -> flo
     table (:func:`~stdroute.policy.optimal_policy`, scale 0) has no such
     form and is rejected.
     """
+    vf.require_unbatched()
     graph = vf.graph
     steps = step_table(graph, [seq])
     prob = 1.0
@@ -247,6 +256,7 @@ def path_probabilities(
 
 def _table_likelihoods(vf: ValueFunction, cap: int) -> tuple[SequenceTable, np.ndarray]:
     """The solved graph's sequence table and the likelihood of each of its sequences."""
+    vf.require_unbatched()
     table = sequence_table(vf.graph, cap)
     return table, sequence_likelihoods(vf, table.steps)
 
@@ -254,79 +264,105 @@ def _table_likelihoods(vf: ValueFunction, cap: int) -> tuple[SequenceTable, np.n
 def sample_sequence_counts(vf: ValueFunction, n: int, seed=None) -> dict[StateSequence, int]:
     """Frequencies of ``n`` independent sampled trajectories, in ascending sequence-label order.
 
-    Vectorized over walkers: at each step every walker draws one uniform
-    and inverts it against its own state's cumulative probabilities of
-    the combined (link choice x knowledge transition) edges, so a seed
-    reproduces the draws exactly. The inversion is a bisection over the
-    walker's own edges: a step costs O(walkers * log width), and the
-    walks, rows of state indices, take O(n * steps) memory. Identical
-    rows are returned as one sequence with its count.
+    Vectorized over the live walkers, kept in walker order: at each step
+    every one draws one uniform and inverts it against its own state's
+    cumulative probabilities of the combined (link choice x knowledge
+    transition) edges, so a seed reproduces the draws exactly. The
+    inversion is a bisection over the walker's own edges, so a step costs
+    O(live walkers * log of the step's widest span). Each walk is kept
+    only as a key: its chosen edges' offsets in their segments, which fix
+    the walk from the initial state, packed into 64-bit words, so the
+    walks take n words per 64 bits of offsets and the distinct trips are
+    found by one sort of the keys. Each distinct trip is walked again
+    from its key and returned as one sequence with its count.
     """
     check_sample_size(n)
+    vf.require_unbatched()
     if not np.isfinite(vf.choice_probs).all():
         raise ValidationError("cannot sample: a choice probability of the solve is not finite")
     rng = as_rng(seed)
     graph = vf.graph
     # the cumulative probabilities of each state's edges, laid out as the edges are:
-    # state i owns the segment start[i]:start[i + 1]
+    # state i owns the segment start[i]:start[i + 1], summed left to right as np.cumsum sums
     start = graph.edge_ptr[graph.action_ptr]
     widths = np.diff(start)
-    used = np.arange(widths.max()) < widths[:, None]
     probs = vf.choice_probs[graph.edge_action] * graph.edge_prob
-    cum = np.zeros(used.shape)
-    cum[used] = probs
-    cum = np.cumsum(cum, axis=1)[used]
-    # each state's last edge of positive probability
+    cum = probs.copy()
+    wide = np.arange(len(widths))
+    for k in range(1, int(widths.max())):
+        wide = wide[widths[wide] > k]
+        at = start[wide] + k
+        cum[at] += cum[at - 1]
+    # each state's last edge of positive probability, whose entry is raised above every
+    # uniform, so the bisection never moves past it
     positive = np.flatnonzero(probs > 0)
     last = positive[np.searchsorted(positive, start[1:]) - 1]
+    cum[last[~graph.terminal]] = np.inf
 
-    # walks are rows of visited state indices; 0 (the initial state, never
-    # revisited) marks the steps after arrival
+    # the live walkers' states and key words, in walker order. Each step writes every
+    # live walker's edge offset into its key, the earliest step in the highest bits
+    # (``fields`` holds each step's word, shift and width); a walk that ends moves its
+    # key to the next free slot of ``keys``
     cur = np.zeros(n, dtype=np.intp)
-    alive = np.ones(n, dtype=bool)
-    columns = []
-    while alive.any():
-        rows = cur[alive]
-        u = rng.random(rows.size)
-        # the edge's offset in the segment is the count of entries <= u before the
-        # last edge of positive probability: a segment never decreases, so
-        # bisection finds the same count, and no edge of probability 0 is chosen
-        lo, hi = start[rows], last[rows]
-        for _ in range(int((hi - lo).max()).bit_length()):
-            mid = (lo + hi) >> 1
-            up = (mid < hi) & (u >= cum[mid])
-            lo = np.where(up, mid + 1, lo)
-            hi = np.where(up, hi, mid)
-        chosen = graph.edge_target[lo]
-        column = np.zeros(n, dtype=np.min_scalar_type(len(graph.states)))
-        column[alive] = chosen
-        columns.append(column)
-        cur[alive] = chosen
-        alive[alive] = ~graph.terminal[chosen]
+    words, keys = [np.zeros(n, dtype=np.uint64)], [np.zeros(n, dtype=np.uint64)]
+    free, fields, done = 64, [], 0
+    while cur.size:
+        u = rng.random(cur.size)
+        # the edge's offset in the segment is the count of entries <= u before the last
+        # edge of positive probability: a segment never decreases, so bisection finds
+        # the same count, and no edge of probability 0 is chosen
+        base, hi = start[cur], last[cur]
+        bits = int((hi - base).max()).bit_length()
+        if fields:
+            lo = base
+            for _ in range(bits):
+                mid = (lo + hi) >> 1
+                up = u >= cum[mid]
+                lo = np.where(up, mid + 1, lo)
+                hi = np.where(up, hi, mid)
+        else:  # every walker departs from state 0
+            lo = base + np.searchsorted(cum[start[0] : last[0]], u, side="right")
+        if bits > free:
+            words.append(np.zeros(cur.size, dtype=np.uint64))
+            keys.append(np.zeros(n, dtype=np.uint64))
+            free = 64
+        free -= bits
+        fields.append((len(keys) - 1, free, bits))
+        if bits:
+            words[-1] |= (lo - base).astype(np.uint64) << np.uint64(free)
+        cur = graph.edge_target[lo]
+        on = ~graph.terminal[cur]
+        if not on.all():
+            end = ~on
+            stop = done + np.count_nonzero(end)
+            for key, word in zip(keys, words):
+                key[done:stop] = word[end]
+            words, cur, done = [word[on] for word in words], cur[on], stop
 
-    walks = np.stack(columns, axis=1)
-    first, counts = _distinct_rows(walks)
+    # equal keys are equal walks: the offsets fix a walk from state 0, so a walk that has
+    # ended differs from a live one at a step both took
+    order = np.lexsort(keys[::-1]) if len(keys) > 1 else np.argsort(keys[0])
+    keys = np.array([key[order] for key in keys])
+    starts = np.flatnonzero(np.r_[True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)])
+    distinct, counts = keys[:, starts], np.diff(np.r_[starts, n])
+
+    # each distinct walk's row of visited states, walked again from its key;
+    # 0 (the initial state, never revisited) after arrival
+    rows = np.zeros((len(starts), len(fields)), dtype=np.min_scalar_type(len(graph.states)))
+    live, cur = np.arange(len(starts)), np.zeros(len(starts), dtype=np.intp)
+    for t, (word, shift, bits) in enumerate(fields):
+        offset = distinct[word, live] >> np.uint64(shift) & np.uint64((1 << bits) - 1)
+        rows[live, t] = cur = graph.edge_target[start[cur] + offset.astype(np.intp)]
+        on = ~graph.terminal[cur]
+        live, cur = live[on], cur[on]
     # no label is a prefix of another, so ranks order the rows as labels order the sequences
-    order = np.lexsort(graph.label_rank[walks[first]].T[::-1])
+    order = np.lexsort(graph.label_rank[rows].T[::-1])
+    lengths = np.count_nonzero(rows, axis=1)
     states = graph.states
+    # the rows hold state 0 only as padding: it leads every sequence
     return {
-        StateSequence((states[0],) + tuple(states[i] for i in walk if i)): count
-        for walk, count in zip(walks[first[order]].tolist(), counts[order].tolist())
+        StateSequence(itemgetter(0, *row[:length])(states)): count
+        for row, length, count in zip(
+            rows[order].tolist(), lengths[order].tolist(), counts[order].tolist()
+        )
     }
-
-
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of one occurrence of each distinct row of an unsigned matrix, and its count.
-
-    Rows are packed into 64-bit words first, so the sort compares whole
-    words rather than single entries.
-    """
-    per_word = 8 // rows.itemsize
-    words = max(1, -(-rows.shape[1] // per_word))
-    packed = np.zeros((len(rows), words * per_word), dtype=rows.dtype)
-    packed[:, : rows.shape[1]] = rows
-    packed = packed.view(np.uint64)
-    order = np.lexsort(packed.T)
-    packed = packed[order]
-    starts = np.flatnonzero(np.r_[True, (packed[1:] != packed[:-1]).any(axis=1)])
-    return order[starts], np.diff(np.r_[starts, len(rows)])

@@ -101,8 +101,17 @@ class ValueFunction:
 
     @cached_property
     def choice_prob_list(self) -> list[float]:
-        """``choice_probs`` as a list, for scalar reads."""
+        """``choice_probs`` as a list, for scalar reads; checked once, not per read."""
+        self.require_unbatched()
         return self.choice_probs.tolist()
+
+    def require_unbatched(self) -> None:
+        """Reject a batch solve, for the readers that take one scale per state."""
+        if self.scale.ndim > 1:
+            raise ValidationError(
+                "this reader needs an unbatched solve, one scale per state; "
+                f"this one has batch axes {self.scale.shape[1:]}"
+            )
 
     def state_index(self, state: State) -> int:
         try:

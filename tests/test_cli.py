@@ -233,7 +233,6 @@ class TestNonFiniteParameters:
         assert main(["estimate", network_file, "no-such-file.json", *option]) == 1
         assert "--beta and --mu must be finite" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "command, model",
         [
@@ -249,7 +248,7 @@ class TestNonFiniteParameters:
         assert main([*args, "--mu", "1e-310"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: the values are not finite at logit scale mu=1e-310\n" in captured.err
+        assert captured.err == "error: the values are not finite at logit scale mu=1e-310\n"
 
     @pytest.mark.parametrize("command", ["predict", "simulate", "compare"])
     @pytest.mark.parametrize("beta", ["1e308", "-1e308"])
@@ -359,6 +358,18 @@ class TestCompare:
         assert code == 0
         rows = read_csv(f"{prefix}_sweep.csv")
         assert all(float(row["max_pipeline_diff"]) < 1e-10 for row in rows)
+
+    def test_sweep_help_names_the_grid_forms(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for option in ("--x-grid=-1.8:5:0.68", "--y-grid=-1.8:5:0.68", "--p-grid=0.05:0.95:0.225"):
+            default = option.split("=")[1]
+            assert f"start:stop:step, default {default}; write it with =, as in {option}," in text
+        # the = form takes a negative start
+        assert main(["sweep", "--x-grid=-1:1:1", "--y-grid=1:1:1", "--p-grid=0.5:0.5:1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2 + 3
 
     @pytest.mark.parametrize("text", ["0:inf:1", "nan:1:0.5", "-inf:1:1", "0:1:inf", "0:1:nan"])
     def test_non_finite_grid_rejected(self, text):

@@ -31,8 +31,15 @@ from stdroute import (
     enumerate_policies,
     enumerate_sequences,
     event_collections_at,
+    link_choice_prob,
+    path_probabilities,
     policy_choice_prob,
     policy_choice_probs,
+    sample_sequence_counts,
+    sequence_likelihood,
+    sequence_likelihood_value_form,
+    sequence_log_likelihood,
+    sequence_probabilities,
     solve_value_functions,
     solve_value_functions_nr,
 )
@@ -131,13 +138,36 @@ class TestLookups:
             vf.state_index(state)
 
 
+# every reader that takes one scale per state, called on a batch solve and one of its sequences
+PER_STATE_READERS = {
+    "choice_distribution": lambda vf, seq: choice_distribution(vf, seq.states[0]),
+    "link_choice_prob": lambda vf, seq: link_choice_prob(vf, seq.states[0], seq.path[0]),
+    "sequence_probabilities": lambda vf, seq: sequence_probabilities(vf),
+    "path_probabilities": lambda vf, seq: path_probabilities(vf),
+    "sample_sequence_counts": lambda vf, seq: sample_sequence_counts(vf, 10, seed=0),
+    "sequence_likelihood": lambda vf, seq: sequence_likelihood(vf, seq),
+    "sequence_log_likelihood": lambda vf, seq: sequence_log_likelihood(vf, seq),
+    "sequence_likelihood_value_form": lambda vf, seq: sequence_likelihood_value_form(vf, seq),
+}
+
+
+class TestBatchSolve:
+    @pytest.mark.parametrize("reader", PER_STATE_READERS)
+    def test_a_per_state_reader_refuses_a_batch_solve(self, vf, reader):
+        seq = next(iter(sequence_probabilities(vf)))
+        batch = solve_log_sum(vf.graph, vf.utility, np.ones((len(vf.graph.states), 2)))
+        message = "this reader needs an unbatched solve, one scale per state; "
+        message += "this one has batch axes (2,)"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            PER_STATE_READERS[reader](batch, seq)
+
+
 class TestLogitScale:
     @pytest.mark.parametrize("mu", [math.inf, math.nan, 0.0, -1.0])
     def test_spec_rejects_a_scale_that_is_not_finite_and_positive(self, mu):
         with pytest.raises(ValidationError, match="mu must be finite and strictly positive"):
             LinkUtilitySpec(mu=mu)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("solve", [solve_value_functions, solve_value_functions_nr])
     @pytest.mark.parametrize(
         "mu, message",
@@ -150,7 +180,6 @@ class TestLogitScale:
         with pytest.raises(ValidationError, match=re.escape(message)):
             solve(net, spp, LinkUtilitySpec(mu=mu))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_batch_names_its_first_column_that_is_not_finite(self, net, spp, s0):
         graph = compile_graph(net, spp, s0)
         scale = np.ones((len(graph.states), 1)) * [1.0, 1e-310, 1e-320]

@@ -87,6 +87,38 @@ def test_draws_and_order_are_the_dense_samplers(solve):
                 assert list(sample_sequence_counts(vf, n, seed=k).items()) == list(expected.items())
 
 
+def ladder_network(stages=71, single=35):
+    """A chain of stages from o to z, each two parallel links of times 1 and 2 but one.
+
+    A walk takes one link per stage: a one-bit choice at every two-link
+    stage, more than 64 in all, and none at the single-link stage.
+    """
+    nodes = ("o", *(f"n{k}" for k in range(1, stages)), "z")
+    links = [Link(0, "o", "o")]
+    for k in range(stages):
+        for _ in range(1 if k == single else 2):
+            links.append(Link(len(links), nodes[k], nodes[k + 1]))
+    net = StdNetwork(
+        nodes=nodes, links=tuple(links), origin_link=0, destination_link=len(links) - 1, horizon=1
+    )
+    times = np.array([[[1 + link.id % 2 for link in links[1:]]]])
+    spp = SupportPointSet(
+        link_ids=tuple(l.id for l in links[1:]), travel_times=times, probabilities=np.ones(1)
+    )
+    return net, spp
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.05])
+def test_draws_and_order_on_a_ladder_longer_than_one_key_word(mu):
+    net, spp = ladder_network()
+    vf = solve_value_functions(net, spp, LinkUtilitySpec(beta=(-1.0,), mu=mu))
+    for n in (1, 7, 5000):
+        counts = sample_sequence_counts(vf, n, seed=n)
+        assert {len(seq.path) for seq in counts} == {71}
+        expected = oracle.dense_sequence_counts(vf, n, seed=n)
+        assert list(counts.items()) == list(expected.items())
+
+
 @pytest.fixture(scope="module")
 def grid_vf():
     """The recursive solve on the benchmark's seed-1 rec-predict grid (6x6, R=32, K=6)."""
@@ -119,35 +151,49 @@ class Sliver(np.random.Generator):
         return np.full(size, 1.0 - 2.0**-53)
 
 
-def sliver_network():
+def sliver_network(lead=False):
     """Two links from a to the destination z; the slow one's choice probability underflows to 0.
 
-    The three scenarios split at period 1. Their transition
+    The three scenarios split when link 1 is traversed. Their transition
     probabilities, 9/28, 18/28 and 1/28, add up to 1 - 2**-53, so the
     fast link's last cumulative probability is below the sliver uniform.
+    With ``lead`` the trip departs from o and takes a forced link to a
+    first, so the choice is made at a later state than the initial one.
     """
+    nodes, links = ("a", "z"), [Link(0, "a", "a"), Link(1, "a", "z"), Link(2, "a", "z")]
+    if lead:
+        nodes, links = ("o", *nodes), [Link(0, "o", "o"), *links[1:], Link(3, "o", "a")]
     net = StdNetwork(
-        nodes=("a", "z"),
-        links=(Link(0, "a", "a"), Link(1, "a", "z"), Link(2, "a", "z")),
+        nodes=nodes,
+        links=tuple(links),
         origin_link=0,
         destination_link=1,
-        horizon=2,
+        horizon=2 + lead,
     )
-    times = np.array([[[1, 50], [1, 50]], [[1, 50], [2, 50]], [[1, 50], [3, 50]]])
+    # per scenario and period, the times of links 1, 2 (and 3): equal up to the split
+    times = np.array([[[1, 50, 1]] * (1 + lead) + [[k, 50, 1]] for k in (1, 2, 3)])
     spp = SupportPointSet(
-        link_ids=(1, 2), travel_times=times, probabilities=np.array([9.0, 18.0, 1.0]) / 28
+        link_ids=(1, 2, 3)[: len(links) - 1],
+        travel_times=times[:, :, : len(links) - 1],
+        probabilities=np.array([9.0, 18.0, 1.0]) / 28,
     )
     return net, spp
 
 
+@pytest.mark.parametrize("lead", [False, True])
 @pytest.mark.parametrize("solve", [solve_value_functions, solve_value_functions_nr])
-def test_no_edge_of_probability_zero_is_drawn(solve):
-    net, spp = sliver_network()
+def test_no_edge_of_probability_zero_is_drawn(solve, lead):
+    net, spp = sliver_network(lead)
     vf = solve(net, spp, LinkUtilitySpec(beta=(-1.0,), mu=0.01), initial=initial_state(net, spp))
-    probs = vf.choice_probs[vf.graph.edge_action] * vf.graph.edge_prob
+    graph = vf.graph
+    # the edges of the state that chooses between links 1 and 2
+    i = graph.action_state[graph.action_link == 1][0]
+    edges = slice(graph.edge_ptr[graph.action_ptr[i]], graph.edge_ptr[graph.action_ptr[i + 1]])
+    probs = (vf.choice_probs[graph.edge_action] * graph.edge_prob)[edges]
+    assert (i > 0) == lead
     assert probs[-1] == 0.0 and np.cumsum(probs)[-1] == 1.0 - 2.0**-53
     for sample in (sample_sequence_counts, oracle.dense_sequence_counts):
         counts = sample(vf, 10, seed=Sliver(np.random.PCG64(0)))
-        assert [seq.path for seq in counts] == [(1,)]
+        assert [seq.path for seq in counts] == [(3, 1) if lead else (1,)]
         assert counts == {seq: 10 for seq in counts}
         assert sequence_likelihood(vf, next(iter(counts))) > 0
