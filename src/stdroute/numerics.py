@@ -44,6 +44,8 @@ def is_integer(value) -> bool:
 
 
 def check_sample_size(n) -> None:
-    """Reject a number of samples that is not a positive integer."""
-    if not is_integer(n) or n < 1:
-        raise ValidationError(f"the number of samples must be a positive integer, got {n!r}")
+    """Reject a number of samples that is not a positive integer that an int64 count holds."""
+    if not is_integer(n) or not 1 <= n <= 2**63 - 1:
+        raise ValidationError(
+            f"the number of samples must be a positive integer of at most 2**63 - 1, got {n!r}"
+        )

@@ -90,10 +90,12 @@ def solve_log_sum(
     u = utility.utilities(graph)
     if batch:  # every column sweeps the same utilities
         u = u.repeat(math.prod(batch)).reshape(len(u), *batch)
-    # from finite utilities a non-finite value is the error raised below, not a warning
+    # from finite utilities a non-finite value is the error raised below, not a warning, and
+    # a log choice probability of -inf is the log of a probability that underflowed to 0
     checked = np.isfinite(u).all()
     with np.errstate(all="ignore") if checked else contextlib.nullcontext():
         values, q = graph.sweep(u, log_sum)
+        log_choice_probs = q / action_scale - log_sums[state]
     # a NaN or infinite value anywhere reaches the initial state (index 0) as NaN or infinity
     finite = np.isfinite(values[0])
     if not finite.all() and checked:
@@ -106,7 +108,7 @@ def solve_log_sum(
         state_values=values,
         action_values=q,
         choice_probs=exps / sums[state],
-        log_choice_probs=q / action_scale - log_sums[state],
+        log_choice_probs=log_choice_probs,
     )
 
 
@@ -264,17 +266,23 @@ def _table_likelihoods(vf: ValueFunction, cap: int) -> tuple[SequenceTable, np.n
 def sample_sequence_counts(vf: ValueFunction, n: int, seed=None) -> dict[StateSequence, int]:
     """Frequencies of ``n`` independent sampled trajectories, in ascending sequence-label order.
 
-    Vectorized over the live walkers, kept in walker order: at each step
-    every one draws one uniform and inverts it against its own state's
-    cumulative probabilities of the combined (link choice x knowledge
-    transition) edges, so a seed reproduces the draws exactly. The
-    inversion is a bisection over the walker's own edges, so a step costs
-    O(live walkers * log of the step's widest span). Each walk is kept
-    only as a key: its chosen edges' offsets in their segments, which fix
-    the walk from the initial state, packed into 64-bit words, so the
-    walks take n words per 64 bits of offsets and the distinct trips are
-    found by one sort of the keys. Each distinct trip is walked again
-    from its key and returned as one sequence with its count.
+    The counts of n independent trips are multinomial over the
+    sequences, and they are drawn by splitting them down the tree of
+    trip prefixes into conditional binomials (Devroye 1986). A state's
+    edge e (a link choice times a knowledge transition, probability
+    p_e) takes Binomial(left, p_e / tail_e) of the trips at the state
+    that no earlier edge took, where tail_e is the mass of the state's
+    edges from e to its last, summed right to left. The state's last
+    edge of positive probability takes what is left, so a forced step
+    draws nothing and an edge of probability 0 takes no trip.
+
+    Draw order, so that a seed reproduces the draws exactly: step by
+    step over the live prefixes; within a step, edge offsets in
+    ascending order; at each offset, one draw per prefix that has trips
+    left, in prefix order. A step's new prefixes are ordered by parent,
+    then by offset. A step costs one binomial per live prefix and per
+    positive edge before its state's last one, with no term in n, and
+    the memory follows the distinct prefixes.
     """
     check_sample_size(n)
     vf.require_unbatched()
@@ -282,84 +290,58 @@ def sample_sequence_counts(vf: ValueFunction, n: int, seed=None) -> dict[StateSe
         raise ValidationError("cannot sample: a choice probability of the solve is not finite")
     rng = as_rng(seed)
     graph = vf.graph
-    # the cumulative probabilities of each state's edges, laid out as the edges are:
-    # state i owns the segment start[i]:start[i + 1], summed left to right as np.cumsum sums
+    terminal = graph.terminal
+    # state i owns the edges start[i]:start[i + 1]; each edge's tail is summed right to left
     start = graph.edge_ptr[graph.action_ptr]
     widths = np.diff(start)
     probs = vf.choice_probs[graph.edge_action] * graph.edge_prob
-    cum = probs.copy()
+    tail = probs.copy()
     wide = np.arange(len(widths))
     for k in range(1, int(widths.max())):
         wide = wide[widths[wide] > k]
-        at = start[wide] + k
-        cum[at] += cum[at - 1]
-    # each state's last edge of positive probability, whose entry is raised above every
-    # uniform, so the bisection never moves past it
+        at = start[wide + 1] - 1 - k
+        tail[at] += tail[at + 1]
+    # a tail holds its own edge, so a rounded share is at most 1
+    share = np.divide(probs, tail, out=np.zeros_like(probs), where=probs > 0)
     positive = np.flatnonzero(probs > 0)
     last = positive[np.searchsorted(positive, start[1:]) - 1]
-    cum[last[~graph.terminal]] = np.inf
 
-    # the live walkers' states and key words, in walker order. Each step writes every
-    # live walker's edge offset into its key, the earliest step in the highest bits
-    # (``fields`` holds each step's word, shift and width); a walk that ends moves its
-    # key to the next free slot of ``keys``
-    cur = np.zeros(n, dtype=np.intp)
-    words, keys = [np.zeros(n, dtype=np.uint64)], [np.zeros(n, dtype=np.uint64)]
-    free, fields, done = 64, [], 0
+    # the live prefixes in prefix order: each one's state, trips and row of states after state 0
+    cur, left = np.zeros(1, dtype=np.intp), np.array([n], dtype=np.int64)
+    rows, ended = np.zeros((1, 0), dtype=np.intp), []
     while cur.size:
-        u = rng.random(cur.size)
-        # the edge's offset in the segment is the count of entries <= u before the last
-        # edge of positive probability: a segment never decreases, so bisection finds
-        # the same count, and no edge of probability 0 is chosen
-        base, hi = start[cur], last[cur]
-        bits = int((hi - base).max()).bit_length()
-        if fields:
-            lo = base
-            for _ in range(bits):
-                mid = (lo + hi) >> 1
-                up = u >= cum[mid]
-                lo = np.where(up, mid + 1, lo)
-                hi = np.where(up, hi, mid)
-        else:  # every walker departs from state 0
-            lo = base + np.searchsorted(cum[start[0] : last[0]], u, side="right")
-        if bits > free:
-            words.append(np.zeros(cur.size, dtype=np.uint64))
-            keys.append(np.zeros(n, dtype=np.uint64))
-            free = 64
-        free -= bits
-        fields.append((len(keys) - 1, free, bits))
-        if bits:
-            words[-1] |= (lo - base).astype(np.uint64) << np.uint64(free)
-        cur = graph.edge_target[lo]
-        on = ~graph.terminal[cur]
+        base, end = start[cur], last[cur]
+        span, wide, taken = end - base, np.arange(cur.size), []
+        for k in range(int(span.max()) + 1):
+            wide = wide[span[wide] >= k]
+            e, have = base[wide] + k, left[wide]
+            take = np.where(e == end[wide], have, 0)
+            draw = np.flatnonzero((e < end[wide]) & (probs[e] > 0) & (have > 0))
+            if draw.size:
+                take[draw] = rng.binomial(have[draw], share[e[draw]])
+            left[wide] = have - take
+            got = take > 0
+            taken.append((wide[got], e[got], take[got]))
+        parent, edge, count = (np.concatenate(part) for part in zip(*taken))
+        order = np.argsort(parent, kind="stable")
+        cur = graph.edge_target[edge[order]]
+        rows = np.column_stack((rows[parent[order]], cur))
+        count = count[order]
+        on = ~terminal[cur]
         if not on.all():
-            end = ~on
-            stop = done + np.count_nonzero(end)
-            for key, word in zip(keys, words):
-                key[done:stop] = word[end]
-            words, cur, done = [word[on] for word in words], cur[on], stop
+            ended.append((rows[~on], count[~on]))
+        cur, left, rows = cur[on], count[on], rows[on]
 
-    # equal keys are equal walks: the offsets fix a walk from state 0, so a walk that has
-    # ended differs from a live one at a step both took
-    order = np.lexsort(keys[::-1]) if len(keys) > 1 else np.argsort(keys[0])
-    keys = np.array([key[order] for key in keys])
-    starts = np.flatnonzero(np.r_[True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)])
-    distinct, counts = keys[:, starts], np.diff(np.r_[starts, n])
-
-    # each distinct walk's row of visited states, walked again from its key;
-    # 0 (the initial state, never revisited) after arrival
-    rows = np.zeros((len(starts), len(fields)), dtype=np.min_scalar_type(len(graph.states)))
-    live, cur = np.arange(len(starts)), np.zeros(len(starts), dtype=np.intp)
-    for t, (word, shift, bits) in enumerate(fields):
-        offset = distinct[word, live] >> np.uint64(shift) & np.uint64((1 << bits) - 1)
-        rows[live, t] = cur = graph.edge_target[start[cur] + offset.astype(np.intp)]
-        on = ~graph.terminal[cur]
-        live, cur = live[on], cur[on]
+    # 0 (the initial state, never revisited) pads the rows after arrival
+    width = rows.shape[1]
+    rows = np.concatenate(
+        [np.pad(block, ((0, 0), (0, width - block.shape[1]))) for block, _ in ended]
+    )
+    counts = np.concatenate([count for _, count in ended])
     # no label is a prefix of another, so ranks order the rows as labels order the sequences
     order = np.lexsort(graph.label_rank[rows].T[::-1])
     lengths = np.count_nonzero(rows, axis=1)
     states = graph.states
-    # the rows hold state 0 only as padding: it leads every sequence
     return {
         StateSequence(itemgetter(0, *row[:length])(states)): count
         for row, length, count in zip(

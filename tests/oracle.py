@@ -15,10 +15,11 @@ lists and scores every state sequence anew on each call, as a check on
 the sequence table a compiled graph keeps; draws and marginalizes the non-recursive model as the paper
 states it, a routing policy chosen at the origin and executed in one
 scenario, as a check on sampling the solved model link by link;
-compares each uniform with a whole padded row of cumulative
-probabilities and sorts the distinct walks by label string, as a check
-on the bisection sampler and its rank order; and differentiates the log likelihood by central differences, as
-a check on the exact scores and their standard errors.
+splits the trip counts down the prefix tree one scalar binomial at a
+time and sorts the sequences by label string, as a check on the
+vectorized splitter and its rank order; and differentiates the log
+likelihood by central differences, as a check on the exact scores and
+their standard errors.
 """
 
 from __future__ import annotations
@@ -483,55 +484,51 @@ def policy_scenario_counts(cs, utility, n, seed=None):
     return dict(sorted(result.items(), key=lambda item: item[0].label()))
 
 
-def dense_sequence_counts(vf, n, seed=None):
+def split_sequence_counts(vf, n, seed=None):
     """Frequencies of ``n`` trips, drawn as ``sample_sequence_counts`` draws them, in label order.
 
-    Each step compares every live walker's uniform with the whole padded
-    cumulative row of its state's edges, as wide as the widest live
-    state, up to the row's last edge of positive probability, and the
-    distinct walks are sorted by their label strings.
+    A scalar walk down the prefix tree: at each step, for each edge
+    offset in ascending order and each live prefix in order, a prefix
+    with trips left draws a binomial share of them for each positive
+    edge before its state's last, which takes the rest. The sequences
+    are sorted by their label strings.
     """
     check_sample_size(n)
     rng = as_rng(seed)
     graph = vf.graph
-    first_edge = graph.edge_ptr[graph.action_ptr]
-    widths = np.diff(first_edge)
-    used = np.arange(widths.max()) < widths[:, None]
-    probs = np.zeros(used.shape)
-    probs[used] = vf.choice_probs[graph.edge_action] * graph.edge_prob
-    cum = np.cumsum(probs, axis=1)
-    # from each row's last edge of positive probability on, no uniform reaches the entry
-    columns = np.arange(used.shape[1])
-    last = np.where(probs > 0, columns, -1).max(axis=1)
-    cum[columns >= last[:, None]] = 1.0 + 1e-12
-    nxt = np.zeros(used.shape, dtype=np.intp)
-    nxt[used] = graph.edge_target
+    ptr = graph.edge_ptr[graph.action_ptr].tolist()
+    probs = (vf.choice_probs[graph.edge_action] * graph.edge_prob).tolist()
+    targets, terminal = graph.edge_target.tolist(), graph.terminal.tolist()
+    share, last = [0.0] * len(probs), [0] * (len(ptr) - 1)
+    for i in range(len(ptr) - 1):
+        tail = 0.0
+        for e in reversed(range(ptr[i], ptr[i + 1])):
+            tail = probs[e] + tail
+            if probs[e] > 0:
+                share[e] = probs[e] / tail
+                last[i] = max(last[i], e)
 
-    cur = np.zeros(n, dtype=np.intp)
-    alive = ~graph.terminal[cur]
-    columns = []
-    while alive.any():
-        rows = cur[alive]
-        u = rng.random(rows.size)
-        width = widths[rows].max()
-        chosen = nxt[rows, (u[:, None] >= cum[rows, :width]).sum(axis=1)]
-        column = np.zeros(n, dtype=np.intp)
-        column[alive] = chosen
-        columns.append(column)
-        cur[alive] = chosen
-        alive[alive] = ~graph.terminal[chosen]
+    prefixes, ended = [((0,), n)], []
+    while prefixes:
+        left = [count for _, count in prefixes]
+        children = [[] for _ in prefixes]
+        for k in range(max(ptr[path[-1] + 1] - ptr[path[-1]] for path, _ in prefixes)):
+            for p, (path, _) in enumerate(prefixes):
+                e = ptr[path[-1]] + k
+                if e > last[path[-1]] or left[p] == 0 or probs[e] == 0:
+                    continue
+                take = left[p] if e == last[path[-1]] else int(rng.binomial(left[p], share[e]))
+                left[p] -= take
+                if take:
+                    children[p].append((path + (targets[e],), take))
+        prefixes = []
+        for path, count in (child for family in children for child in family):
+            (ended if terminal[path[-1]] else prefixes).append((path, count))
 
-    walks = np.stack(columns, axis=1)
-    rows = walks.view(np.dtype((np.void, walks.itemsize * walks.shape[1]))).ravel()
-    _, first, counts = np.unique(rows, return_index=True, return_counts=True)
     states = graph.states
-    result = []
-    for walk, count in zip(walks[first].tolist(), counts.tolist()):
-        path = [0] + [i for i in walk if i]
-        seq = StateSequence(tuple(states[i] for i in path))
-        result.append((seq.label(), seq, count))
-    result.sort(key=lambda item: item[0])
-    return {seq: count for _, seq, count in result}
+    result = [(StateSequence(tuple(states[i] for i in path)), count) for path, count in ended]
+    result.sort(key=lambda item: item[0].label())
+    return dict(result)
 
 
 def finite_difference_gradient(f, x, rel_step=1e-6):

@@ -148,6 +148,24 @@ class TestPredict:
         assert "# choices" in out and "# sequences" in out
 
 
+GOLDEN_FREQUENCIES = {
+    "recursive": """\
+states,path,count,frequency,probability
+"(0,0,{1;2})>(1,1,{1})>(2,4,{1})",1-2,139,0.139,0.1344707107
+"(0,0,{1;2})>(1,1,{1})>(3,3,{1})",1-3,357,0.357,0.3655292893
+"(0,0,{1;2})>(1,1,{2})>(2,3,{2})",1-2,245,0.245,0.25
+"(0,0,{1;2})>(1,1,{2})>(3,3,{2})",1-3,259,0.259,0.25
+""",
+    "nonrecursive": """\
+states,path,count,frequency,probability
+"(0,0,{1;2})>(1,1,{1})>(2,4,{1})",1-2,191,0.191,0.1887703344
+"(0,0,{1;2})>(1,1,{1})>(3,3,{1})",1-3,305,0.305,0.3112296656
+"(0,0,{1;2})>(1,1,{2})>(2,3,{2})",1-2,245,0.245,0.25
+"(0,0,{1;2})>(1,1,{2})>(3,3,{2})",1-3,259,0.259,0.25
+""",
+}
+
+
 class TestSimulate:
     def test_deterministic_given_seed(self, network_file, tmp_path):
         one = str(tmp_path / "one")
@@ -183,6 +201,14 @@ class TestSimulate:
         )
         rows = read_csv(f"{prefix}_frequencies.csv")
         assert sum(int(r["count"]) for r in rows) == 2000
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_frequencies_for_a_fixed_seed(self, network_file, tmp_path, model):
+        prefix = str(tmp_path / model)
+        args = ["simulate", network_file, "--model", model, "--samples", "1000", "--seed", "3"]
+        assert main([*args, "--output", prefix]) == 0
+        assert Path(f"{prefix}_frequencies.csv").read_text() == GOLDEN_FREQUENCIES[model]
+
 
 
 class TestBeyondThePolicyCap:

@@ -367,7 +367,8 @@ class TestInputChecks:
                 probabilities=np.array([1.0]),
             )
 
-    @pytest.mark.parametrize("n", [0, -3, 2.5, True])
+    # 2**63 does not fit the int64 counts
+    @pytest.mark.parametrize("n", [0, -3, 2.5, True, 2**63])
     def test_sample_size_must_be_positive(self, vf, cs, unit_utility, n):
         with pytest.raises(ValidationError, match="positive integer"):
             sample_sequence_counts(vf, n, seed=1)
@@ -382,6 +383,22 @@ class TestInputChecks:
         args = ["simulate", str(path), "--model", model, "--samples", samples]
         assert main(args) == 1
         assert "positive integer" in capsys.readouterr().err
+
+    def test_cli_rejects_a_sample_size_beyond_int64(self, tmp_path, capsys):
+        path = tmp_path / "net.json"
+        path.write_text(bundled_network_text())
+        assert main(["simulate", str(path), "--samples", str(2**63)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the number of samples must be a positive integer of at most 2**63 - 1,"
+            " got 9223372036854775808\n"
+        )
+
+    def test_a_trillion_trips_are_counted_exactly(self, vf):
+        # the counts are split down the prefix tree, so the cost does not grow with n
+        counts = sample_sequence_counts(vf, 10**12, seed=1)
+        assert sum(counts.values()) == 10**12
 
 
 class TestModuleEntryPoints:

@@ -203,7 +203,6 @@ class TestLogitScale:
         assert np.isfinite(vf.state_values).all()
         assert np.isfinite(vf.choice_probs).all()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_solve_that_returns_is_finite_everywhere(self):
         # the solve checks the initial state's value only
         rng = np.random.default_rng(17)

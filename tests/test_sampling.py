@@ -4,7 +4,7 @@ The non-recursive model is sampled link by link from its solve at scale
 mu / w(s), and checked against the paper's data process marginalized
 exactly: a routing policy chosen at the origin, rolled out in each
 scenario. The draws themselves, and their order, are checked against
-the dense sampler of the oracle.
+the scalar count splitter of the oracle.
 """
 
 import tracemalloc
@@ -75,7 +75,7 @@ def test_frequencies_match_exact_probabilities(model):
 
 
 @pytest.mark.parametrize("solve", [solve_value_functions, solve_value_functions_nr])
-def test_draws_and_order_are_the_dense_samplers(solve):
+def test_draws_and_order_are_the_scalar_splitter(solve):
     rng = np.random.default_rng(29)
     for k in range(200):
         net, spp = random_network(rng, max_links=8, max_support=4, max_horizon=4)
@@ -83,15 +83,15 @@ def test_draws_and_order_are_the_dense_samplers(solve):
             utility = LinkUtilitySpec(beta=(-float(rng.uniform(0.5, 2.0)),), mu=mu)
             vf = solve(net, spp, utility, initial=initial_state(net, spp))
             for n in (1, 7, 5000):
-                expected = oracle.dense_sequence_counts(vf, n, seed=k)
+                expected = oracle.split_sequence_counts(vf, n, seed=k)
                 assert list(sample_sequence_counts(vf, n, seed=k).items()) == list(expected.items())
 
 
 def ladder_network(stages=71, single=35):
     """A chain of stages from o to z, each two parallel links of times 1 and 2 but one.
 
-    A walk takes one link per stage: a one-bit choice at every two-link
-    stage, more than 64 in all, and none at the single-link stage.
+    A walk takes one link per stage: a choice at each of the 70 two-link
+    stages and a forced step, which draws nothing, at the single-link one.
     """
     nodes = ("o", *(f"n{k}" for k in range(1, stages)), "z")
     links = [Link(0, "o", "o")]
@@ -109,13 +109,13 @@ def ladder_network(stages=71, single=35):
 
 
 @pytest.mark.parametrize("mu", [1.0, 0.05])
-def test_draws_and_order_on_a_ladder_longer_than_one_key_word(mu):
+def test_draws_and_order_on_a_ladder_of_71_stages(mu):
     net, spp = ladder_network()
     vf = solve_value_functions(net, spp, LinkUtilitySpec(beta=(-1.0,), mu=mu))
     for n in (1, 7, 5000):
         counts = sample_sequence_counts(vf, n, seed=n)
         assert {len(seq.path) for seq in counts} == {71}
-        expected = oracle.dense_sequence_counts(vf, n, seed=n)
+        expected = oracle.split_sequence_counts(vf, n, seed=n)
         assert list(counts.items()) == list(expected.items())
 
 
@@ -129,12 +129,20 @@ def grid_vf():
 
 
 def test_draws_and_order_on_the_benchmark_grid(grid_vf):
-    expected = oracle.dense_sequence_counts(grid_vf, 20_000, seed=1)
+    expected = oracle.split_sequence_counts(grid_vf, 20_000, seed=1)
     assert list(sample_sequence_counts(grid_vf, 20_000, seed=1).items()) == list(expected.items())
 
 
+def test_frequencies_on_the_benchmark_grid(grid_vf):
+    probs = sequence_probabilities(grid_vf)
+    assert len(probs) == 8064
+    counts = sample_sequence_counts(grid_vf, 200_000, seed=1)
+    assert sum(counts.values()) == 200_000
+    assert pearson_p_value(counts, probs, 200_000) > 1e-4
+
+
 def test_memory_holds_the_walks_not_a_walker_by_edge_gather(grid_vf):
-    # the departure state has 64 edges: a dense compare gathers 200,000 x 64 floats at once
+    # the departure state has 64 edges: a dense compare would gather 200,000 x 64 floats at once
     tracemalloc.start()
     try:
         sample_sequence_counts(grid_vf, 200_000, seed=1)
@@ -144,19 +152,13 @@ def test_memory_holds_the_walks_not_a_walker_by_edge_gather(grid_vf):
     assert peak < 60e6, peak
 
 
-class Sliver(np.random.Generator):
-    """A generator whose every uniform is the largest float below 1, in the sliver [1 - 2**-52, 1)."""
-
-    def random(self, size=None):
-        return np.full(size, 1.0 - 2.0**-53)
-
-
 def sliver_network(lead=False):
     """Two links from a to the destination z; the slow one's choice probability underflows to 0.
 
     The three scenarios split when link 1 is traversed. Their transition
     probabilities, 9/28, 18/28 and 1/28, add up to 1 - 2**-53, so the
-    fast link's last cumulative probability is below the sliver uniform.
+    fast link's edges leave a sliver of mass below 1 to the slow link's
+    edges of probability 0.
     With ``lead`` the trip departs from o and takes a forced link to a
     first, so the choice is made at a later state than the initial one.
     """
@@ -192,8 +194,8 @@ def test_no_edge_of_probability_zero_is_drawn(solve, lead):
     probs = (vf.choice_probs[graph.edge_action] * graph.edge_prob)[edges]
     assert (i > 0) == lead
     assert probs[-1] == 0.0 and np.cumsum(probs)[-1] == 1.0 - 2.0**-53
-    for sample in (sample_sequence_counts, oracle.dense_sequence_counts):
-        counts = sample(vf, 10, seed=Sliver(np.random.PCG64(0)))
-        assert [seq.path for seq in counts] == [(3, 1) if lead else (1,)]
-        assert counts == {seq: 10 for seq in counts}
-        assert sequence_likelihood(vf, next(iter(counts))) > 0
+    for seed in range(100):
+        counts = sample_sequence_counts(vf, 1000, seed=seed)
+        assert {seq.path for seq in counts} == {(3, 1) if lead else (1,)}
+        assert sum(counts.values()) == 1000
+    assert all(sequence_likelihood(vf, seq) > 0 for seq in counts)
