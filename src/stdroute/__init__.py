@@ -57,7 +57,6 @@ from .network import (
     travel_time,
 )
 from .nonrecursive import (
-    policy_choice_prob,
     policy_choice_probs,
     policy_utilities,
     sample_sequence_counts_nr,
@@ -80,7 +79,6 @@ from .recursive import (
     path_probabilities,
     sample_sequence_counts,
     sequence_likelihood,
-    sequence_likelihood_value_form,
     sequence_log_likelihood,
     sequence_probabilities,
     solve_value_functions,
@@ -141,7 +139,6 @@ __all__ = [
     "optimal_policy",
     "path_probabilities",
     "pipeline_ratios",
-    "policy_choice_prob",
     "policy_choice_probs",
     "policy_expected_utility",
     "policy_utilities",
@@ -150,7 +147,6 @@ __all__ = [
     "sample_sequence_counts_nr",
     "scenario_grid",
     "sequence_likelihood",
-    "sequence_likelihood_value_form",
     "sequence_log_likelihood",
     "sequence_prob_given_policy",
     "sequence_probabilities",

@@ -34,6 +34,7 @@ rejected as ambiguous.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal, NamedTuple
@@ -162,7 +163,7 @@ class ObservationSet:
         return dict(zip(groups.sequences, groups.counts.tolist()))
 
     @classmethod
-    def from_counts(cls, counts: dict[StateSequence, int]) -> "ObservationSet":
+    def from_counts(cls, counts: Mapping[StateSequence, int]) -> "ObservationSet":
         observations = []
         for seq, count in counts.items():
             observations.extend([seq] * count)

@@ -17,6 +17,7 @@ policy utilities (read from the compiled graph) and choice probabilities.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -107,10 +108,6 @@ def policy_choice_probs(cs: PolicyChoiceSet, utility: LinkUtilitySpec) -> np.nda
     return probs
 
 
-def policy_choice_prob(cs: PolicyChoiceSet, policy: RoutingPolicy, utility: LinkUtilitySpec) -> float:
-    return float(policy_choice_probs(cs, utility)[cs.index_of(policy)])
-
-
 def sequence_prob_given_policy(
     seq: StateSequence, policy: RoutingPolicy, spp: SupportPointSet
 ) -> float:
@@ -127,7 +124,7 @@ def sequence_prob_given_policy(
 
 def sample_sequence_counts_nr(
     cs: PolicyChoiceSet, utility: LinkUtilitySpec, n: int, seed=None
-) -> dict[StateSequence, int]:
+) -> Mapping[StateSequence, int]:
     """Frequencies of ``n`` independent trajectories, drawn link by link from the solved model.
 
     The choice set must hold every routing policy from its initial state.

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import contextlib
 import math
-from operator import itemgetter
+from collections.abc import Mapping
+from functools import cached_property
 
 import numpy as np
 
@@ -215,31 +216,6 @@ def sequence_likelihood(vf: ValueFunction, seq: StateSequence) -> float:
     return float(sequence_likelihoods(vf, step_table(vf.graph, [seq]))[0])
 
 
-def sequence_likelihood_value_form(vf: ValueFunction, seq: StateSequence) -> float:
-    """Same likelihood written with the current state's value in the denominator.
-
-    exp((utility + expected downstream value - state value) / scale) per
-    step, at the state's scale; equal to :func:`sequence_likelihood`
-    because each value is the log-sum of its own choice exponents. A max
-    table (:func:`~stdroute.policy.optimal_policy`, scale 0) has no such
-    form and is rejected.
-    """
-    vf.require_unbatched()
-    graph = vf.graph
-    steps = step_table(graph, [seq])
-    prob = 1.0
-    for j, e in zip(steps.actions.tolist(), steps.edges.tolist()):
-        i = graph.action_state[j]
-        scale = vf.scale[i]
-        if not scale > 0:
-            raise ValidationError(
-                "the value form needs a positive logit scale; a max table has none"
-            )
-        prob *= math.exp(vf.action_values[j] / scale - vf.state_values[i] / scale)
-        prob *= float(graph.edge_prob[e])
-    return prob
-
-
 def sequence_probabilities(
     vf: ValueFunction, cap: int = DEFAULT_POLICY_CAP
 ) -> dict[StateSequence, float]:
@@ -263,7 +239,7 @@ def _table_likelihoods(vf: ValueFunction, cap: int) -> tuple[SequenceTable, np.n
     return table, sequence_likelihoods(vf, table.steps)
 
 
-def sample_sequence_counts(vf: ValueFunction, n: int, seed=None) -> dict[StateSequence, int]:
+def sample_sequence_counts(vf: ValueFunction, n: int, seed=None) -> Mapping[StateSequence, int]:
     """Frequencies of ``n`` independent sampled trajectories, in ascending sequence-label order.
 
     The counts of n independent trips are multinomial over the
@@ -282,7 +258,8 @@ def sample_sequence_counts(vf: ValueFunction, n: int, seed=None) -> dict[StateSe
     left, in prefix order. A step's new prefixes are ordered by parent,
     then by offset. A step costs one binomial per live prefix and per
     positive edge before its state's last one, with no term in n, and
-    the memory follows the distinct prefixes.
+    the memory follows the distinct prefixes. The result is a
+    :class:`SampledCounts`, which builds the sequences on the first key read.
     """
     check_sample_size(n)
     vf.require_unbatched()
@@ -341,10 +318,50 @@ def sample_sequence_counts(vf: ValueFunction, n: int, seed=None) -> dict[StateSe
     # no label is a prefix of another, so ranks order the rows as labels order the sequences
     order = np.lexsort(graph.label_rank[rows].T[::-1])
     lengths = np.count_nonzero(rows, axis=1)
-    states = graph.states
-    return {
-        StateSequence(itemgetter(0, *row[:length])(states)): count
-        for row, length, count in zip(
-            rows[order].tolist(), lengths[order].tolist(), counts[order].tolist()
-        )
-    }
+    return SampledCounts(graph.states, rows[order], lengths[order], tuple(counts[order].tolist()))
+
+
+class SampledCounts(Mapping):
+    """Sampled trips and their counts, read-only, in ascending sequence-label order.
+
+    Keeps the sampler's rows of state indices, so ``len`` and
+    ``values()`` (the counts, a tuple in key order) build no sequence;
+    the first read of a key builds every ``StateSequence`` once.
+    """
+
+    def __init__(
+        self, states: tuple[State, ...], rows: np.ndarray, lengths: np.ndarray, counts: tuple[int, ...]
+    ):
+        self._states, self._rows, self._lengths, self._counts = states, rows, lengths, counts
+
+    @cached_property
+    def _dict(self) -> dict[StateSequence, int]:
+        # one gather of the states, each row led by the initial state 0, which also pads it
+        states = np.empty(len(self._states), dtype=object)
+        states[:] = self._states
+        rows = states[np.pad(self._rows, ((0, 0), (1, 0)))].tolist()
+        return {
+            StateSequence(tuple(row[: length + 1])): count
+            for row, length, count in zip(rows, self._lengths.tolist(), self._counts)
+        }
+
+    def __len__(self) -> int:
+        return len(self._counts)
+
+    def values(self) -> tuple[int, ...]:
+        return self._counts
+
+    def __getitem__(self, seq: StateSequence) -> int:
+        return self._dict[seq]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def keys(self):
+        return self._dict.keys()
+
+    def items(self):
+        return self._dict.items()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._dict!r})"

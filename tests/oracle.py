@@ -9,7 +9,9 @@ routing policy's state tree to its leaves, as a check on the policy
 utility read from the compiled graph's reach; scores an observation
 set one sequence and one step at a time, as a check on the batched
 likelihood, and sums each sequence's score one step at a time, as a
-check on the scores read from the flat step table; checks each observed
+check on the scores read from the flat step table; writes a sequence's
+likelihood with each state's value in the denominator, as a check on
+the log-sum identity behind the choice probabilities; checks each observed
 sequence step by step, as a check on validation by the step table;
 lists and scores every state sequence anew on each call, as a check on
 the sequence table a compiled graph keeps; draws and marginalizes the non-recursive model as the paper
@@ -51,7 +53,7 @@ from stdroute import (
 )
 from stdroute.network import Layer
 from stdroute.numerics import as_rng, check_sample_size, softmax
-from stdroute.recursive import value_gradients
+from stdroute.recursive import step_table, value_gradients
 
 
 def logsumexp(values):
@@ -375,6 +377,28 @@ def enumerate_sequences(graph):
     return sequences
 
 
+def sequence_likelihood_value_form(vf, seq):
+    """A sequence's likelihood written with the current state's value in the denominator.
+
+    exp((utility + expected downstream value - state value) / scale) per
+    step, at the state's scale; equal to ``sequence_likelihood`` because
+    each value is the log-sum of its own choice exponents. A max table
+    (``optimal_policy``, scale 0) has no such form and is rejected.
+    """
+    vf.require_unbatched()
+    graph = vf.graph
+    steps = step_table(graph, [seq])
+    prob = 1.0
+    for j, e in zip(steps.actions.tolist(), steps.edges.tolist()):
+        i = graph.action_state[j]
+        scale = vf.scale[i]
+        if not scale > 0:
+            raise ValidationError("the value form needs a positive logit scale; a max table has none")
+        prob *= math.exp(vf.action_values[j] / scale - vf.state_values[i] / scale)
+        prob *= float(graph.edge_prob[e])
+    return prob
+
+
 def sequence_probabilities(vf):
     """Likelihood of every sequence, one step at a time: choice term, then transition term."""
     graph = vf.graph
@@ -446,6 +470,11 @@ def _scenario_probs(cs):
     scenarios = list(cs.initial_state.ev)
     probs = np.array([spp.probabilities[r - 1] for r in scenarios])
     return scenarios, probs / probs.sum()
+
+
+def policy_choice_prob(cs, policy, utility):
+    """One policy's origin logit probability, read from the whole choice set's."""
+    return float(policy_choice_probs(cs, utility)[cs.index_of(policy)])
 
 
 def policy_scenario_probabilities(cs, utility):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from netgen import random_network
+from oracle import policy_choice_prob, sequence_likelihood_value_form
 from stdroute import (
     EventCollection,
     Link,
@@ -33,11 +34,9 @@ from stdroute import (
     event_collections_at,
     link_choice_prob,
     path_probabilities,
-    policy_choice_prob,
     policy_choice_probs,
     sample_sequence_counts,
     sequence_likelihood,
-    sequence_likelihood_value_form,
     sequence_log_likelihood,
     sequence_probabilities,
     solve_value_functions,
@@ -138,7 +137,8 @@ class TestLookups:
             vf.state_index(state)
 
 
-# every reader that takes one scale per state, called on a batch solve and one of its sequences
+# every reader that takes one scale per state (the value form is the oracle's), called on a batch
+# solve and one of its sequences
 PER_STATE_READERS = {
     "choice_distribution": lambda vf, seq: choice_distribution(vf, seq.states[0]),
     "link_choice_prob": lambda vf, seq: link_choice_prob(vf, seq.states[0], seq.path[0]),

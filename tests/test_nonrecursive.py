@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from netgen import random_network
-from oracle import logsumexp, rollout_policy
+from oracle import logsumexp, policy_choice_prob, rollout_policy, sequence_likelihood_value_form
 from stdroute import (
     EventCollection,
     LinkUtilitySpec,
@@ -22,13 +22,11 @@ from stdroute import (
     log_likelihood,
     path_probabilities,
     pipeline_ratios,
-    policy_choice_prob,
     policy_choice_probs,
     policy_utilities,
     sample_sequence_counts,
     sample_sequence_counts_nr,
     sequence_likelihood,
-    sequence_likelihood_value_form,
     sequence_log_likelihood,
     sequence_prob_given_policy,
     sequence_probabilities,

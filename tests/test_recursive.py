@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from netgen import random_network
-from oracle import expected_downstream, link_utility
+from oracle import expected_downstream, link_utility, sequence_likelihood_value_form
 from stdroute import (
     EventCollection,
     HorizonError,
@@ -25,7 +25,6 @@ from stdroute import (
     policy_expected_utility,
     sample_sequence_counts,
     sequence_likelihood,
-    sequence_likelihood_value_form,
     sequence_log_likelihood,
     sequence_probabilities,
     solve_value_functions,

@@ -4,9 +4,11 @@ The non-recursive model is sampled link by link from its solve at scale
 mu / w(s), and checked against the paper's data process marginalized
 exactly: a routing policy chosen at the origin, rolled out in each
 scenario. The draws themselves, and their order, are checked against
-the scalar count splitter of the oracle.
+the scalar count splitter of the oracle, and the result is checked to read
+as the plain dict of those counts.
 """
 
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -19,11 +21,14 @@ from oracle import policy_scenario_probabilities
 from stdroute import (
     Link,
     LinkUtilitySpec,
+    ObservationSet,
+    StateSequence,
     StdNetwork,
     SupportPointSet,
     enumerate_policies,
     initial_state,
     load_network,
+    log_likelihood,
     sample_sequence_counts,
     sample_sequence_counts_nr,
     sequence_likelihood,
@@ -145,11 +150,109 @@ def test_memory_holds_the_walks_not_a_walker_by_edge_gather(grid_vf):
     # the departure state has 64 edges: a dense compare would gather 200,000 x 64 floats at once
     tracemalloc.start()
     try:
-        sample_sequence_counts(grid_vf, 200_000, seed=1)
+        # every key is read in the window: the result builds its sequences on the first read
+        dict(sample_sequence_counts(grid_vf, 200_000, seed=1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 60e6, peak
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Every ``StateSequence`` built while the test runs."""
+    made, post_init = [], StateSequence.__post_init__
+
+    def counted(seq):
+        made.append(seq)
+        post_init(seq)
+
+    monkeypatch.setattr(StateSequence, "__post_init__", counted)
+    return made
+
+
+def test_counts_are_read_without_building_a_sequence(grid_vf, constructions):
+    counts = sample_sequence_counts(grid_vf, 50_000, seed=1)
+    assert len(counts) > 4000
+    assert len(counts.values()) == len(counts) and sum(counts.values()) == 50_000
+    assert constructions == []
+    keys = list(counts)
+    assert len(constructions) == len(keys) == len(counts)
+    assert list(counts.keys()) == keys and len(constructions) == len(keys)
+
+
+@pytest.mark.parametrize("solve", [solve_value_functions, solve_value_functions_nr])
+def test_keys_values_and_items_align_in_the_splitters_order(grid_vf, solve):
+    graph = grid_vf.graph
+    cases = [(solve(graph.network, graph.support_points, grid_vf.utility), 20_000, 1)]
+    rng = np.random.default_rng(43)
+    for k in range(50):
+        net, spp = random_network(rng)
+        utility = LinkUtilitySpec(beta=(-float(rng.uniform(0.5, 2.0)),))
+        cases.append((solve(net, spp, utility, initial=initial_state(net, spp)), 1000, k))
+    for vf, n, seed in cases:
+        counts = sample_sequence_counts(vf, n, seed=seed)
+        expected = oracle.split_sequence_counts(vf, n, seed=seed)
+        values = counts.values()  # read before any key
+        assert values == tuple(expected.values())
+        assert list(counts.keys()) == list(counts) == list(expected)
+        assert list(counts.items()) == list(zip(counts.keys(), values))
+        assert counts.values() == values
+
+
+def test_the_result_reads_as_the_equal_dict(vf):
+    counts = sample_sequence_counts(vf, 3, seed=2)
+    plain = oracle.split_sequence_counts(vf, 3, seed=2)
+    assert len(plain) == 2
+    assert counts == plain and plain == counts and not counts != plain
+    assert counts != {**plain, next(iter(plain)): 0} and counts != {}
+    assert repr(counts) == f"SampledCounts({plain!r})"
+    for seq, count in plain.items():
+        assert seq in counts and counts[seq] == counts.get(seq) == count
+    missing = [seq for seq in sequence_probabilities(vf) if seq not in plain]
+    assert len(missing) == 2
+    for seq in missing:
+        assert seq not in counts and counts.get(seq) is None and counts.get(seq, 0) == 0
+        with pytest.raises(KeyError):
+            counts[seq]
+
+
+def test_the_result_cannot_be_changed(vf):
+    counts = sample_sequence_counts(vf, 1000, seed=2)
+    values = counts.values()
+    seq = next(iter(counts))
+    assert isinstance(values, tuple)
+    with pytest.raises(TypeError):
+        values[0] = 0
+    with pytest.raises(TypeError):
+        counts[seq] = 0
+    with pytest.raises(TypeError):
+        del counts[seq]
+    assert counts.values() == values and sum(values) == 1000
+
+
+@pytest.mark.parametrize("read_keys", [False, True])
+def test_a_pickle_round_trip_gives_an_equal_mapping(vf, read_keys):
+    counts = sample_sequence_counts(vf, 1000, seed=4)
+    if read_keys:
+        list(counts)
+    copy = pickle.loads(pickle.dumps(counts))
+    plain = oracle.split_sequence_counts(vf, 1000, seed=4)
+    assert copy.values() == counts.values()
+    assert copy == counts == plain
+    assert list(copy.items()) == list(plain.items())
+
+
+@pytest.mark.parametrize("model", ["recursive", "nonrecursive"])
+def test_observations_from_a_sample_are_those_from_its_dict(grid_vf, model):
+    net, spp = grid_vf.graph.network, grid_vf.graph.support_points
+    solve = solve_value_functions if model == "recursive" else solve_value_functions_nr
+    sample = sample_sequence_counts(solve(net, spp, grid_vf.utility), 2000, seed=5)
+    lazy, plain = ObservationSet.from_counts(sample), ObservationSet.from_counts(dict(sample))
+    assert lazy.observations == plain.observations
+    assert list(lazy.grouped().items()) == list(plain.grouped().items())
+    beta = list(grid_vf.utility.beta)
+    assert log_likelihood(model, net, spp, lazy, beta) == log_likelihood(model, net, spp, plain, beta)
 
 
 def sliver_network(lead=False):
