@@ -10,6 +10,7 @@ route choice probabilities, conditionally per state and marginally.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +20,7 @@ import numpy as np
 
 from .errors import StdRouteError, ValidationError
 from .network import (
+    INT64_MAX,
     CompiledGraph,
     Link,
     State,
@@ -50,6 +52,8 @@ class TwoRouteScenario:
     a, b : travel time of link 2 in states 1 and 2 (both positive)
     x, y : offsets of link 3 relative to link 2 per state (x > -a, y > -b)
     p    : probability of state 1 (0 < p < 1)
+
+    Every value must be a finite number.
     """
 
     a: float
@@ -59,6 +63,10 @@ class TwoRouteScenario:
     p: float
 
     def __post_init__(self) -> None:
+        for name in ("a", "b", "x", "y", "p"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be a finite number, got {value!r}")
         if not self.a > 0:
             raise ValidationError("a must be positive")
         if not self.b > 0:
@@ -88,6 +96,23 @@ class TwoRouteBuild:
     utility: LinkUtilitySpec
 
 
+# the links of every scenario, built and validated once
+TWO_ROUTE_NETWORK = StdNetwork(
+    nodes=("a", "b", "c"),
+    links=(
+        Link(LINK_ORIGIN, "a", "a"),
+        Link(LINK_APPROACH, "a", "b"),
+        Link(LINK_ROUTE2, "b", "c"),
+        Link(LINK_ROUTE3, "b", "c"),
+    ),
+    origin_link=LINK_ORIGIN,
+    destination_link=LINK_ROUTE2,
+    horizon=2,
+)
+
+
+# every scenario of a sweep reads the same few values
+@functools.lru_cache(maxsize=1024)
 def _as_fraction(value: float, name: str) -> Fraction:
     frac = Fraction(value).limit_denominator(MAX_TIME_DENOMINATOR)
     if abs(float(frac) - value) > 1e-12 * max(1.0, abs(value)):
@@ -114,26 +139,17 @@ def build_two_route_network(s: TwoRouteScenario) -> TwoRouteBuild:
         raise ValidationError(f"required time scale {g} exceeds {MAX_TIME_DENOMINATOR}")
 
     def scaled(frac: Fraction, name: str) -> int:
-        value = int(frac * g)
+        value = frac.numerator * (g // frac.denominator)  # g is a multiple of the denominator
         if value < 1:
             raise ValidationError(f"{name} scales to a non-positive travel time")
+        if value > INT64_MAX:
+            raise ValidationError(f"{name} scales to a travel time beyond 2**63 - 1")
         return value
 
     t2_s1, t2_s2 = scaled(fa, "a"), scaled(fb, "b")
     t3_s1, t3_s2 = scaled(f3a, "a+x"), scaled(f3b, "b+y")
 
-    net = StdNetwork(
-        nodes=("a", "b", "c"),
-        links=(
-            Link(LINK_ORIGIN, "a", "a"),
-            Link(LINK_APPROACH, "a", "b"),
-            Link(LINK_ROUTE2, "b", "c"),
-            Link(LINK_ROUTE3, "b", "c"),
-        ),
-        origin_link=LINK_ORIGIN,
-        destination_link=LINK_ROUTE2,
-        horizon=2,
-    )
+    net = TWO_ROUTE_NETWORK
     times = np.array(
         [
             [[g, g, g], [g, t2_s1, t3_s1]],
@@ -184,13 +200,30 @@ def _marginal_ratio(u: float, v: float, p: float) -> float:
     )
 
 
+def _exp(value: float, expression: str) -> float:
+    try:
+        return math.exp(value)
+    except OverflowError:
+        raise ValidationError(
+            f"the closed-form ratio exp({expression}) overflows at {expression}={value!r}"
+        ) from None
+
+
 def closed_form_ratios(s: TwoRouteScenario) -> ModelRatios:
-    """Analytic probability ratios at unit scale with utility equal to negative travel time."""
-    rec1, rec2 = math.exp(s.x), math.exp(s.y)
+    """Analytic probability ratios at unit scale with utility equal to negative travel time.
+
+    A ratio beyond the float range raises ``ValidationError`` naming the
+    parameters it overflows at.
+    """
+    rec1, rec2 = _exp(s.x, "x"), _exp(s.y, "y")
+    # p x lies between 0 and x, (1 - p) y between 0 and y: finite when the two above are
     nr1, nr2 = math.exp(s.p * s.x), math.exp(s.y - s.p * s.y)
+    rec_marginal, nr_marginal = _marginal_ratio(rec1, rec2, s.p), _marginal_ratio(nr1, nr2, s.p)
+    if not (math.isfinite(rec_marginal) and math.isfinite(nr_marginal)):
+        raise ValidationError(f"the closed-form marginal ratio overflows at x={s.x!r}, y={s.y!r}")
     return ModelRatios(
-        recursive=RouteRatios(rec1, rec2, _marginal_ratio(rec1, rec2, s.p)),
-        nonrecursive=RouteRatios(nr1, nr2, _marginal_ratio(nr1, nr2, s.p)),
+        recursive=RouteRatios(rec1, rec2, rec_marginal),
+        nonrecursive=RouteRatios(nr1, nr2, nr_marginal),
     )
 
 
@@ -204,11 +237,15 @@ def _junction_actions(graph: CompiledGraph) -> list[tuple[int, int]]:
 
 
 def _route_ratios(probs: list[float], junctions: list[tuple[int, int]], p: float) -> RouteRatios:
-    """Route odds at each junction state of a solved model, then mixed by the state probability."""
+    """Route odds at each junction state of a solved model, then mixed by the state probability.
+
+    Odds over a route 3 probability that underflowed to 0 are infinite.
+    """
     (r2_1, r3_1), (r2_2, r3_2) = ((probs[j2], probs[j3]) for j2, j3 in junctions)
     m2 = p * r2_1 + (1.0 - p) * r2_2
     m3 = p * r3_1 + (1.0 - p) * r3_2
-    return RouteRatios(r2_1 / r3_1, r2_2 / r3_2, m2 / m3)
+    pairs = ((r2_1, r3_1), (r2_2, r3_2), (m2, m3))
+    return RouteRatios(*(r2 / r3 if r3 else math.inf for r2, r3 in pairs))
 
 
 def _solve_both(graph: CompiledGraph, utility: LinkUtilitySpec, mus) -> ValueFunction:
@@ -236,16 +273,20 @@ def pipeline_ratios(s: TwoRouteScenario) -> ModelRatios:
 
     Every policy passes through both junction states, so the
     non-recursive model's choice probabilities there are the policy
-    logit's marginal route shares.
+    logit's marginal route shares. Odds beyond the float range raise
+    ``ValidationError``, as the closed forms do.
     """
     build = build_two_route_network(s)
     graph = compile_graph(build.network, build.support_points, build.initial_state)
     junctions = _junction_actions(graph)
     rec, nr = _solve_both(graph, build.utility, (build.utility.mu,)).choice_probs.T.tolist()
-    return ModelRatios(
+    ratios = ModelRatios(
         recursive=_route_ratios(rec, junctions, s.p),
         nonrecursive=_route_ratios(nr, junctions, s.p),
     )
+    if not all(map(math.isfinite, (*ratios.recursive, *ratios.nonrecursive))):
+        raise ValidationError(f"the pipeline route odds overflow at x={s.x!r}, y={s.y!r}")
+    return ratios
 
 
 def ratio_table(s: TwoRouteScenario) -> RatioTable:

@@ -54,7 +54,7 @@ from .errors import (
     UnreachableDestinationError,
     ValidationError,
 )
-from .numerics import is_integer, segment_sums
+from .numerics import is_integer, segment_bins, segment_sums
 
 PROBABILITY_TOL = 1e-12
 ATTRIBUTE_CACHE_SIZE = 8  # attribute matrices kept per compiled graph
@@ -148,29 +148,38 @@ class SupportPointSet:
         if times.ndim != 3:
             raise ValidationError("travel_times must have shape (R, K, m)")
         if not np.issubdtype(times.dtype, np.integer):
-            if not np.all(np.isfinite(times) & (times == np.floor(times))):
+            if not (np.isfinite(times) & (times == np.floor(times))).all():
                 raise ValidationError("travel times must be positive integers")
-            times = times.astype(np.int64)
         if times.shape[2] != len(self.link_ids):
             raise ValidationError("travel_times columns do not match link_ids")
+        if len(set(self.link_ids)) != len(self.link_ids):
+            raise ValidationError(f"link_ids must be distinct, got {self.link_ids!r}")
+        if probs.ndim != 1:
+            raise ValidationError(
+                f"probabilities must be one number per support point, got shape {probs.shape}"
+            )
         if times.shape[0] != probs.shape[0]:
             raise ValidationError("probabilities do not match the number of support points")
-        if np.any(times < 1):
+        if (times < 1).any():
             raise ValidationError("travel times must be >= 1 (zero or negative time found)")
-        if not np.all(np.isfinite(probs)):
+        # checked before the cast, which would wrap a larger time silently
+        if not np.can_cast(times.dtype, np.int64) and (times >= 2**63).any():
+            raise ValidationError("travel times must be below 2**63, the int64 limit")
+        if not np.isfinite(probs).all():
             raise ValidationError("support point probabilities must be finite numbers")
-        if np.any(probs <= 0):
+        if (probs <= 0).any():
             raise ValidationError("support point probabilities must be strictly positive")
         total = probs.sum()
         if abs(total - 1.0) > PROBABILITY_TOL:
             raise ValidationError(f"support point probabilities sum to {total!r}, expected 1")
-        times = times.copy()
+        times = times.astype(np.int64)
         probs = probs.copy()
         times.setflags(write=False)
         probs.setflags(write=False)
         object.__setattr__(self, "travel_times", times)
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "_columns", {a: i for i, a in enumerate(self.link_ids)})
+        object.__setattr__(self, "_probability_list", probs.tolist())
         object.__setattr__(self, "_partitions", {})
         object.__setattr__(self, "_transitions", {})
         object.__setattr__(self, "_graphs", {})
@@ -197,7 +206,11 @@ class SupportPointSet:
         return int(self.travel_times[scenario - 1, period, self.column(link_id)])
 
     def mass(self, members: Iterable[int]) -> float:
-        return float(sum(self.probabilities[r - 1] for r in members))
+        """The scenarios' total probability, added in the order given."""
+        probs, total = self._probability_list, 0.0
+        for r in members:
+            total += probs[r - 1]
+        return total
 
 
 def event_collections_at(spp: SupportPointSet, t: int) -> tuple[EventCollection, ...]:
@@ -230,8 +243,13 @@ def _transitions(spp: SupportPointSet, ev: EventCollection, t: int) -> tuple:
     key = (ev.members, min(t, spp.horizon - 1))
     if key not in spp._transitions:
         classes, members, times = event_collections_at(spp, t), set(ev.members), spp.travel_times[:, key[1]]
+        total = spp.mass(ev.members)  # transition_prob's denominator, taken once for every class
         spp._transitions[key] = tuple(
-            (c, transition_prob(spp, cls, ev), (cls, times[cls.members[0] - 1].tolist(), spp.mass(cls)))
+            (
+                c,
+                spp.mass(set(cls.members) & members) / total,
+                (cls, times[cls.members[0] - 1].tolist(), spp.mass(cls)),
+            )
             for c, cls in enumerate(classes)
             if not members.isdisjoint(cls.members)
         )
@@ -408,12 +426,17 @@ class CompiledGraph:
     owns the state-actions ``action_ptr[i]:action_ptr[i+1]`` (one per
     outgoing link, ascending id), and state-action ``j`` owns the edges
     ``edge_ptr[j]:edge_ptr[j+1]`` (one per next knowledge state, in
-    partition order) with their transition probabilities. ``action_owner``,
+    partition order) with their transition probabilities. ``action_state``
+    holds the graph index of each state-action's state; ``action_owner``,
     ``first_action`` and ``edge_owner`` hold positions relative to the
     start of the owner's layer, so a sweep only slices. ``action_time``
     holds each state-action's travel time and ``reach`` each state's
     w(s) = mass(ev_s) / mass(ev_0), the product of the transition
     probabilities on any path to it. The initial state is state 0.
+
+    Tables that other modules derive from the graph alone are held in
+    ``held`` under their own keys, e.g. the sequence table of
+    :func:`~stdroute.policy.sequence_table`.
     """
 
     network: StdNetwork
@@ -424,6 +447,7 @@ class CompiledGraph:
     action_ptr: np.ndarray
     action_link: np.ndarray
     action_time: np.ndarray
+    action_state: np.ndarray
     action_owner: np.ndarray
     first_action: np.ndarray
     edge_ptr: np.ndarray
@@ -432,6 +456,7 @@ class CompiledGraph:
     edge_owner: np.ndarray
     reach: np.ndarray
     _attributes: dict = field(default_factory=dict, init=False, repr=False)
+    held: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def initial(self) -> State:
@@ -441,11 +466,6 @@ class CompiledGraph:
     def terminal(self) -> np.ndarray:
         """Whether each state is at the destination (has no state-actions)."""
         return self.action_ptr[1:] == self.action_ptr[:-1]
-
-    @cached_property
-    def action_state(self) -> np.ndarray:
-        """Graph index of the state owning each state-action."""
-        return np.repeat(np.arange(len(self.states)), np.diff(self.action_ptr))
 
     @cached_property
     def edge_action(self) -> np.ndarray:
@@ -536,13 +556,14 @@ class CompiledGraph:
         """
         batch = utilities.shape[1:]
         prob = self.edge_prob.reshape(-1, *(1,) * len(batch))
+        bins = segment_bins(self.edge_owner, batch)
         values = np.zeros((len(self.states), *batch))
         q = np.empty(utilities.shape)
         for layer in reversed(self.layers):
             a, e = layer.actions, layer.edges
             weighted = prob[e] * values[self.edge_target[e]]
             # summed in edge order, as a plain sum over successors would be
-            q[a] = utilities[a] + segment_sums(self.edge_owner[e], weighted, a.stop - a.start)
+            q[a] = utilities[a] + segment_sums(bins[e], weighted, a.stop - a.start)
             values[layer.states] = reduce(q[a], layer)
         return values, q
 
@@ -605,7 +626,7 @@ def _compile(net: StdNetwork, spp: SupportPointSet, initial: State) -> CompiledG
     # by time, decision states first, then by link and knowledge set
     keys = sorted(seen, key=lambda k: (k[1], k[0] in destination, k[0], k[2]))
     index = {key: i for i, key in enumerate(keys)}
-    action_ptr, links, times, owner, first = [0], [], [], [], []
+    action_ptr, links, times, action_state, owner, first = [0], [], [], [], [], []
     edge_ptr, targets, probs, edge_owner = [0], [], [], []
     layers = {}  # per time layer: its decision states, state-actions and edges, by first state
     for i, (_, t, _) in enumerate(keys):
@@ -615,6 +636,7 @@ def _compile(net: StdNetwork, spp: SupportPointSet, initial: State) -> CompiledG
         for a, tau, succ in expanded.get(keys[i], ()):
             links.append(a)
             times.append(tau)
+            action_state.append(i)
             owner.append(i - lo)
             for k, p, _ in succ:
                 targets.append(index[a, t + tau, k])
@@ -636,6 +658,7 @@ def _compile(net: StdNetwork, spp: SupportPointSet, initial: State) -> CompiledG
         action_ptr=np.array(action_ptr, dtype=np.intp),
         action_link=np.array(links, dtype=np.intp),
         action_time=np.array(times, dtype=np.int64),
+        action_state=np.array(action_state, dtype=np.intp),
         action_owner=np.array(owner, dtype=np.intp),
         first_action=np.array(first, dtype=np.intp),
         edge_ptr=np.array(edge_ptr, dtype=np.intp),

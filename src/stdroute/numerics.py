@@ -16,19 +16,33 @@ def softmax(values: Sequence[float]) -> np.ndarray:
     return shifted / shifted.sum()
 
 
+def segment_bins(owner: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
+    """The bins of :func:`segment_sums` for weights of shape ``(len(owner), *batch)``.
+
+    ``owner`` itself without batch axes; otherwise ``owner * size + b``
+    for every batch column b, shape ``(len(owner), size)``. Row k holds
+    the bins of weight row k, so a pass over many segments of one owner
+    array builds the table once and slices its rows.
+    """
+    if not batch:
+        return owner
+    size = math.prod(batch)
+    return owner[:, None] * size + np.arange(size)
+
+
 def segment_sums(owner: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     """Sums of ``weights`` over their first axis into ``n`` bins by ``owner``.
 
     ``np.bincount`` adds in input order, as a plain loop would. Trailing
     batch axes are one bincount over the flat bin ``owner * size + b``,
-    so every batch column is summed exactly as it would be alone.
+    so every batch column is summed exactly as it would be alone;
+    ``owner`` may then be those bins already, rows of :func:`segment_bins`.
     """
     if weights.ndim == 1:
         return np.bincount(owner, weights, n)
     batch = weights.shape[1:]
-    size = math.prod(batch)
-    flat = (owner[:, None] * size + np.arange(size)).ravel()
-    return np.bincount(flat, weights.ravel(), n * size).reshape(n, *batch)
+    bins = segment_bins(owner, batch) if owner.ndim == 1 else owner
+    return np.bincount(bins.ravel(), weights.ravel(), n * bins.shape[1]).reshape(n, *batch)
 
 
 def as_rng(seed) -> np.random.Generator:

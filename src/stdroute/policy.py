@@ -324,13 +324,19 @@ def sequence_table(graph: CompiledGraph, cap: int = DEFAULT_POLICY_CAP) -> Seque
     """Every state sequence of the graph, with its steps and link path.
 
     The sequences are counted first, so more than ``cap`` raise
-    :class:`PolicyExplosionError` before any is listed. A caller that
-    scores one graph more than once holds the table itself.
+    :class:`PolicyExplosionError` before any is listed. The table is
+    built once and held on the graph; a later call checks its ``cap``
+    against the held table's count.
     """
-    count = _backward_counts(graph, sum)[0]
+    table = graph.held.get("sequence_table")
+    count = _backward_counts(graph, sum)[0] if table is None else len(table.sequences)
     if count > cap:
         raise PolicyExplosionError(f"{count} state sequences exceed the cap of {cap}")
-    return _enumerate_sequences(graph)
+    if table is None:
+        table = graph.held["sequence_table"] = _enumerate_sequences(graph)
+        for array in (*table.steps, table.path_index):  # shared by every later caller
+            array.setflags(write=False)
+    return table
 
 
 def _enumerate_sequences(graph: CompiledGraph) -> SequenceTable:

@@ -28,7 +28,7 @@ from .network import (
     event_collections_at,
     initial_state as default_initial_state,
 )
-from .numerics import as_rng, check_sample_size, segment_sums
+from .numerics import as_rng, check_sample_size, segment_bins, segment_sums
 from .policy import (
     DEFAULT_POLICY_CAP,
     SequenceTable,
@@ -74,6 +74,7 @@ def solve_log_sum(
     """
     owner, first, state = graph.action_owner, graph.first_action, graph.action_state
     batch = scale.shape[1:]
+    bins = segment_bins(owner, batch)
     action_scale = scale[state]
     exps = np.empty((len(graph.action_link), *batch))
     sums = np.ones(scale.shape)
@@ -83,17 +84,17 @@ def solve_log_sum(
         a, d = layer.actions, layer.states
         x = q / action_scale[a]
         shift = np.maximum.reduceat(x, first[d])
-        exps[a] = np.exp(x - shift[owner[a]])
-        sums[d] = segment_sums(owner[a], exps[a], d.stop - d.start)
-        log_sums[d] = shift + np.log(sums[d])
-        return scale[d] * log_sums[d]
+        exps[a] = e = np.exp(x - shift[owner[a]])
+        sums[d] = s = segment_sums(bins[a], e, d.stop - d.start)
+        log_sums[d] = ls = shift + np.log(s)
+        return scale[d] * ls
 
     u = utility.utilities(graph)
-    if batch:  # every column sweeps the same utilities
-        u = u.repeat(math.prod(batch)).reshape(len(u), *batch)
     # from finite utilities a non-finite value is the error raised below, not a warning, and
     # a log choice probability of -inf is the log of a probability that underflowed to 0
     checked = np.isfinite(u).all()
+    if batch:  # every column sweeps the same utilities
+        u = u.repeat(math.prod(batch)).reshape(len(u), *batch)
     with np.errstate(all="ignore") if checked else contextlib.nullcontext():
         values, q = graph.sweep(u, log_sum)
         log_choice_probs = q / action_scale - log_sums[state]
@@ -123,13 +124,14 @@ def value_gradients(vf: ValueFunction) -> tuple[np.ndarray, np.ndarray]:
     depend on beta.
     """
     graph = vf.graph
-    owner, probs = graph.action_owner, vf.choice_probs[:, None]
+    X = graph.attribute_matrix(vf.utility.attributes)
+    bins, probs = segment_bins(graph.action_owner, X.shape[1:]), vf.choice_probs[:, None]
 
     def expectation(dq: np.ndarray, layer) -> np.ndarray:
         a, d = layer.actions, layer.states
-        return segment_sums(owner[a], probs[a] * dq, d.stop - d.start)
+        return segment_sums(bins[a], probs[a] * dq, d.stop - d.start)
 
-    return graph.sweep(graph.attribute_matrix(vf.utility.attributes), expectation)
+    return graph.sweep(X, expectation)
 
 
 def choice_distribution(vf: ValueFunction, state: State) -> dict[int, float]:

@@ -14,7 +14,10 @@ likelihood with each state's value in the denominator, as a check on
 the log-sum identity behind the choice probabilities; checks each observed
 sequence step by step, as a check on validation by the step table;
 lists and scores every state sequence anew on each call, as a check on
-the sequence table a compiled graph keeps; draws and marginalizes the non-recursive model as the paper
+the sequence table a compiled graph keeps; solves the two models of a
+two-route scenario one at a time and reads each junction state's route
+choice one call at a time, as a check on the batch solve behind the
+pipeline ratios; draws and marginalizes the non-recursive model as the paper
 states it, a routing policy chosen at the origin and executed in one
 scenario, as a check on sampling the solved model link by link;
 splits the trip counts down the prefix tree one scalar binomial at a
@@ -42,8 +45,10 @@ from stdroute import (
     StdRouteError,
     UnreachableDestinationError,
     ValidationError,
+    build_two_route_network,
     event_collections_at,
     initial_state,
+    link_choice_prob,
     policy_choice_probs,
     solve_value_functions,
     solve_value_functions_nr,
@@ -51,6 +56,7 @@ from stdroute import (
     travel_time,
     travel_time_attributes,
 )
+from stdroute.comparison import LINK_APPROACH, LINK_ROUTE2, LINK_ROUTE3, ModelRatios, RouteRatios
 from stdroute.network import Layer
 from stdroute.numerics import as_rng, check_sample_size, softmax
 from stdroute.recursive import step_table, value_gradients
@@ -127,7 +133,7 @@ def compile_expansion(net, spp, graph):
     """An expanded graph as a ``CompiledGraph``, with travel times and reach taken state by state."""
     states = sorted(graph.states, key=lambda s: (s.time, s in graph.terminal))
     index = {s: i for i, s in enumerate(states)}
-    action_ptr, links, times, owner, first = [0], [], [], [], []
+    action_ptr, links, times, action_state, owner, first = [0], [], [], [], [], []
     edge_ptr, targets, probs, edge_owner = [0], [], [], []
     layers = []
     for _, group in itertools.groupby(range(len(states)), key=lambda i: states[i].time):
@@ -138,6 +144,7 @@ def compile_expansion(net, spp, graph):
             for a, succ in graph.choices.get(states[i], {}).items():
                 links.append(a)
                 times.append(travel_time(net, spp, a, states[i]))
+                action_state.append(i)
                 owner.append(i - lo)
                 for nxt, p in succ:
                     targets.append(index[nxt])
@@ -164,6 +171,7 @@ def compile_expansion(net, spp, graph):
         action_ptr=ints(action_ptr),
         action_link=ints(links),
         action_time=np.array(times, dtype=np.int64),
+        action_state=ints(action_state),
         action_owner=ints(owner),
         first_action=ints(first),
         edge_ptr=ints(edge_ptr),
@@ -183,6 +191,7 @@ ARRAYS = (
     "action_ptr",
     "action_link",
     "action_time",
+    "action_state",
     "action_owner",
     "first_action",
     "edge_ptr",
@@ -449,6 +458,24 @@ def equivalence_report(net, spp, utility=None, mus=(1.0, 0.1, 0.01, 1e-4)):
             divergences[i + 1] <= divergences[i] + 1e-15 for i in range(len(divergences) - 1)
         ),
     )
+
+
+def pipeline_ratios(s):
+    """A scenario's two-route ratios from one solve per model, read at each junction state in turn."""
+    build = build_two_route_network(s)
+    net, spp, s0 = build.network, build.support_points, build.initial_state
+    junctions = [state for state, _ in successor_states(net, spp, s0, LINK_APPROACH)]
+    ratios = []
+    for solve in (solve_value_functions, solve_value_functions_nr):
+        vf = solve(net, spp, build.utility, initial=s0)
+        (r2_1, r3_1), (r2_2, r3_2) = (
+            (link_choice_prob(vf, state, LINK_ROUTE2), link_choice_prob(vf, state, LINK_ROUTE3))
+            for state in junctions
+        )
+        m2 = s.p * r2_1 + (1.0 - s.p) * r2_2
+        m3 = s.p * r3_1 + (1.0 - s.p) * r3_2
+        ratios.append(RouteRatios(r2_1 / r3_1, r2_2 / r3_2, m2 / m3))
+    return ModelRatios(*ratios)
 
 
 def rollout_policy(net, spp, policy, scenario):

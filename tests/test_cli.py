@@ -385,6 +385,21 @@ class TestCompare:
         rows = read_csv(f"{prefix}_sweep.csv")
         assert all(float(row["max_pipeline_diff"]) < 1e-10 for row in rows)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--x-grid=800:801:1"], "the closed-form ratio exp(x) overflows at x=800.0"),
+            (["--a", "inf", "--pipeline"], "a must be a finite number, got inf"),
+            (["--b", "nan"], "b must be a finite number, got nan"),
+            (["--a", "1e300", "--pipeline"], "a scales to a travel time beyond 2**63 - 1"),
+        ],
+    )
+    def test_sweep_values_that_overflow_are_errors(self, args, message, capsys):
+        assert main(["sweep", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_sweep_help_names_the_grid_forms(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--help"])

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from netgen import random_network
+import oracle
+from netgen import bench_module, random_network
 from stdroute import (
     LinkUtilitySpec,
     TwoRouteScenario,
@@ -131,6 +132,29 @@ class TestRatioTable:
         closed = closed_form_ratios(scenario)
         assert closed.nonrecursive.state1 == pytest.approx(math.exp(0.3), abs=1e-12)
         assert closed.nonrecursive.state2 == pytest.approx(math.exp(1.4), abs=1e-12)
+
+
+class TestAgainstSeparateSolves:
+    """The batch solves behind ratios and reports give bit for bit what one solve per model gives."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_pipeline_ratios_on_the_benchmark_grids(self, seed):
+        for a, b, x, y, p in bench_module("gen").two_route_grid(seed):
+            s = TwoRouteScenario(a=a, b=b, x=x, y=y, p=p)
+            assert pipeline_ratios(s) == oracle.pipeline_ratios(s)
+
+    def test_builds_share_one_topology(self):
+        first, second = (
+            build_two_route_network(TwoRouteScenario(a=2, b=2, x=x, y=1, p=0.5)) for x in (1, 2)
+        )
+        assert first.network is second.network
+        assert first.support_points is not second.support_points
+
+    def test_equivalence_reports_on_the_benchmark_networks(self):
+        texts = bench_module("gen").layered_networks(1, 210)
+        for text in texts:
+            net, spp = load_network(text)
+            assert equivalence_report(net, spp) == oracle.equivalence_report(net, spp)
 
 
 class TestDominance:

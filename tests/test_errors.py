@@ -28,12 +28,15 @@ from stdroute import (
     ValidationError,
     build_two_route_network,
     choice_distribution,
+    closed_form_ratios,
     compile_graph,
     enumerate_policies,
     enumerate_sequences,
     event_collections_at,
+    extremeness_check,
     link_choice_prob,
     path_probabilities,
+    pipeline_ratios,
     policy_choice_probs,
     sample_sequence_counts,
     sequence_likelihood,
@@ -74,6 +77,28 @@ class TestConstruction:
                 lambda: support_points(np.ones((1, 1, 1), int), (0.5, 0.5)),
                 "probabilities do not match the number of support points",
             ),
+            (
+                lambda: SupportPointSet((1, 1), np.ones((1, 1, 2), int), np.array([1.0])),
+                "link_ids must be distinct, got (1, 1)",
+            ),
+            (
+                lambda: support_points(np.ones((1, 1, 1), int), [[1.0]]),
+                "probabilities must be one number per support point, got shape (1, 1)",
+            ),
+            # above int64, an unsigned or a float time would wrap in the cast to int64
+            (
+                lambda: support_points(np.full((1, 1, 1), 2**63, np.uint64)),
+                "travel times must be below 2**63, the int64 limit",
+            ),
+            (
+                lambda: support_points(np.full((1, 1, 1), 1e30)),
+                "travel times must be below 2**63, the int64 limit",
+            ),
+            (
+                lambda: support_points(np.full((1, 1, 1), 2.0**63)),
+                "travel times must be below 2**63, the int64 limit",
+            ),
+            (lambda: support_points(np.full((1, 1, 1), -1e30)), "zero or negative time found"),
             (lambda: network(horizon=0), "horizon must be at least 1 period"),
             (lambda: network(origin_head="b"), "origin link may not end at the destination node"),
             (lambda: TwoRouteScenario(a=1, b=0, x=0, y=0, p=0.5), "b must be positive"),
@@ -82,6 +107,14 @@ class TestConstruction:
     def test_invalid_input(self, build, message):
         with pytest.raises(ValidationError, match=re.escape(message)):
             build()
+
+    @pytest.mark.parametrize(
+        "times", [np.full((1, 1, 1), 2**63 - 1, np.uint64), np.full((1, 1, 1), 2.0**63 - 1024)]
+    )
+    def test_times_that_int64_holds_are_kept_exactly(self, times):
+        kept = support_points(times).travel_times
+        assert kept.dtype == np.int64
+        assert kept.tolist() == [[[int(times[0, 0, 0])]]]
 
     def test_traveler_ids_must_match_the_observations(self, net, spp, s0):
         seq = enumerate_sequences(net, spp, s0)[0]
@@ -100,6 +133,51 @@ class TestTwoRouteBuild:
         s = TwoRouteScenario(a=2, b=2, x=-2 + 1e-13, y=0, p=0.5)
         with pytest.raises(ValidationError, match=r"a\+x scales to a non-positive travel time"):
             build_two_route_network(s)
+
+    @pytest.mark.parametrize("name", ["a", "b", "x", "y", "p"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_a_value_that_is_not_finite(self, name, value):
+        values = dict(a=2.0, b=2.0, x=1.0, y=1.0, p=0.5) | {name: value}
+        message = f"^{name} must be a finite number, got {value!r}$"
+        with pytest.raises(ValidationError, match=message):
+            TwoRouteScenario(**values)
+
+    @pytest.mark.parametrize(
+        "values, name",
+        [
+            (dict(a=1e300), "a"),
+            (dict(b=2.0**63), "b"),
+            (dict(x=1e19), "a+x"),
+            (dict(b=0.5, y=2.0**63), "b+y"),
+        ],
+    )
+    def test_a_route_time_beyond_int64(self, values, name):
+        s = TwoRouteScenario(**(dict(a=2.0, b=2.0, x=1.0, y=1.0, p=0.5) | values))
+        message = f"{name} scales to a travel time beyond 2**63 - 1"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            build_two_route_network(s)
+
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            (800.0, 1.0, "the closed-form ratio exp(x) overflows at x=800.0"),
+            (1.0, 710.0, "the closed-form ratio exp(y) overflows at y=710.0"),
+            (700.0, 100.0, "the closed-form marginal ratio overflows at x=700.0, y=100.0"),
+        ],
+    )
+    def test_a_closed_form_ratio_that_overflows(self, x, y, message):
+        s = TwoRouteScenario(a=2.0, b=2.0, x=x, y=y, p=0.5)
+        for read in (closed_form_ratios, extremeness_check):
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                read(s)
+
+    @pytest.mark.parametrize("x", [740.0, 800.0])
+    def test_pipeline_odds_that_overflow(self, x):
+        # at x=740 route 3 is chosen with a subnormal probability, at x=800 with probability 0
+        s = TwoRouteScenario(a=2.0, b=2.0, x=x, y=1.0, p=0.5)
+        message = f"the pipeline route odds overflow at x={x!r}, y=1.0"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            pipeline_ratios(s)
 
 
 class TestObservationDocument:

@@ -1,5 +1,7 @@
 """The sequence table of a compiled graph, checked against the oracle, and how often it is built."""
 
+import stdroute.cli
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from stdroute import (
     enumerate_policies,
     enumerate_sequences,
     equivalence_report,
+    bundled_network_text,
     initial_state,
     load_bundled_network,
     path_probabilities,
@@ -103,6 +106,13 @@ class TestEnumerations:
             enumerate_sequences(net, spp, s0, cap=count - 1)
         assert len(sequence_probabilities(vf, cap=count)) == count
 
+    def test_equivalence_reports_enumerate_once_per_graph(self, monkeypatch):
+        net, spp = load_bundled_network()
+        walked = count_enumerations(monkeypatch)
+        first = equivalence_report(net, spp)
+        assert equivalence_report(net, spp) == first
+        assert walked == [compile_graph(net, spp, initial_state(net, spp))]
+
     def test_cap_is_checked_before_anything_is_enumerated(self, monkeypatch):
         net, spp = load_bundled_network()
         walked = count_enumerations(monkeypatch)
@@ -125,3 +135,55 @@ class TestEnumerations:
         for call in calls:
             with pytest.raises(ValidationError, match="at least a departure and an arrival"):
                 call()
+
+
+class TestHeldTable:
+    """The table is built once per graph and held on it; every call still checks its own cap."""
+
+    def test_a_second_call_returns_the_held_table(self, monkeypatch):
+        net, spp = load_bundled_network()
+        graph = compile_graph(net, spp, initial_state(net, spp))
+        walked = count_enumerations(monkeypatch)
+        table = sequence_table(graph)
+        assert sequence_table(graph) is table
+        assert sequence_table(graph, cap=len(table.sequences)) is table
+        assert walked == [graph]
+
+    def test_a_cap_below_the_count_raises_before_and_after_the_table_is_held(self):
+        net, spp = load_bundled_network()
+        graph = compile_graph(net, spp, initial_state(net, spp))
+        count = len(oracle.enumerate_sequences(graph))
+        message = f"^{count} state sequences exceed the cap of {count - 1}$"
+        with pytest.raises(PolicyExplosionError, match=message):
+            sequence_table(graph, cap=count - 1)
+        table = sequence_table(graph, cap=count)
+        with pytest.raises(PolicyExplosionError, match=message):
+            sequence_table(graph, cap=count - 1)
+        assert sequence_table(graph, cap=count) is table
+
+    def test_the_held_table_is_read_only(self):
+        net, spp = load_bundled_network()
+        table = sequence_table(compile_graph(net, spp, initial_state(net, spp)))
+        for array in (*table.steps, table.path_index):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    @pytest.mark.parametrize("offset", [0, -1])
+    def test_predict_is_the_same_with_a_held_table(self, tmp_path, capsys, monkeypatch, offset):
+        path = tmp_path / "net.json"
+        path.write_text(bundled_network_text())
+        net, spp = load_bundled_network()
+        # the graph of net and spp now holds its table
+        count = len(sequence_table(compile_graph(net, spp, initial_state(net, spp))).sequences)
+        args = ["predict", str(path), "--model", "both", "--cap-policies", str(count + offset)]
+        # the network read from the file, then twice the network whose graph holds its table
+        outcomes = [(stdroute.cli.main(args), *capsys.readouterr())]
+        monkeypatch.setattr(stdroute.cli, "load_network_file", lambda _: (net, spp))
+        for _ in range(2):
+            outcomes.append((stdroute.cli.main(args), *capsys.readouterr()))
+        assert outcomes[1:] == outcomes[:1] * 2
+        if offset:
+            error = f"error: {count} state sequences exceed the cap of {count - 1}\n"
+            assert outcomes[0] == (1, "", error)
+        else:
+            assert outcomes[0][0] == 0 and outcomes[0][1].startswith("# choices")
