@@ -14,6 +14,8 @@ import math
 import sys
 from dataclasses import asdict
 
+import numpy as np
+
 from .comparison import (
     RouteRatios,
     TwoRouteScenario,
@@ -192,13 +194,9 @@ def cmd_estimate(args) -> int:
     if result.std_errors is not None:
         print(f"std_errors:     {[float(_fmt(se)) for se in result.std_errors]}")
     if args.output:
-        document = asdict(result)
-        document["beta_hat"] = [float(b) for b in result.beta_hat]
-        if result.std_errors is not None:
-            document["std_errors"] = [float(se) for se in result.std_errors]
         path = f"{args.output}_estimate.json"
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2)
+            json.dump(asdict(result), fh, indent=2, default=np.ndarray.tolist)
         print(f"wrote {path}")
     return 0
 
@@ -218,6 +216,8 @@ def _parse_grid(text: str, name: str) -> list[float]:
     value = lo
     while value <= hi + 1e-9:
         values.append(round(value, 12))
+        if value + step == value:
+            raise StdRouteError(f"--{name} step {_fmt(step)} does not advance from {_fmt(value)}")
         value += step
     return values
 

@@ -148,6 +148,12 @@ def build_two_route_network(s: TwoRouteScenario) -> TwoRouteBuild:
 
     t2_s1, t2_s2 = scaled(fa, "a"), scaled(fb, "b")
     t3_s1, t3_s2 = scaled(f3a, "a+x"), scaled(f3b, "b+y")
+    for name, base in (("x", "a"), ("y", "b")):
+        offset, time = getattr(s, name), getattr(s, base)
+        if offset and time + offset == time:
+            raise ValidationError(
+                f"{name}={offset!r} vanishes in floating point: {base} + {name} equals {base}={time!r}"
+            )
 
     net = TWO_ROUTE_NETWORK
     times = np.array(
@@ -231,8 +237,6 @@ def _junction_actions(graph: CompiledGraph) -> list[tuple[int, int]]:
     """The route 2 and route 3 state-actions at each junction state, in partition order."""
     j = graph.action(0, LINK_APPROACH)
     targets = graph.edge_target[graph.edge_ptr[j]:graph.edge_ptr[j + 1]].tolist()
-    if len(targets) != 2:
-        raise ValidationError("expected exactly two junction states")
     return [(graph.action(i, LINK_ROUTE2), graph.action(i, LINK_ROUTE3)) for i in targets]
 
 

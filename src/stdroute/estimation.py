@@ -51,7 +51,7 @@ from .network import (
     compile_graph,
     event_collections_at,
 )
-from .numerics import is_integer, segment_sums
+from .numerics import is_integer, segment_bins, segment_sums
 from .nonrecursive import solve_value_functions_nr
 from .policy import StateSequence, StepTable
 from .recursive import (
@@ -166,6 +166,10 @@ class ObservationSet:
     def from_counts(cls, counts: Mapping[StateSequence, int]) -> "ObservationSet":
         observations = []
         for seq, count in counts.items():
+            if not (is_integer(count) and count >= 0):
+                raise ValidationError(
+                    f"the count of sequence {seq.label()} must be a non-negative integer, got {count!r}"
+                )
             observations.extend([seq] * count)
         return cls(observations=tuple(observations))
 
@@ -323,7 +327,8 @@ def _score(model, net, spp, obs, beta, mu, attributes, scores: bool):
             dV, dq = value_gradients(vf)
             state = vf.graph.action_state
             per_action = (dq - dV[state]) / vf.scale[state, None]
-            score_rows[positions] = segment_sums(steps.rows, per_action[steps.actions], len(positions))
+            bins = segment_bins(steps.rows, per_action.shape[1:])
+            score_rows[positions] = segment_sums(bins, per_action[steps.actions], len(positions))
     bad = np.flatnonzero(~np.isfinite(terms))
     if bad.size:
         raise EstimationError(

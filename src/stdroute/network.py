@@ -536,7 +536,7 @@ class CompiledGraph:
                     extractor(net, spp, a, states[i])
                     for i, a in zip(self.action_state.tolist(), self.action_link.tolist())
                 ]
-                X = np.array(rows, dtype=float).reshape(len(rows), -1) if rows else np.zeros((0, 0))
+                X = np.array(rows, dtype=float).reshape(len(rows), -1)
             if len(self._attributes) >= ATTRIBUTE_CACHE_SIZE:
                 del self._attributes[next(iter(self._attributes))]
             self._attributes[extractor] = X

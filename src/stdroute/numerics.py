@@ -30,26 +30,24 @@ def segment_bins(owner: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
     return owner[:, None] * size + np.arange(size)
 
 
-def segment_sums(owner: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """Sums of ``weights`` over their first axis into ``n`` bins by ``owner``.
+def segment_sums(bins: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Sums of ``weights`` over their first axis into ``n`` bins made by :func:`segment_bins`.
 
     ``np.bincount`` adds in input order, as a plain loop would. Trailing
     batch axes are one bincount over the flat bin ``owner * size + b``,
-    so every batch column is summed exactly as it would be alone;
-    ``owner`` may then be those bins already, rows of :func:`segment_bins`.
+    so every batch column is summed exactly as it would be alone.
     """
     if weights.ndim == 1:
-        return np.bincount(owner, weights, n)
-    batch = weights.shape[1:]
-    bins = segment_bins(owner, batch) if owner.ndim == 1 else owner
-    return np.bincount(bins.ravel(), weights.ravel(), n * bins.shape[1]).reshape(n, *batch)
+        return np.bincount(bins, weights, n)
+    return np.bincount(bins.ravel(), weights.ravel(), n * bins.shape[1]).reshape(n, *weights.shape[1:])
 
 
 def as_rng(seed) -> np.random.Generator:
-    """A generator from a seed, or the generator itself."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+    """A generator from a seed, or the generator itself; a seed numpy refuses is a ValidationError."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"invalid random seed {seed!r}: {exc}") from None
 
 
 def is_integer(value) -> bool:

@@ -183,7 +183,7 @@ def sequence_log_likelihoods(vf: ValueFunction, steps: StepTable) -> np.ndarray:
     adds them. A batch solve gives one column per batch column.
     """
     terms = _walk_terms(vf.log_choice_probs, vf.graph.log_edge_prob, steps)
-    return segment_sums(steps.rows.repeat(2), terms, len(steps.starts))
+    return segment_sums(segment_bins(steps.rows.repeat(2), terms.shape[1:]), terms, len(steps.starts))
 
 
 def sequence_likelihoods(vf: ValueFunction, steps: StepTable) -> np.ndarray:
@@ -358,12 +358,6 @@ class SampledCounts(Mapping):
 
     def __iter__(self):
         return iter(self._dict)
-
-    def keys(self):
-        return self._dict.keys()
-
-    def items(self):
-        return self._dict.items()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self._dict!r})"

@@ -44,8 +44,6 @@ class LinkUtilitySpec:
         passed on, for the likelihood to name the observation it spoils.
         """
         X = graph.attribute_matrix(self.attributes)
-        if not len(X):
-            return np.zeros(0)
         if X.shape[1] != len(self.beta):
             raise ValidationError(
                 f"attribute vector has {X.shape[1]} entries but beta has {len(self.beta)}"

@@ -2,13 +2,17 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from netgen import network_text, random_network
+import stdroute
 from stdroute import bundled_network_text, enumerate_policies, enumerate_sequences, initial_state
 from stdroute import StdRouteError
 from stdroute.cli import _parse_grid, build_parser, main
@@ -209,6 +213,12 @@ class TestSimulate:
         assert main([*args, "--output", prefix]) == 0
         assert Path(f"{prefix}_frequencies.csv").read_text() == GOLDEN_FREQUENCIES[model]
 
+    def test_a_negative_seed_is_an_error(self, network_file, capsys):
+        assert main(["simulate", network_file, "--seed", "-1", "--samples", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid random seed -1: ")
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestBeyondThePolicyCap:
@@ -392,6 +402,10 @@ class TestCompare:
             (["--a", "inf", "--pipeline"], "a must be a finite number, got inf"),
             (["--b", "nan"], "b must be a finite number, got nan"),
             (["--a", "1e300", "--pipeline"], "a scales to a travel time beyond 2**63 - 1"),
+            (
+                ["--b", "1e18", "--y-grid=1:1:1", "--pipeline"],
+                "y=1.0 vanishes in floating point: b + y equals b=1e+18",
+            ),
         ],
     )
     def test_sweep_values_that_overflow_are_errors(self, args, message, capsys):
@@ -431,6 +445,18 @@ class TestCompare:
     def test_malformed_grid_rejected(self, text, message):
         with pytest.raises(StdRouteError, match=re.escape(message)):
             _parse_grid(text, "x-grid")
+
+    def test_a_grid_step_that_cannot_advance_is_an_error(self):
+        # 1e17 + 1 == 1e17: a grid that never advances must fail, not run for ever
+        src = str(Path(stdroute.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        grids = ["--x-grid=1e17:1e17:1", "--y-grid=1:1:1", "--p-grid=0.5:0.5:1"]
+        run = subprocess.run(
+            [sys.executable, "-m", "stdroute", "sweep", *grids],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (run.returncode, run.stdout) == (1, "")
+        assert run.stderr == "error: --x-grid step 1 does not advance from 1e+17\n"
 
     def test_an_empty_grid_writes_nothing(self, tmp_path, capsys):
         prefix = tmp_path / "sweep"

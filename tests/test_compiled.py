@@ -257,6 +257,29 @@ class TestGraph:
             solve_value_functions(net, spp, LinkUtilitySpec(beta=(beta,), attributes=attributes))
         assert len(calls) == len(compile_graph(net, spp, s0).action_link)
 
+    def test_the_oldest_attribute_matrix_is_evicted(self):
+        net, spp = load_network(bundled_network_text())
+        graph = compile_graph(net, spp, initial_state(net, spp))
+        calls = []
+
+        def extractor(k):
+            def attributes(cnet, cspp, a, state):
+                calls.append(k)
+                return (float(k),)
+
+            return attributes
+
+        extractors = [extractor(k) for k in range(stdroute.network.ATTRIBUTE_CACHE_SIZE + 1)]
+        for f in extractors:
+            graph.attribute_matrix(f)
+        per_matrix = len(graph.action_link)
+        assert len(calls) == len(extractors) * per_matrix
+        # the newest are kept; the first was dropped to make room for the last, so it is rebuilt
+        graph.attribute_matrix(extractors[-1])
+        assert len(calls) == len(extractors) * per_matrix
+        assert np.array_equal(graph.attribute_matrix(extractors[0]), np.zeros((per_matrix, 1)))
+        assert len(calls) == (len(extractors) + 1) * per_matrix
+
     def test_attribute_count_must_match_beta(self, net, spp):
         with pytest.raises(ValidationError, match="beta has 2"):
             solve_value_functions(net, spp, LinkUtilitySpec(beta=(-1.0, 0.5)))

@@ -45,6 +45,7 @@ from stdroute import (
     solve_value_functions,
     solve_value_functions_nr,
 )
+from stdroute.numerics import as_rng
 from stdroute.recursive import solve_log_sum
 
 
@@ -116,6 +117,18 @@ class TestConstruction:
         assert kept.dtype == np.int64
         assert kept.tolist() == [[[int(times[0, 0, 0])]]]
 
+    @pytest.mark.parametrize("count", [-2, 2.5, True, "3"])
+    def test_observation_counts_must_be_non_negative_integers(self, net, spp, s0, count):
+        seq = enumerate_sequences(net, spp, s0)[0]
+        message = f"the count of sequence {seq.label()} must be a non-negative integer, got {count!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            ObservationSet.from_counts({seq: count})
+
+    def test_observation_counts_of_zero_and_numpy_integers_are_kept(self, net, spp, s0):
+        first, second = enumerate_sequences(net, spp, s0)[:2]
+        obs = ObservationSet.from_counts({first: 0, second: np.int64(2)})
+        assert obs.observations == (second, second)
+
     def test_traveler_ids_must_match_the_observations(self, net, spp, s0):
         seq = enumerate_sequences(net, spp, s0)[0]
         with pytest.raises(ValidationError, match="traveler_ids do not match the number"):
@@ -171,6 +184,23 @@ class TestTwoRouteBuild:
             with pytest.raises(ValidationError, match=re.escape(message)):
                 read(s)
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (dict(a=1e18, x=1.0), "x=1.0 vanishes in floating point: a + x equals a=1e+18"),
+            (dict(b=1e18, y=-1.0), "y=-1.0 vanishes in floating point: b + y equals b=1e+18"),
+        ],
+    )
+    def test_an_offset_that_vanishes(self, values, message):
+        s = TwoRouteScenario(**(dict(a=2.0, b=2.0, x=1.0, y=1.0, p=0.5) | values))
+        for read in (build_two_route_network, pipeline_ratios):
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                read(s)
+
+    def test_a_zero_offset_on_a_large_time_is_kept(self):
+        build = build_two_route_network(TwoRouteScenario(a=1e18, b=2.0, x=0.0, y=1.0, p=0.5))
+        assert build.support_points.travel_times[0, 1].tolist() == [1, 10**18, 10**18]
+
     @pytest.mark.parametrize("x", [740.0, 800.0])
     def test_pipeline_odds_that_overflow(self, x):
         # at x=740 route 3 is chosen with a subnormal probability, at x=800 with probability 0
@@ -188,6 +218,18 @@ class TestObservationDocument:
     def test_not_a_list(self, net, spp):
         with pytest.raises(NetworkFormatError, match="must be a list of records"):
             ObservationSet.from_json("{}", net, spp)
+
+
+class TestSeeds:
+    # the reason after the colon is numpy's own message
+    @pytest.mark.parametrize("seed", [-1, 1.5, "a", [1, -1]])
+    def test_a_seed_numpy_refuses(self, vf, seed):
+        with pytest.raises(ValidationError, match=re.escape(f"invalid random seed {seed!r}: ")):
+            sample_sequence_counts(vf, 5, seed=seed)
+
+    def test_a_generator_is_used_as_it_is(self):
+        rng = np.random.default_rng(3)
+        assert as_rng(rng) is rng
 
 
 class TestLookups:

@@ -76,6 +76,15 @@ class TestLoadNetwork:
         with pytest.raises(NetworkFormatError, match="missing links"):
             load_network(json.dumps(bad))
 
+    def test_origin_link_travel_times_are_ignored(self, spp):
+        # the dummy origin link is never traversed, so its row is skipped unread
+        extra = doc()
+        extra["support_points"][0]["travel_times"]["0"] = [5, 5]
+        extra["support_points"][1]["travel_times"]["0"] = "not a row"
+        _, loaded = load_network(json.dumps(extra))
+        assert loaded.link_ids == spp.link_ids
+        assert np.array_equal(loaded.travel_times, spp.travel_times)
+
     def test_destination_must_be_absorbing(self):
         bad = doc()
         bad["links"].append({"id": 4, "from": "c", "to": "b"})

@@ -50,6 +50,11 @@ class TestValueFunctions:
     def test_departure_value_is_utility_plus_expected_downstream(self, vf, s0):
         assert vf[s0] == pytest.approx(-1 + 0.5 * vf[V1] + 0.5 * vf[V2], abs=1e-12)
 
+    def test_get_reads_a_stored_value_or_the_default(self, vf, s0):
+        assert vf.get(V1) == vf[V1] and vf.get(s0, 7.0) == vf[s0]
+        outside = State(1, 99, EventCollection((1,)))
+        assert vf.get(outside) is None and vf.get(outside, 7.0) == 7.0
+
     def test_destination_states_worth_zero(self, vf, net):
         terminal = [s for s in vf.values if net.is_destination(s.link)]
         assert terminal and all(vf[s] == 0.0 for s in terminal)
