@@ -22,7 +22,7 @@ class PoiConsistencyError(ValidationError):
 
 
 class HorizonError(StdRouteError):
-    """A trajectory ran past the maximum trip horizon without reaching the destination."""
+    """A cycle of links is reachable, so a trajectory may run past any trip horizon."""
 
 
 class UnreachableDestinationError(StdRouteError):

@@ -50,8 +50,9 @@ from .network import (
     SupportPointSet,
     compile_graph,
     event_collections_at,
+    parse_json,
 )
-from .numerics import is_integer, segment_bins, segment_sums
+from .numerics import is_integer, python_value, segment_bins, segment_sums
 from .nonrecursive import solve_value_functions_nr
 from .policy import StateSequence, StepTable
 from .recursive import (
@@ -168,19 +169,15 @@ class ObservationSet:
         for seq, count in counts.items():
             if not (is_integer(count) and count >= 0):
                 raise ValidationError(
-                    f"the count of sequence {seq.label()} must be a non-negative integer, got {count!r}"
+                    f"the count of sequence {seq.label()} must be a non-negative integer, "
+                    f"got {python_value(count)!r}"
                 )
             observations.extend([seq] * count)
         return cls(observations=tuple(observations))
 
     @classmethod
     def from_json(cls, text: str, net: StdNetwork, spp: SupportPointSet) -> "ObservationSet":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise NetworkFormatError(
-                f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from None
+        doc = parse_json(text)
         if not isinstance(doc, list):
             raise NetworkFormatError("observation document must be a list of records")
         observations = []
@@ -189,7 +186,10 @@ class ObservationSet:
             if not isinstance(record, dict) or "states" not in record:
                 raise NetworkFormatError(f"record {i} must be an object with a 'states' list")
             ids.append(str(record.get("traveler_id", i)))
-            observations.append(_parse_states(record["states"], net, spp, i))
+            try:
+                observations.append(_parse_states(record["states"], spp))
+            except StdRouteError as exc:
+                raise type(exc)(f"record {i}: {exc}") from None
         obs = cls(observations=tuple(observations), traveler_ids=tuple(ids))
         obs.validate(net, spp)
         return obs
@@ -210,25 +210,21 @@ class ObservationSet:
         return json.dumps(records, indent=2)
 
 
-def _parse_states(raw, net: StdNetwork, spp: SupportPointSet, record_index: int) -> StateSequence:
+def _parse_states(raw, spp: SupportPointSet) -> StateSequence:
     if not isinstance(raw, list) or len(raw) < 2:
-        raise NetworkFormatError(f"record {record_index}: 'states' must list at least two states")
+        raise NetworkFormatError("'states' must list at least two states")
     entries = []
     explicit = True
     for entry in raw:
         if not isinstance(entry, dict) or "link" not in entry or "time" not in entry:
-            raise NetworkFormatError(
-                f"record {record_index}: each state needs 'link' and 'time'"
-            )
+            raise NetworkFormatError("each state needs 'link' and 'time'")
         link, time, members = entry["link"], entry["time"], entry.get("ev_members")
         if not (is_integer(link) and is_integer(time)):
-            raise NetworkFormatError(f"record {record_index}: 'link' and 'time' must be integers")
+            raise NetworkFormatError("'link' and 'time' must be integers")
         if time < 0:
-            raise NetworkFormatError(f"record {record_index}: 'time' must not be negative")
+            raise NetworkFormatError("'time' must not be negative")
         if not (members is None or isinstance(members, list) and all(map(is_integer, members))):
-            raise NetworkFormatError(
-                f"record {record_index}: 'ev_members' must be a list of integers"
-            )
+            raise NetworkFormatError("'ev_members' must be a list of integers")
         entries.append((link, time, members))
         explicit = explicit and members is not None
     if explicit:
@@ -237,10 +233,10 @@ def _parse_states(raw, net: StdNetwork, spp: SupportPointSet, record_index: int)
             for link, time, members in entries
         )
         return StateSequence(states)
-    return _reconstruct_sequence(entries, net, spp, record_index)
+    return _reconstruct_sequence(entries, spp)
 
 
-def _reconstruct_sequence(entries, net, spp, record_index) -> StateSequence:
+def _reconstruct_sequence(entries, spp: SupportPointSet) -> StateSequence:
     """Recover knowledge states from link/time pairs via the realized increments."""
     compatible = set(range(1, spp.size + 1))
     for i in range(len(entries) - 1):
@@ -251,9 +247,7 @@ def _reconstruct_sequence(entries, net, spp, record_index) -> StateSequence:
             r for r in range(1, spp.size + 1) if spp.time_at(r, time, next_link) == tau
         }
     if not compatible:
-        raise ValidationError(
-            f"record {record_index}: observed travel times match no scenario"
-        )
+        raise ValidationError("observed travel times match no scenario")
     states = []
     for link, time, _ in entries:
         classes = [
@@ -261,7 +255,7 @@ def _reconstruct_sequence(entries, net, spp, record_index) -> StateSequence:
         ]
         if not classes:
             raise ValidationError(
-                f"record {record_index}: knowledge state at t={time} is ambiguous "
+                f"knowledge state at t={time} is ambiguous "
                 "(compatible scenarios span several classes); provide ev_members"
             )
         states.append(State(link, time, classes[0]))

@@ -171,7 +171,7 @@ class SupportPointSet:
             raise ValidationError("support point probabilities must be strictly positive")
         total = probs.sum()
         if abs(total - 1.0) > PROBABILITY_TOL:
-            raise ValidationError(f"support point probabilities sum to {total!r}, expected 1")
+            raise ValidationError(f"support point probabilities sum to {float(total)!r}, expected 1")
         times = times.astype(np.int64)
         probs = probs.copy()
         times.setflags(write=False)
@@ -235,7 +235,7 @@ def event_collections_at(spp: SupportPointSet, t: int) -> tuple[EventCollection,
 
 
 def _transitions(spp: SupportPointSet, ev: EventCollection, t: int) -> tuple:
-    """The classes at time ``t`` that meet ``ev``, in partition order; cached per (set, period).
+    """The classes at time ``t`` that meet ``ev``, in partition order; cached per (class, period).
 
     Each is ``(class index, transition probability, (class, travel time of
     each link column at t, mass))``: the members of a class agree on them.
@@ -319,6 +319,32 @@ class StdNetwork:
             if l.id != self.origin_link:
                 out[l.tail].append(l.id)
         return {l.id: tuple(sorted(out[l.head])) for l in self.links}
+
+    @cached_property
+    def toward_cycle(self) -> Mapping[int, int]:
+        """Per link from which a cycle of links is reachable, its first successor from which one is too.
+
+        The links that reach no cycle are peeled off, each once all its
+        successors are; a link that is left has a successor that is left,
+        so following this map from it repeats a link.
+        """
+        out = {l: len(succ) for l, succ in self.adjacency.items()}
+        before: dict[int, list[int]] = {l: [] for l in out}
+        for l, succ in self.adjacency.items():
+            for a in succ:
+                before[a].append(l)
+        peeled = [l for l, n in out.items() if not n]
+        for a in peeled:  # grows while it is read
+            for l in before[a]:
+                out[l] -= 1
+                if not out[l]:
+                    peeled.append(l)
+        done = set(peeled)
+        return {
+            l: next(a for a in succ if a not in done)
+            for l, succ in self.adjacency.items()
+            if l not in done
+        }
 
     def link(self, link_id: int) -> Link:
         try:
@@ -571,51 +597,50 @@ class CompiledGraph:
 def compile_graph(net: StdNetwork, spp: SupportPointSet, initial: State) -> CompiledGraph:
     """The decision graph from ``initial`` as arrays, cached on ``spp`` next to its partitions.
 
-    A knowledge state is a partition class, so states expand as keys
-    ``(link, time, class)`` sharing their class's travel times and
-    successor lists. The initial state (class -1) may be any set whose
-    scenarios agree on its links, but not at the destination or before
-    time 0. Raises HorizonError for a decision state later than the
-    initial time plus the trip horizon, UnreachableDestinationError at a
+    A knowledge state is a partition class, the initial one too, so
+    states expand as keys ``(link, time, class)`` sharing their class's
+    travel times and successor lists. The initial state may not be at
+    the destination. Raises HorizonError when a cycle of links is
+    reachable from the initial link, UnreachableDestinationError at a
     dead end.
     """
-    if net.is_destination(initial.link):
-        raise ValidationError(
-            f"a state sequence needs at least a departure and an arrival; {initial} is at the destination"
-        )
-    if initial.time < 0:
-        raise ValidationError("time period must be non-negative")
-    if initial.ev.members[-1] > spp.size:
-        raise ValidationError(
-            f"scenario {initial.ev.members[-1]} is not one of the {spp.size} support points"
-        )
     key = (net, initial)
     graph = spp._graphs.get(key)
     if graph is None:
+        if net.is_destination(initial.link):
+            raise ValidationError(
+                f"a state sequence needs at least a departure and an arrival; {initial} is at the destination"
+            )
+        if initial.ev not in event_collections_at(spp, initial.time):
+            raise ValidationError(f"initial knowledge state {initial.ev} is not a partition class")
+        if initial.link in net.toward_cycle:
+            path, link = [], initial.link
+            while link not in path:
+                path.append(link)
+                link = net.toward_cycle[link]
+            cycle = " -> ".join(map(str, path[path.index(link):] + [link]))
+            raise HorizonError(f"links {cycle} form a cycle reachable from {initial}: a trip has no time bound")
         graph = spp._graphs[key] = _compile(net, spp, initial)
     return graph
 
 
 def _compile(net: StdNetwork, spp: SupportPointSet, initial: State) -> CompiledGraph:
-    t_max, adjacency = initial.time + net.trip_horizon(spp), net.adjacency
+    adjacency = net.adjacency
     destination = {l.id for l in net.links if l.head == net.destination_node}
-    root = (initial.link, initial.time, -1)
-    seen = {root: (initial.ev, None, spp.mass(initial.ev))}  # per key: knowledge set, times, mass
+    ((c, _, data),) = _transitions(spp, initial.ev, initial.time)
+    root = (initial.link, initial.time, c)
+    seen = {root: data}  # per key: knowledge set, travel times, mass
     expanded, stack = {}, [root]
     while stack:  # depth first, so an error names the state the State-level walk met first
         key = stack.pop()
         (link, t, _), (ev, row, _) = key, seen[key]
         if link in destination:
             continue
-        if t > t_max:
-            raise HorizonError(
-                f"state {State(link, t, ev)} exceeds the trip horizon {t_max} without reaching the destination"
-            )
         if not adjacency[link]:
             raise UnreachableDestinationError(f"state {State(link, t, ev)} has no outgoing links")
         expanded[key] = actions = []
         for a in adjacency[link]:
-            tau = travel_time(net, spp, a, initial) if row is None else row[spp.column(a)]
+            tau = row[spp.column(a)]
             succ = _transitions(spp, ev, t + tau)
             actions.append((a, tau, succ))
             for k, _, data in succ:
@@ -647,7 +672,7 @@ def _compile(net: StdNetwork, spp: SupportPointSet, initial: State) -> CompiledG
         if keys[i] in expanded:
             layers[lo] = Layer(slice(lo, i + 1), slice(a0, len(links)), slice(e0, len(targets)))
 
-    states = tuple(State(link, t, seen[link, t, c][0]) if c >= 0 else initial for link, t, c in keys)
+    states = tuple(State(link, t, seen[link, t, c][0]) for link, t, c in keys)
     mass = [seen[key][2] for key in keys]
     return CompiledGraph(
         network=net,
@@ -674,15 +699,19 @@ def _require(condition: bool, message: str) -> None:
         raise NetworkFormatError(message)
 
 
-def load_network(text: str) -> tuple[StdNetwork, SupportPointSet]:
-    """Parse and validate a network document (see the module docstring for the format)."""
+def parse_json(text: str):
+    """A JSON document's value; invalid JSON is a NetworkFormatError naming its line and column."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise NetworkFormatError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
 
+
+def load_network(text: str) -> tuple[StdNetwork, SupportPointSet]:
+    """Parse and validate a network document (see the module docstring for the format)."""
+    doc = parse_json(text)
     _require(isinstance(doc, dict), "top level must be an object")
     for key in ("nodes", "links", "origin_link", "destination_link", "horizon", "support_points"):
         _require(key in doc, f"missing required key {key!r}")

@@ -55,9 +55,15 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def python_value(value):
+    """A numpy scalar as the Python value it holds, so a message reads ``-2``, not ``np.int64(-2)``."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def check_sample_size(n) -> None:
     """Reject a number of samples that is not a positive integer that an int64 count holds."""
     if not is_integer(n) or not 1 <= n <= 2**63 - 1:
         raise ValidationError(
-            f"the number of samples must be a positive integer of at most 2**63 - 1, got {n!r}"
+            "the number of samples must be a positive integer of at most 2**63 - 1, "
+            f"got {python_value(n)!r}"
         )

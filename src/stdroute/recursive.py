@@ -25,7 +25,6 @@ from .network import (
     StdNetwork,
     SupportPointSet,
     compile_graph,
-    event_collections_at,
     initial_state as default_initial_state,
 )
 from .numerics import as_rng, check_sample_size, segment_bins, segment_sums
@@ -160,14 +159,13 @@ def step_table(graph: CompiledGraph, sequences) -> StepTable:
     that starts at another of its states than the initial one, is
     rejected too.
     """
-    index, edge_index, spp = graph.index, graph.edge_index, graph.support_points
-    start = 0 if graph.initial.ev in event_collections_at(spp, graph.initial.time) else None
+    index, edge_index = graph.index, graph.edge_index
     rows = []
     for seq in sequences:
         path = [index.get(s) for s in seq.states]
         edges = [edge_index.get(pair) for pair in zip(path, path[1:])]
-        if len(path) < 2 or path[0] != start or None in edges or not graph.terminal[path[-1]]:
-            seq.validate(graph.network, spp)
+        if len(path) < 2 or path[0] != 0 or None in edges or not graph.terminal[path[-1]]:
+            seq.validate(graph.network, graph.support_points)
             missing = [s for s, i in zip(seq.states, path) if i is None]
             if missing:
                 raise ValidationError(f"state {missing[0]} is not reachable from {graph.initial}")

@@ -346,6 +346,21 @@ class TestEstimate:
         assert main(["estimate", network_file, str(obs_path), "--model", "nonrecursive"]) == 0
         assert "converged:      True" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "states, message",
+        [
+            ([{"link": 0, "time": 0, "ev_members": []}] * 2, "event collection must be non-empty"),
+            ([{"link": 0, "time": 0, "ev_members": [0]}] * 2, "scenario indices are 1-based"),
+            ([{"link": 0, "time": 0}, {"link": 77, "time": 1}], "link 77 has no travel-time distribution"),
+        ],
+    )
+    def test_a_bad_state_names_its_record(self, network_file, tmp_path, capsys, states, message):
+        obs_path = tmp_path / "obs.json"
+        obs_path.write_text(json.dumps([{"states": states}]))
+        assert main(["estimate", network_file, str(obs_path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: record 0: {message}\n")
+
 
 class TestCompare:
     def test_equivalence_report(self, network_file, capsys):

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from stdroute import (
     EventCollection,
     HorizonError,
     LinkUtilitySpec,
-    PoiConsistencyError,
+    ObservationSet,
     State,
     StateSequence,
     SupportPointSet,
@@ -35,9 +36,12 @@ from stdroute import (
     enumerate_sequences,
     initial_state,
     load_network,
+    log_likelihood,
+    optimal_policy,
     sample_sequence_counts,
     sample_sequence_counts_nr,
     sequence_log_likelihood,
+    sequence_probabilities,
     solve_value_functions,
     solve_value_functions_nr,
     travel_time,
@@ -104,6 +108,45 @@ def assert_same_outcome(net, spp, initial):
         assert oracle.graph_mismatches(got, expected) == []
 
 
+def assert_refused(build, net, spp, initial):
+    message = f"^initial knowledge state {re.escape(repr(initial.ev))} is not a partition class$"
+    with pytest.raises(ValidationError, match=message):
+        build(net, spp, initial)
+
+
+def refusing_readers():
+    """Every public reader that takes an initial state, as ``(net, spp, initial)`` calls."""
+    utility = LinkUtilitySpec()
+    return (
+        compile_graph,
+        lambda net, spp, s: solve_value_functions(net, spp, utility, initial=s),
+        lambda net, spp, s: solve_value_functions_nr(net, spp, utility, initial=s),
+        enumerate_sequences,
+        enumerate_policies,
+        lambda net, spp, s: optimal_policy(net, spp, s, utility),
+        decision_graph,
+    )
+
+
+CYCLE_MESSAGE = re.compile(r"links ([\d >-]+) form a cycle reachable from (.+): a trip has no time bound")
+
+
+def reaches(net, link, target):
+    """Whether ``target`` follows ``link`` on some walk of one or more links."""
+    seen, stack = set(), list(net.outgoing(link))
+    while stack:
+        a = stack.pop()
+        if a not in seen:
+            seen.add(a)
+            stack.extend(net.outgoing(a))
+    return target in seen
+
+
+def reaches_a_cycle(net, link):
+    """Whether a link on a cycle is ``link`` or follows it."""
+    return any(reaches(net, a, a) for a in {link} | {l.id for l in net.links if reaches(net, link, l.id)})
+
+
 class TestAgainstTheStateLevelExpansion:
     """Every array of the index-space compile is bitwise the State-level expansion's."""
 
@@ -129,50 +172,98 @@ class TestAgainstTheStateLevelExpansion:
             assert_same_outcome(build.network, build.support_points, build.initial_state)
 
     def test_every_set_of_scenarios_as_the_initial_knowledge(self):
-        # subsets of a class compile; sets whose scenarios disagree on a link raise
+        # a class compiles to the State-level expansion; every other set of scenarios is refused
         rng = np.random.default_rng(8)
-        raised = compiled = 0
+        refused = compiled = 0
         for _ in range(40):
             net, spp = random_network(rng, max_links=6, max_support=3, max_horizon=3)
             scenarios = range(1, spp.size + 1)
             for state in compile_graph(net, spp, initial_state(net, spp)).states[:6]:
                 if net.is_destination(state.link):
                     continue
+                classes = stdroute.event_collections_at(spp, state.time)
                 for n in range(1, spp.size + 1):
                     for members in itertools.combinations(scenarios, n):
-                        initial = State(state.link, state.time, EventCollection(members))
-                        assert_same_outcome(net, spp, initial)
-                        result = outcome(compile_graph, net, spp, initial)
-                        raised += isinstance(result, tuple)
-                        compiled += not isinstance(result, tuple)
-        assert raised and compiled
+                        ev = EventCollection(members)
+                        initial = State(state.link, state.time, ev)
+                        if ev in classes:
+                            assert_same_outcome(net, spp, initial)
+                            compiled += 1
+                        else:
+                            assert_refused(compile_graph, net, spp, initial)
+                            refused += 1
+        assert refused and compiled
 
-    def test_subset_and_inconsistent_initial_states_on_the_bundled_network(self, net, spp):
-        subset = State(0, 0, EventCollection((1,)))
-        assert_same_outcome(net, spp, subset)
-        assert compile_graph(net, spp, subset).reach.tolist() == [1.0, 1.0, 1.0, 1.0]
-        inconsistent = State(1, 1, EventCollection((1, 2)))
-        assert_same_outcome(net, spp, inconsistent)
-        with pytest.raises(PoiConsistencyError, match="disagree on the time of link 2"):
-            compile_graph(net, spp, inconsistent)
+    def test_subset_and_inconsistent_initial_states_on_the_bundled_network(self, net, spp, s0):
+        # EV{1} is a subset of the class at time 0; scenarios 1 and 2 disagree on link 2 at time 1
+        for state in (State(0, 0, EventCollection((1,))), State(1, 1, EventCollection((1, 2)))):
+            for read in refusing_readers():
+                assert_refused(read, net, spp, state)
+        for state in (s0, State(1, 1, EventCollection((1,))), State(1, 1, EventCollection((2,)))):
+            assert_same_outcome(net, spp, state)
 
     def test_horizon_and_dead_end_errors_name_the_same_state(self):
+        # compile raises where the expansion raises: a reachable cycle of links is named before any
+        # state is expanded; otherwise the error (a dead end) names the state the expansion met
         rng = np.random.default_rng(3)
         kinds = set()
         for _ in range(300):
             net, spp = cyclic_network(rng)
             s0 = initial_state(net, spp)
-            assert_same_outcome(net, spp, s0)
-            result = outcome(compile_graph, net, spp, s0)
-            kinds.add(result[0] if isinstance(result, tuple) else None)
-        assert kinds == {None, HorizonError, UnreachableDestinationError}
+            got = outcome(compile_graph, net, spp, s0)
+            expected = outcome(oracle.compile_graph, net, spp, s0)
+            assert isinstance(got, tuple) == isinstance(expected, tuple)
+            if reaches_a_cycle(net, s0.link):
+                kind, message = got
+                match = CYCLE_MESSAGE.fullmatch(message)
+                assert kind is HorizonError and match and match[2] == repr(s0)
+                cycle = [int(a) for a in match[1].split(" -> ")]
+                assert cycle[0] == cycle[-1] and len(set(cycle)) == len(cycle) - 1
+                assert all(b in net.outgoing(a) for a, b in zip(cycle, cycle[1:]))
+                assert reaches(net, s0.link, cycle[0])
+                kinds.add((kind, expected[0]))
+            elif isinstance(expected, tuple):
+                assert got == expected
+                kinds.add(got[0])
+            else:
+                assert oracle.graph_mismatches(got, expected) == []
+                kinds.add(None)
+        # a cycle past a dead end is named too, where the expansion met the dead end first
+        assert kinds == {
+            None,
+            UnreachableDestinationError,
+            (HorizonError, HorizonError),
+            (HorizonError, UnreachableDestinationError),
+        }
+
+    def test_a_cycle_with_a_time_of_a_trillion_is_named_at_once(self):
+        # the expansion would need about 5e11 states to reach the trip horizon
+        src = str(Path(stdroute.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        script = (
+            "import numpy as np, stdroute as sr\n"
+            "links = tuple(sr.Link(i, t, h) for i, (t, h) in enumerate(('oo', 'om', 'mn', 'nm', 'nz')))\n"
+            "net = sr.StdNetwork(('o', 'm', 'n', 'z'), links, 0, 4, 1)\n"
+            "times = np.ones((1, 1, 4), dtype=np.int64)\n"
+            "times[0, 0, 3] = 10**12\n"
+            "spp = sr.SupportPointSet((1, 2, 3, 4), times, np.array([1.0]))\n"
+            "try:\n"
+            "    sr.compile_graph(net, spp, sr.initial_state(net, spp))\n"
+            "except sr.HorizonError as exc:\n"
+            "    print(exc)\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        assert CYCLE_MESSAGE.fullmatch(run.stdout.rstrip("\n")).groups() == ("2 -> 3 -> 2", "State(0,0,{1})")
 
     def test_an_initial_state_outside_the_support_points_is_refused(self, net, spp, s0):
         for state, message in (
             (State(0, -1, s0.ev), "time period must be non-negative"),
-            (State(0, 0, EventCollection((1, 3))), "scenario 3 is not one of the 2 support points"),
+            (State(0, 0, EventCollection((1, 3))), "knowledge state EV{1,3} is not a partition class"),
         ):
-            with pytest.raises(ValidationError, match=message):
+            with pytest.raises(ValidationError, match=re.escape(message)):
                 compile_graph(net, spp, state)
 
     def test_a_destination_state_is_refused(self, net, spp, s0):
@@ -191,6 +282,40 @@ class TestAgainstTheStateLevelExpansion:
             assert view.states == expanded.states
             assert view.terminal == expanded.terminal
             assert view.choices == expanded.choices
+
+
+class TestOneContractFromCompileToLikelihood:
+    """What a solve from any state lists and samples, the likelihood readers accept."""
+
+    @pytest.mark.parametrize("model", ["recursive", "nonrecursive"])
+    def test_every_state_as_the_initial_state(self, model):
+        solve = solve_value_functions if model == "recursive" else solve_value_functions_nr
+        utility = LinkUtilitySpec(beta=(-0.7,), mu=0.8)
+        rng = np.random.default_rng(40)
+        solved = refused = 0
+        for _ in range(40):
+            net, spp = random_network(rng, max_links=6, max_support=3, max_horizon=3)
+            for state in compile_graph(net, spp, initial_state(net, spp)).states:
+                if net.is_destination(state.link):
+                    continue
+                vf = solve(net, spp, utility, initial=state)
+                sampled = ObservationSet.from_counts(sample_sequence_counts(vf, 50, seed=1))
+                sampled.validate(net, spp)
+                listed = sequence_probabilities(vf)
+                obs = ObservationSet(tuple(listed))
+                expected = math.fsum(math.log(p) for p in listed.values())
+                got = log_likelihood(model, net, spp, obs, utility.beta, utility.mu)
+                assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+                solved += 1
+                classes = stdroute.event_collections_at(spp, state.time)
+                for n in range(1, spp.size + 1):
+                    for members in itertools.combinations(range(1, spp.size + 1), n):
+                        ev = EventCollection(members)
+                        if ev not in classes:
+                            for read in refusing_readers():
+                                assert_refused(read, net, spp, State(state.link, state.time, ev))
+                            refused += 1
+        assert solved > 100 and refused > 100
 
 
 class TestGraph:

@@ -6,6 +6,7 @@ a table of NaN: ``LinkUtilitySpec`` refuses a non-finite ``mu``, and a solve
 scale; a batch solve names its first such column.
 """
 
+import json
 import math
 import re
 
@@ -45,7 +46,7 @@ from stdroute import (
     solve_value_functions,
     solve_value_functions_nr,
 )
-from stdroute.numerics import as_rng
+from stdroute.numerics import as_rng, check_sample_size
 from stdroute.recursive import solve_log_sum
 
 
@@ -123,6 +124,32 @@ class TestConstruction:
         message = f"the count of sequence {seq.label()} must be a non-negative integer, got {count!r}"
         with pytest.raises(ValidationError, match=re.escape(message)):
             ObservationSet.from_counts({seq: count})
+
+    # a numpy scalar is printed as the Python number it holds, not as its repr
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda seq: support_points(np.ones((2, 1, 1), int), np.array([0.3, 0.4])),
+                "support point probabilities sum to 0.7, expected 1",
+            ),
+            (
+                lambda seq: ObservationSet.from_counts({seq: np.int64(-2)}),
+                "must be a non-negative integer, got -2",
+            ),
+            (
+                lambda seq: ObservationSet.from_counts({seq: np.float64(2.5)}),
+                "must be a non-negative integer, got 2.5",
+            ),
+            (
+                lambda seq: check_sample_size(np.int64(0)),
+                "the number of samples must be a positive integer of at most 2**63 - 1, got 0",
+            ),
+        ],
+    )
+    def test_a_numpy_value_is_printed_as_a_number(self, net, spp, s0, build, message):
+        with pytest.raises(ValidationError, match=re.escape(message) + "$"):
+            build(enumerate_sequences(net, spp, s0)[0])
 
     def test_observation_counts_of_zero_and_numpy_integers_are_kept(self, net, spp, s0):
         first, second = enumerate_sequences(net, spp, s0)[:2]
@@ -218,6 +245,30 @@ class TestObservationDocument:
     def test_not_a_list(self, net, spp):
         with pytest.raises(NetworkFormatError, match="must be a list of records"):
             ObservationSet.from_json("{}", net, spp)
+
+    # the second record is the bad one; each error keeps its class and names the record
+    @pytest.mark.parametrize(
+        "states, message",
+        [
+            (
+                [{"link": 0, "time": 0, "ev_members": []}, {"link": 1, "time": 1, "ev_members": [1]}],
+                "record 1: event collection must be non-empty",
+            ),
+            (
+                [{"link": 0, "time": 0, "ev_members": [0]}, {"link": 1, "time": 1, "ev_members": [1]}],
+                "record 1: scenario indices are 1-based",
+            ),
+            (
+                [{"link": 0, "time": 0}, {"link": 77, "time": 1}],
+                "record 1: link 77 has no travel-time distribution",
+            ),
+        ],
+    )
+    def test_a_state_error_names_its_record(self, net, spp, s0, states, message):
+        good = json.loads(ObservationSet(enumerate_sequences(net, spp, s0)[:1]).to_json())
+        document = json.dumps(good + [{"states": states}])
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            ObservationSet.from_json(document, net, spp)
 
 
 class TestSeeds:

@@ -270,7 +270,7 @@ class TestErrors:
         ev = EventCollection((1,))
         trip = StateSequence(tuple(State(link, t, ev) for t, link in enumerate((0, 1, 2, 4))))
         trip.validate(net, spp)
-        with pytest.raises(HorizonError, match="exceeds the trip horizon"):
+        with pytest.raises(HorizonError, match="^links 2 -> 3 -> 2 form a cycle reachable from State"):
             ObservationSet.from_json(ObservationSet((trip,)).to_json(), net, spp)
 
     @pytest.mark.parametrize("model", MODELS)
