@@ -24,11 +24,11 @@ Observation file format (JSON): a list of records
       "states": [{"link": 0, "time": 0, "ev_members": [1, 2]}, ...]},
      ...]
 
-``ev_members`` may be omitted, in which case knowledge states are
-reconstructed from the realized travel times implied by the link/time
-pairs: the scenarios compatible with every observed increment must fall
-inside a single knowledge class at each step, otherwise the record is
-rejected as ambiguous.
+``ev_members`` is given for every state of a record or for none. When
+it is omitted, knowledge states are reconstructed from the realized
+travel times implied by the link/time pairs: the scenarios compatible
+with every observed increment must fall inside a single knowledge class
+at each step, otherwise the record is rejected as ambiguous.
 """
 
 from __future__ import annotations
@@ -214,7 +214,6 @@ def _parse_states(raw, spp: SupportPointSet) -> StateSequence:
     if not isinstance(raw, list) or len(raw) < 2:
         raise NetworkFormatError("'states' must list at least two states")
     entries = []
-    explicit = True
     for entry in raw:
         if not isinstance(entry, dict) or "link" not in entry or "time" not in entry:
             raise NetworkFormatError("each state needs 'link' and 'time'")
@@ -226,8 +225,10 @@ def _parse_states(raw, spp: SupportPointSet) -> StateSequence:
         if not (members is None or isinstance(members, list) and all(map(is_integer, members))):
             raise NetworkFormatError("'ev_members' must be a list of integers")
         entries.append((link, time, members))
-        explicit = explicit and members is not None
-    if explicit:
+    given = sum(members is not None for _, _, members in entries)
+    if given not in (0, len(entries)):
+        raise NetworkFormatError("'ev_members' must be given for every state or for none")
+    if given:
         states = tuple(
             State(link, time, EventCollection(tuple(members)))
             for link, time, members in entries

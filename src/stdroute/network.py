@@ -201,7 +201,11 @@ class SupportPointSet:
             raise ValidationError(f"link {link_id} has no travel-time distribution") from None
 
     def time_at(self, scenario: int, t: int, link_id: int) -> int:
-        """Travel time of a link in one scenario, clamping to the static tail."""
+        """Travel time of a link in one scenario (1-based), clamping to the static tail."""
+        if not 1 <= scenario <= self.size:
+            raise ValidationError(f"scenario {scenario} is not among the support points 1..{self.size}")
+        if t < 0:
+            raise ValidationError("time period must be non-negative")
         period = min(t, self.horizon - 1)
         return int(self.travel_times[scenario - 1, period, self.column(link_id)])
 
@@ -436,7 +440,7 @@ def decision_graph(net: StdNetwork, spp: SupportPointSet, initial: State) -> Dec
 
 
 class Layer(NamedTuple):
-    """The decision states that share one arrival time, with their state-actions and edges."""
+    """The decision states of one height level, with their state-actions and edges."""
 
     states: slice
     actions: slice
@@ -447,8 +451,12 @@ class Layer(NamedTuple):
 class CompiledGraph:
     """A decision graph as flat arrays, for vectorized backward sweeps.
 
-    States are sorted by time, so every time layer is one contiguous
-    slice; within a layer the decision states come first. State ``i``
+    States are sorted by height, the largest number of steps to the
+    destination, highest first, and by time, link and knowledge set
+    within a height: every edge goes to a lower height, so each height
+    level of decision states is one layer, one contiguous slice that a
+    backward sweep solves at once, the initial state (state 0) is alone
+    in the top layer and the destination states come last. State ``i``
     owns the state-actions ``action_ptr[i]:action_ptr[i+1]`` (one per
     outgoing link, ascending id), and state-action ``j`` owns the edges
     ``edge_ptr[j]:edge_ptr[j+1]`` (one per next knowledge state, in
@@ -458,7 +466,7 @@ class CompiledGraph:
     start of the owner's layer, so a sweep only slices. ``action_time``
     holds each state-action's travel time and ``reach`` each state's
     w(s) = mass(ev_s) / mass(ev_0), the product of the transition
-    probabilities on any path to it. The initial state is state 0.
+    probabilities on any path to it.
 
     Tables that other modules derive from the graph alone are held in
     ``held`` under their own keys, e.g. the sequence table of
@@ -569,7 +577,7 @@ class CompiledGraph:
         return X
 
     def sweep(self, utilities: np.ndarray, reduce) -> tuple[np.ndarray, np.ndarray]:
-        """One backward pass over the time layers, latest first.
+        """One backward pass over the layers, lowest first.
 
         Per state-action ``q = utility + expected value of the next
         states``; per decision state ``value = reduce(q of the layer's
@@ -628,58 +636,69 @@ def _compile(net: StdNetwork, spp: SupportPointSet, initial: State) -> CompiledG
     adjacency = net.adjacency
     destination = {l.id for l in net.links if l.head == net.destination_node}
     ((c, _, data),) = _transitions(spp, initial.ev, initial.time)
-    root = (initial.link, initial.time, c)
-    seen = {root: data}  # per key: knowledge set, travel times, mass
-    expanded, stack = {}, [root]
+    # per state id, in order of discovery: key, (knowledge set, travel times, mass)
+    keys, found = [(initial.link, initial.time, c)], [data]
+    ids = {keys[0]: 0}
+    expanded, after, stack = {}, {}, [0]  # per decision state id: its state-actions, its next state ids
     while stack:  # depth first, so an error names the state the State-level walk met first
-        key = stack.pop()
-        (link, t, _), (ev, row, _) = key, seen[key]
+        i = stack.pop()
+        (link, t, _), (ev, row, _) = keys[i], found[i]
         if link in destination:
             continue
         if not adjacency[link]:
             raise UnreachableDestinationError(f"state {State(link, t, ev)} has no outgoing links")
-        expanded[key] = actions = []
+        expanded[i], after[i] = actions, nexts = [], []
         for a in adjacency[link]:
             tau = row[spp.column(a)]
             succ = _transitions(spp, ev, t + tau)
             actions.append((a, tau, succ))
             for k, _, data in succ:
-                if (a, t + tau, k) not in seen:
-                    seen[a, t + tau, k] = data
-                    stack.append((a, t + tau, k))
+                j = ids.setdefault((a, t + tau, k), len(keys))
+                if j == len(keys):  # a new state
+                    keys.append((a, t + tau, k))
+                    found.append(data)
+                    stack.append(j)
+                nexts.append(j)
 
-    # by time, decision states first, then by link and knowledge set
-    keys = sorted(seen, key=lambda k: (k[1], k[0] in destination, k[0], k[2]))
-    index = {key: i for i, key in enumerate(keys)}
+    # state ids by time, then by link and knowledge set: every next state is later in time
+    order = sorted(range(len(keys)), key=[(t, link, c) for link, t, c in keys].__getitem__)
+    height = [0] * len(keys)  # the most steps from a state to the destination
+    for i in reversed(order):
+        nexts = after.get(i)
+        if nexts:
+            height[i] = 1 + max(map(height.__getitem__, nexts))
+    order.sort(key=height.__getitem__, reverse=True)  # stable: each level keeps the time order
+    index = sorted(range(len(keys)), key=order.__getitem__)  # the position of each state id
     action_ptr, links, times, action_state, owner, first = [0], [], [], [], [], []
-    edge_ptr, targets, probs, edge_owner = [0], [], [], []
-    layers = {}  # per time layer: its decision states, state-actions and edges, by first state
-    for i, (_, t, _) in enumerate(keys):
-        if i == 0 or t > keys[i - 1][1]:
-            lo, a0, e0 = i, len(links), len(targets)
+    edge_ptr, probs, edge_owner = [0], [], []
+    layers = []  # per height level of decision states: its states, state-actions and edges
+    level = None
+    for n, i in enumerate(order):
+        if height[i] != level:
+            if level:  # the level above is complete; the destination states, level 0, come last
+                layers.append(Layer(slice(lo, n), slice(a0, len(links)), slice(e0, len(probs))))
+            level, lo, a0, e0 = height[i], n, len(links), len(probs)
         first.append(len(links) - a0)
-        for a, tau, succ in expanded.get(keys[i], ()):
+        for a, tau, succ in expanded.get(i, ()):
+            for _, p, _ in succ:
+                probs.append(p)
+                edge_owner.append(len(links) - a0)
             links.append(a)
             times.append(tau)
-            action_state.append(i)
-            owner.append(i - lo)
-            for k, p, _ in succ:
-                targets.append(index[a, t + tau, k])
-                probs.append(p)
-                edge_owner.append(len(links) - 1 - a0)
-            edge_ptr.append(len(targets))
+            action_state.append(n)
+            owner.append(n - lo)
+            edge_ptr.append(len(probs))
         action_ptr.append(len(links))
-        if keys[i] in expanded:
-            layers[lo] = Layer(slice(lo, i + 1), slice(a0, len(links)), slice(e0, len(targets)))
+    targets = [index[j] for i in order for j in after.get(i, ())]
 
-    states = tuple(State(link, t, seen[link, t, c][0]) for link, t, c in keys)
-    mass = [seen[key][2] for key in keys]
+    states = tuple(State(keys[i][0], keys[i][1], found[i][0]) for i in order)
+    mass = [found[i][2] for i in order]
     return CompiledGraph(
         network=net,
         support_points=spp,
         states=states,
         index={s: i for i, s in enumerate(states)},
-        layers=tuple(layers.values()),
+        layers=tuple(layers),
         action_ptr=np.array(action_ptr, dtype=np.intp),
         action_link=np.array(links, dtype=np.intp),
         action_time=np.array(times, dtype=np.int64),

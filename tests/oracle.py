@@ -3,8 +3,10 @@
 Expands the decision graph state by state over ``State`` objects, with
 ``successor_states`` rebuilding the knowledge classes from scenario sets
 at every step, and lays it out as arrays, as a check on the compile in
-index space; walks the expanded graph calling the attribute extractor
-once per link, as a check on the compiled-graph sweep; walks each
+index space (by height level, as the compile does, or by arrival time,
+as a check that the schedule of the sweep changes no bit); walks the
+expanded graph calling the attribute extractor once per link, as a
+check on the compiled-graph sweep; walks each
 routing policy's state tree to its leaves, as a check on the policy
 utility read from the compiled graph's reach; scores an observation
 set one sequence and one step at a time, as a check on the batched
@@ -129,14 +131,37 @@ def decision_graph(net, spp, initial):
     )
 
 
-def compile_expansion(net, spp, graph):
-    """An expanded graph as a ``CompiledGraph``, with travel times and reach taken state by state."""
-    states = sorted(graph.states, key=lambda s: (s.time, s in graph.terminal))
+def heights(graph):
+    """The most steps from each state of an expanded graph to the destination, by recursion."""
+    memo = {}
+
+    def height(state):
+        if state not in memo:
+            succ = [nxt for per_link in graph.choices.get(state, {}).values() for nxt, _ in per_link]
+            memo[state] = 1 + max(map(height, succ)) if succ else 0
+        return memo[state]
+
+    return {s: height(s) for s in graph.states}
+
+
+def compile_expansion(net, spp, graph, by_time=False):
+    """An expanded graph as a ``CompiledGraph``, with travel times and reach taken state by state.
+
+    Laid out by height level, as ``compile_graph`` does; with ``by_time``,
+    by arrival time instead, one layer per time with its decision states
+    first: another valid schedule of the same backward sweep.
+    """
+    if by_time:
+        level = lambda s: s.time
+        states = sorted(graph.states, key=lambda s: (s.time, s in graph.terminal))
+    else:
+        level = heights(graph).__getitem__
+        states = sorted(graph.states, key=level, reverse=True)
     index = {s: i for i, s in enumerate(states)}
     action_ptr, links, times, action_state, owner, first = [0], [], [], [], [], []
     edge_ptr, targets, probs, edge_owner = [0], [], [], []
     layers = []
-    for _, group in itertools.groupby(range(len(states)), key=lambda i: states[i].time):
+    for _, group in itertools.groupby(range(len(states)), key=lambda i: level(states[i])):
         layer = list(group)
         lo, a0, e0 = layer[0], len(links), len(targets)
         for i in layer:
@@ -182,9 +207,9 @@ def compile_expansion(net, spp, graph):
     )
 
 
-def compile_graph(net, spp, initial):
-    """The State-level expansion from ``initial``, laid out as arrays."""
-    return compile_expansion(net, spp, decision_graph(net, spp, initial))
+def compile_graph(net, spp, initial, by_time=False):
+    """The State-level expansion from ``initial``, laid out as arrays (see ``compile_expansion``)."""
+    return compile_expansion(net, spp, decision_graph(net, spp, initial), by_time)
 
 
 ARRAYS = (

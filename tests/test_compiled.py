@@ -319,23 +319,29 @@ class TestOneContractFromCompileToLikelihood:
 
 
 class TestGraph:
-    def test_layers_are_contiguous_time_slices(self):
+    def test_layers_are_contiguous_height_levels(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             net, spp = random_network(rng, max_links=8)
             graph = compile_graph(net, spp, initial_state(net, spp))
-            times = [s.time for s in graph.states]
-            assert times == sorted(times)
+            heights = oracle.heights(oracle.decision_graph(net, spp, graph.initial))
+            height = np.array([heights[s] for s in graph.states])
             assert graph.initial == initial_state(net, spp)
+            assert graph.layers[0].states == slice(0, 1)
             covered = []
             for layer in graph.layers:
-                layer_states = graph.states[layer.states]
-                assert len({s.time for s in layer_states}) == 1
+                assert len(set(height[layer.states].tolist())) == 1
                 assert not graph.terminal[layer.states].any()
                 covered.extend(range(layer.states.start, layer.states.stop))
                 assert layer.actions.start == graph.action_ptr[layer.states.start]
                 assert layer.actions.stop == graph.action_ptr[layer.states.stop]
+                assert layer.edges.start == graph.edge_ptr[layer.actions.start]
+                assert layer.edges.stop == graph.edge_ptr[layer.actions.stop]
+                targets = graph.edge_target[layer.edges]
+                assert (height[targets] < height[layer.states.start]).all()
             assert covered == np.flatnonzero(~graph.terminal).tolist()
+            steps = max(len(seq.states) for seq in sequence_table(graph).sequences) - 1
+            assert len(graph.layers) == steps
 
     def test_arrays_match_the_expansion(self, net, spp, s0):
         graph = compile_graph(net, spp, s0)

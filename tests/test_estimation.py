@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +283,17 @@ class TestObservationIO:
             for state in states:
                 del state["ev_members"]
         with pytest.raises(ValidationError, match="observation 0: unknown link 99"):
+            ObservationSet.from_json(json.dumps(records), net, spp)
+
+    @pytest.mark.parametrize("first", [None, [0]], ids=["valid", "invalid"])
+    def test_ev_members_on_some_states_only_rejected(self, net, spp, s0, first):
+        records = json.loads(ObservationSet((branch_sequence(net, spp, s0, via=1, link=2),)).to_json())
+        states = records[0]["states"]
+        if first is not None:
+            states[0]["ev_members"] = first
+        del states[1]["ev_members"]
+        message = "record 0: 'ev_members' must be given for every state or for none"
+        with pytest.raises(NetworkFormatError, match=re.escape(message)):
             ObservationSet.from_json(json.dumps(records), net, spp)
 
     def test_impossible_times_rejected(self, net, spp):

@@ -173,6 +173,22 @@ class TestTravelTime:
         with pytest.raises(ValidationError):
             travel_time(net, spp, 3, s0)
 
+    @pytest.mark.parametrize("scenario", [0, 3, -1])
+    def test_scenario_outside_the_support_points_rejected(self, net, spp, scenario):
+        message = f"scenario {scenario} is not among the support points 1..2"
+        with pytest.raises(ValidationError, match=message):
+            spp.time_at(scenario, 0, 1)
+        if scenario > 0:
+            with pytest.raises(ValidationError, match=message):
+                travel_time(net, spp, 2, State(1, 1, EventCollection((scenario,))))
+
+    def test_negative_time_rejected(self, net, spp):
+        with pytest.raises(ValidationError, match="time period must be non-negative"):
+            spp.time_at(1, -1, 1)
+        with pytest.raises(ValidationError, match="time period must be non-negative") as info:
+            travel_time(net, spp, 1, State(0, -1, EventCollection((1, 2))))
+        assert type(info.value) is ValidationError
+
 
 class TestSuccessorStates:
     """The successor lists of the decision graph, read through its State-level view."""

@@ -1,4 +1,4 @@
-"""Probability invariants of both models, the compile, the label ranks and the exact value gradient against their oracles, and the document readers on arbitrary JSON (Hypothesis)."""
+"""Probability invariants of both models, the compile, its height-level schedule, the label ranks and the exact value gradient against their oracles, and the document readers on arbitrary JSON (Hypothesis)."""
 
 import copy
 import json
@@ -33,7 +33,8 @@ from stdroute import (
     solve_value_functions_nr,
 )
 from stdroute.policy import sequence_table
-from stdroute.recursive import value_gradients
+from stdroute.nonrecursive import nonrecursive_scale
+from stdroute.recursive import solve_log_sum, value_gradients
 
 # the same examples on every run, and no example database
 settings.register_profile(
@@ -75,6 +76,41 @@ def test_compile_is_bitwise_the_state_level_expansion(example):
     net, spp = example
     s0 = initial_state(net, spp)
     assert oracle.graph_mismatches(compile_graph(net, spp, s0), oracle.compile_graph(net, spp, s0)) == []
+
+
+@given(networks, coefficients)
+def test_height_levels_solve_as_time_layers_bit_for_bit(example, beta):
+    net, spp = example
+    s0 = initial_state(net, spp)
+    by_height, by_time = compile_graph(net, spp, s0), oracle.compile_graph(net, spp, s0, by_time=True)
+    # each state and state-action of the time layout at its place in the height layout
+    state = np.array([by_height.index[s] for s in by_time.states])
+    owner = by_time.action_state
+    action = by_height.action_ptr[state[owner]] + np.arange(len(owner)) - by_time.action_ptr[owner]
+    assert by_height.action_link[action].tobytes() == by_time.action_link.tobytes()
+
+    def same(x, y):
+        return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    def same_solves(h, t):
+        assert same(h.state_values[state], t.state_values)
+        assert same(h.action_values[action], t.action_values)
+        assert same(h.choice_probs[action], t.choice_probs)
+        assert same(h.log_choice_probs[action], t.log_choice_probs)
+
+    # the logit scale per state of the recursive and the non-recursive model
+    models = (lambda graph, mu: np.full(len(graph.states), mu), nonrecursive_scale)
+    mus = (1.0, 0.3, 1e-3)
+    for scale in models:
+        for mu in mus:
+            utility = LinkUtilitySpec(beta=(beta,), mu=mu)
+            h, t = (solve_log_sum(g, utility, scale(g, mu)) for g in (by_height, by_time))
+            same_solves(h, t)
+            (dv_h, dq_h), (dv_t, dq_t) = value_gradients(h), value_gradients(t)
+            assert same(dv_h[state], dv_t) and same(dq_h[action], dq_t)
+    utility = LinkUtilitySpec(beta=(beta,), mu=1.0)
+    batch = lambda g: np.stack([scale(g, mu) for scale in models for mu in mus], axis=1)
+    same_solves(*(solve_log_sum(g, utility, batch(g)) for g in (by_height, by_time)))
 
 
 @given(networks, scales, coefficients)
