@@ -5,10 +5,12 @@ value functions with the same backward log-sum sweep (the non-recursive
 model at a per-state scale, see :mod:`stdroute.nonrecursive`) and read
 each sequence's likelihood from the solved arrays. The scale parameter
 is held fixed (it is not separately identified from a single
-attribute's coefficient); the coefficient vector is estimated by BFGS
-on the log likelihood per trip. Its gradient is exact: the state space
-is acyclic in time, so the derivatives of the values come out of one
-more backward sweep with the coefficients as its batch, and each
+attribute's coefficient); the coefficient vector is estimated by
+Newton's method on the log likelihood per trip, damped as Marquardt
+(1963) does. Its derivatives are exact: the state space is acyclic in
+time, so the first derivatives of the values come out of one more
+backward sweep with the coefficients as its batch, and the second
+derivatives out of one more with their pairs as its batch. Each
 distinct sequence's score is a gather over its flat step table, added
 left to right by ``segment_sums`` over the steps' sequences. The same
 scores give BHHH standard errors (Berndt, Hall, Hall & Hausman 1974).
@@ -34,6 +36,7 @@ at each step, otherwise the record is rejected as ambiguous.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,6 +63,7 @@ from .recursive import (
     solve_value_functions,
     step_table,
     value_gradients,
+    value_hessians,
 )
 from .utility import LinkUtilitySpec, travel_time_attributes
 
@@ -297,23 +301,30 @@ def log_likelihood(
     return _score(model, net, spp, obs, beta, mu, attributes, scores=False)[0]
 
 
-def _score(model, net, spp, obs, beta, mu, attributes, scores: bool):
-    """The log likelihood and, if ``scores``, each distinct sequence's score (gradient in beta).
+def _score(model, net, spp, obs, beta, mu, attributes, scores: bool, hessian: bool = False):
+    """The log likelihood, each distinct sequence's score if ``scores``, and the Hessian if ``hessian``.
 
     A score sums the derivatives of a sequence's log choice probabilities,
     ``(dq - dV(s)) / scale(s)`` per step, left to right; transition
-    probabilities do not depend on beta.
+    probabilities do not depend on beta. The Hessian (with ``scores``
+    only) sums their second derivatives, ``(d2q - d2V(s)) / scale(s)``,
+    over every observed step.
     """
     if model not in ("recursive", "nonrecursive"):
         raise ValidationError(f"unknown model {model!r}")
     solve = solve_value_functions if model == "recursive" else solve_value_functions_nr
     if not len(obs):
-        return 0.0, None
-    beta_arr = np.asarray(beta, dtype=float)
+        return 0.0, None, None
+    beta_arr = _coefficients(beta)
     utility = LinkUtilitySpec(beta=tuple(beta_arr), mu=mu, attributes=attributes)
     groups = obs._groups
     terms = np.empty(len(groups.sequences))
     score_rows = np.empty((len(groups.sequences), beta_arr.size)) if scores else None
+    second = np.zeros((beta_arr.size, beta_arr.size)) if hessian else None
+    if not all(map(math.isfinite, utility.beta)):
+        # every utility is infinite or NaN, so every term is NaN (and at +-inf the sweep
+        # would warn of inf - inf): the first observation is the first that fails
+        raise _non_finite(model, groups.first_index[0], beta_arr)
     for s0, positions in groups.by_initial.items():
         vf = solve(net, spp, utility, initial=s0)
         steps = obs._steps(vf.graph)
@@ -324,29 +335,82 @@ def _score(model, net, spp, obs, beta, mu, attributes, scores: bool):
             per_action = (dq - dV[state]) / vf.scale[state, None]
             bins = segment_bins(steps.rows, per_action.shape[1:])
             score_rows[positions] = segment_sums(bins, per_action[steps.actions], len(positions))
+            if hessian:
+                d2V, d2q = value_hessians(vf, dV, dq)
+                curvature = (d2q - d2V[state]) / vf.scale[state, None, None]
+                visits = np.bincount(steps.actions, groups.counts[positions][steps.rows], len(state))
+                second += np.tensordot(visits, curvature, 1)
     bad = np.flatnonzero(~np.isfinite(terms))
     if bad.size:
-        raise EstimationError(
-            f"observation {groups.first_index[bad[0]]} has zero or non-finite probability "
-            f"under the {model} model at beta={beta_arr.tolist()}"
-        )
+        raise _non_finite(model, groups.first_index[bad[0]], beta_arr)
     # cumsum adds in order of first appearance, as a scalar loop would
-    return float(np.cumsum(groups.counts * terms)[-1]), score_rows
+    return float(np.cumsum(groups.counts * terms)[-1]), score_rows, second
 
 
-def minimize(fun, x0, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first fit.
+def _non_finite(model, observation: int, beta: np.ndarray) -> EstimationError:
+    """The error for an observation whose likelihood term is not finite."""
+    return EstimationError(
+        f"observation {observation} has zero or non-finite probability "
+        f"under the {model} model at beta={beta.tolist()}"
+    )
 
-    Importing scipy takes longer than loading a network and scoring a
-    few thousand observations, so ``import stdroute`` does not pay for it.
-    """
-    from scipy.optimize import minimize as scipy_minimize
 
-    return scipy_minimize(fun, x0, **kwargs)
+def _coefficients(beta) -> np.ndarray:
+    """A coefficient vector as a 1-D float array; anything else is a ValidationError."""
+    try:
+        arr = np.asarray(beta, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != 1:
+        raise ValidationError(f"beta must be a list of numbers, got {beta!r}")
+    return arr
 
 
 GRADIENT_TOL = 1e-6
 MAX_ITERATIONS = 200
+
+
+def minimize(objective, x0: np.ndarray):
+    """Minimize by Newton steps, damped as Marquardt (1963) does.
+
+    ``objective(x)`` returns ``(f, g, A, ...)``: the value, its gradient
+    and its Hessian, then anything the caller wants back. Each step
+    solves ``(A + lam I) p = -g`` in the eigenvectors of A. ``lam``
+    starts at 0; where A is not positive definite it is raised just
+    above ``-min eig(A)`` (to 1e-3 if both are 0), so every shifted
+    eigenvalue is positive. A trial point that does not lower f, or
+    where the objective raises a ``StdRouteError``, multiplies ``lam``
+    by 10 (at least 1e-3) and is tried again; an accepted step divides
+    it by 10. The loop ends when the gradient's infinity norm drops
+    below ``GRADIENT_TOL``, after ``MAX_ITERATIONS`` accepted steps, or
+    when the step no longer moves x. Every accepted step lowers f, so
+    the last point is the best. Returns x, the objective's tuple at x
+    and the number of accepted steps.
+    """
+    x, point = x0, objective(x0)
+    lam, iterations = 0.0, 0
+    while iterations < MAX_ITERATIONS and np.max(np.abs(point[1])) >= GRADIENT_TOL:
+        f, g, A = point[:3]
+        w, V = np.linalg.eigh(A)
+        if w[0] <= 0:  # not positive definite
+            lam = max(lam, -1.01 * w[0]) or 1e-3
+        along = V.T @ -g
+        while True:
+            step = V @ (along / (w + lam))
+            # a step below the spacing of x (or not finite) cannot lower f
+            if not (np.abs(step) > np.spacing(np.maximum(np.abs(x), 1.0))).any():
+                return x, point, iterations
+            trial = x + step
+            try:
+                candidate = objective(trial)
+            except StdRouteError:
+                candidate = None
+            if candidate is not None and candidate[0] < f:
+                break
+            lam = max(10 * lam, 1e-3)
+        x, point, lam = trial, candidate, lam / 10
+        iterations += 1
+    return x, point, iterations
 
 
 def fit(
@@ -363,38 +427,36 @@ def fit(
     Parameters
     ----------
     model : "recursive" or "nonrecursive"
-    beta0 : initial coefficient vector
+    beta0 : initial coefficient vector, finite
     mu : fixed logit scale (not estimated)
 
-    BFGS minimizes the negative log likelihood per trip with its exact
-    gradient, so the convergence rule does not depend on the sample size:
-    the infinity norm of the per-trip gradient, ``gradient_norm``, must
-    drop below 1e-6 within 200 iterations; otherwise the best iterate is
-    returned with ``converged`` False. Standard errors are the BHHH
-    estimate from the outer products of the per-trip scores, None when
-    that matrix is singular or gives a non-positive variance.
+    Damped Newton steps (:func:`minimize`) on the negative log
+    likelihood per trip, with its exact gradient and Hessian, so the
+    convergence rule does not depend on the sample size: the infinity
+    norm of the per-trip gradient, ``gradient_norm``, must drop below
+    1e-6 within 200 accepted steps (``iterations``); otherwise the best
+    point reached is returned with ``converged`` False. Standard errors
+    are the BHHH estimate from the outer products of the per-trip
+    scores, None when that matrix is singular or gives a non-positive
+    variance.
     """
     if not len(obs):
         raise EstimationError("cannot fit an empty observation set")
+    beta0 = _coefficients(beta0)
+    if not np.isfinite(beta0).all():
+        raise ValidationError(f"beta0 must be finite, got {beta0.tolist()}")
     obs.validate(net, spp)
     counts = obs._groups.counts
     trips = len(obs)
 
-    def objective(beta: np.ndarray) -> tuple[float, np.ndarray]:
-        total, scores = _score(model, net, spp, obs, beta, mu, attributes, scores=True)
-        return -total / trips, -(counts @ scores) / trips
+    def objective(beta: np.ndarray):
+        total, scores, hessian = _score(
+            model, net, spp, obs, beta, mu, attributes, scores=True, hessian=True
+        )
+        return -total / trips, -(counts @ scores) / trips, -hessian / trips, total, scores
 
-    result = minimize(
-        objective,
-        np.asarray(beta0, dtype=float),
-        jac=True,
-        method="BFGS",
-        options={"gtol": GRADIENT_TOL, "maxiter": MAX_ITERATIONS},
-    )
-    beta_hat = np.asarray(result.x, dtype=float)
-    total, scores = _score(model, net, spp, obs, beta_hat, mu, attributes, scores=True)
-    grad_norm = float(np.max(np.abs(counts @ scores))) / trips
-    converged = bool(result.success or grad_norm < GRADIENT_TOL)
+    beta_hat, (_, gradient, _, total, scores), iterations = minimize(objective, beta0)
+    grad_norm = float(np.max(np.abs(gradient)))
     try:
         variances = np.diag(np.linalg.inv((scores.T * counts) @ scores))
     except np.linalg.LinAlgError:  # singular
@@ -405,8 +467,8 @@ def fit(
         model=model,
         beta_hat=beta_hat,
         log_likelihood=total,
-        iterations=int(result.nit),
-        converged=converged,
+        iterations=iterations,
+        converged=grad_norm < GRADIENT_TOL,
         gradient_norm=grad_norm,
         std_errors=np.sqrt(variances) if usable else None,
     )

@@ -133,6 +133,35 @@ def value_gradients(vf: ValueFunction) -> tuple[np.ndarray, np.ndarray]:
     return graph.sweep(X, expectation)
 
 
+def value_hessians(
+    vf: ValueFunction, dV: np.ndarray, dq: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Second derivatives of the solved values in beta: ``d2V[state, k, l]`` and ``d2q[action, k, l]``.
+
+    Utilities are linear in beta, so a choice value's second derivative
+    is the expected second derivative of the next values. A log-sum
+    value's is the choice-probability-weighted mean of its choice
+    values' second derivatives plus the covariance of their first
+    derivatives over the choice, ``(Σ p dq dqᵀ - dV dVᵀ) / scale``,
+    computed for every state before the sweep. One more sweep, with a
+    (K, K) batch and zero utilities; ``dV`` and ``dq`` are
+    :func:`value_gradients` of the same solve.
+    """
+    graph = vf.graph
+    state, probs = graph.action_state, vf.choice_probs[:, None, None]
+    batch = (dq.shape[1],) * 2
+    outer = probs * dq[:, :, None] * dq[:, None, :]
+    spread = segment_sums(segment_bins(state, batch), outer, len(graph.states))
+    covariance = (spread - dV[:, :, None] * dV[:, None, :]) / vf.scale[:, None, None]
+    bins = segment_bins(graph.action_owner, batch)
+
+    def expectation(d2q: np.ndarray, layer) -> np.ndarray:
+        a, d = layer.actions, layer.states
+        return segment_sums(bins[a], probs[a] * d2q, d.stop - d.start) + covariance[d]
+
+    return graph.sweep(np.zeros((len(state), *batch)), expectation)
+
+
 def choice_distribution(vf: ValueFunction, state: State) -> dict[int, float]:
     """Logit probabilities over the outgoing links of a state; sums to 1."""
     ptr, links = vf.graph.action_lists

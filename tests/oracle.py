@@ -26,7 +26,8 @@ splits the trip counts down the prefix tree one scalar binomial at a
 time and sorts the sequences by label string, as a check on the
 vectorized splitter and its rank order; and differentiates the log
 likelihood by central differences, as a check on the exact scores and
-their standard errors.
+their standard errors; and maximizes it by scipy's BFGS, as a check on
+the damped Newton fit.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import minimize
 
 from stdroute import (
     CompiledGraph,
@@ -58,6 +60,7 @@ from stdroute import (
     travel_time,
     travel_time_attributes,
 )
+from stdroute import estimation
 from stdroute.comparison import LINK_APPROACH, LINK_ROUTE2, LINK_ROUTE3, ModelRatios, RouteRatios
 from stdroute.network import Layer
 from stdroute.numerics import as_rng, check_sample_size, softmax
@@ -652,3 +655,24 @@ def hessian_std_errors(f, x, rel_step=1e-4):
     if not np.all(np.isfinite(diag)) or np.any(diag <= 0):
         return None
     return np.sqrt(diag)
+
+
+def bfgs_fit(model, net, spp, obs, beta0, mu=1.0, attributes=travel_time_attributes):
+    """Maximize the log likelihood by scipy's BFGS on the exact score, as ``fit`` once did.
+
+    Returns the coefficients and the log likelihood there.
+    """
+    counts, trips = obs._groups.counts, len(obs)
+
+    def objective(beta):
+        total, scores, _ = estimation._score(model, net, spp, obs, beta, mu, attributes, scores=True)
+        return -total / trips, -(counts @ scores) / trips
+
+    result = minimize(
+        objective,
+        np.asarray(beta0, dtype=float),
+        jac=True,
+        method="BFGS",
+        options={"gtol": estimation.GRADIENT_TOL, "maxiter": estimation.MAX_ITERATIONS},
+    )
+    return result.x, -result.fun * trips

@@ -570,14 +570,20 @@ class TestModuleEntryPoints:
         assert run.returncode == 1
         assert "error:" in run.stderr and "Traceback" not in run.stderr
 
-    @pytest.mark.parametrize("command", [["-c", "import stdroute"], ["-m", "stdroute", "validate"]])
-    def test_scipy_is_imported_only_by_a_fit(self, tmp_path, command):
-        path = tmp_path / "net.json"
-        path.write_text(bundled_network_text())
-        if command[-1] == "validate":
-            command = [*command, str(path)]
-        run = self.run("-X", "importtime", *command)
+    @pytest.mark.parametrize("command", ["import", "validate", "estimate"])
+    def test_no_command_imports_scipy(self, tmp_path, vf, command):
+        net_path, obs_path = tmp_path / "net.json", tmp_path / "obs.json"
+        net_path.write_text(bundled_network_text())
+        obs_path.write_text(ObservationSet.from_counts(sample_sequence_counts(vf, 50, seed=1)).to_json())
+        args = {
+            "import": ["-c", "import stdroute"],
+            "validate": ["-m", "stdroute", "validate", str(net_path)],
+            "estimate": ["-m", "stdroute", "estimate", str(net_path), str(obs_path), "--beta=-0.5"],
+        }[command]
+        run = self.run("-X", "importtime", *args)
         assert run.returncode == 0
+        if command == "estimate":
+            assert "converged:      True" in run.stdout
         imported = [
             line.rsplit("|", 1)[-1].strip()
             for line in run.stderr.splitlines()

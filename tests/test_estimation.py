@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import stdroute.estimation
-from netgen import random_network
+from netgen import bench_module, random_network
 from stdroute import (
     EstimationError,
     EventCollection,
@@ -35,7 +35,7 @@ from stdroute import (
     travel_time,
     travel_time_attributes,
 )
-from oracle import finite_difference_gradient, hessian_std_errors
+from oracle import bfgs_fit, finite_difference_gradient, hessian_std_errors
 
 MODELS = ("recursive", "nonrecursive")
 GEN = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
@@ -47,8 +47,23 @@ def time_and_parity(net, spp, a, state):
 
 def exact_gradient(model, net, spp, obs, beta, mu=1.0, attributes=time_and_parity):
     """The gradient of the log likelihood, summed from the scores of the distinct sequences."""
-    _, scores = stdroute.estimation._score(model, net, spp, obs, beta, mu, attributes, scores=True)
+    scores = stdroute.estimation._score(model, net, spp, obs, beta, mu, attributes, scores=True)[1]
     return obs._groups.counts @ scores
+
+
+def exact_hessian(model, net, spp, obs, beta, mu=1.0, attributes=time_and_parity):
+    """The Hessian of the log likelihood and the summed magnitudes of the scores."""
+    _, scores, hessian = stdroute.estimation._score(
+        model, net, spp, obs, beta, mu, attributes, scores=True, hessian=True
+    )
+    return hessian, obs._groups.counts @ np.abs(scores)
+
+
+def fitted_sample(model, net, spp, n=2000, seed=1, beta=(-1.0,), attributes=travel_time_attributes):
+    """Trips sampled from the model at ``beta``, as an observation set."""
+    solve = solve_value_functions if model == "recursive" else solve_value_functions_nr
+    vf = solve(net, spp, LinkUtilitySpec(beta=beta, attributes=attributes))
+    return ObservationSet.from_counts(sample_sequence_counts(vf, n, seed=seed))
 
 
 def baseline_grid():
@@ -101,6 +116,21 @@ class TestLogLikelihood:
         seq = branch_sequence(net, spp, s0, via=1, link=2)
         with pytest.raises(EstimationError, match="observation 0"):
             log_likelihood("recursive", net, spp, ObservationSet((seq,)), [float("nan")])
+
+    @pytest.mark.parametrize("beta", [float("inf"), -float("inf")])
+    def test_infinite_coefficient_names_the_observation(self, net, spp, s0, beta):
+        # every term is NaN at +-inf: the error names the first observation, with no numpy warning
+        seq = branch_sequence(net, spp, s0, via=1, link=2)
+        for model in MODELS:
+            with pytest.raises(EstimationError, match="observation 0"):
+                log_likelihood(model, net, spp, ObservationSet((seq,)), [beta])
+
+    @pytest.mark.parametrize("beta", [[[1.0]], "x", None, -1.0])
+    def test_malformed_coefficients_rejected(self, net, spp, s0, beta):
+        obs = ObservationSet(tuple(enumerate_sequences(net, spp, s0)))
+        for call in (log_likelihood, fit):
+            with pytest.raises(ValidationError, match="beta must be a list of numbers"):
+                call("recursive", net, spp, obs, beta)
 
     def test_unknown_model_rejected(self, net, spp):
         with pytest.raises(ValidationError):
@@ -177,6 +207,12 @@ class TestFit:
         with pytest.raises(EstimationError):
             fit("recursive", net, spp, ObservationSet(()), beta0=[-1.0])
 
+    @pytest.mark.parametrize("beta0", [float("inf"), -float("inf"), float("nan")])
+    def test_non_finite_start_rejected(self, net, spp, s0, beta0):
+        obs = ObservationSet(tuple(enumerate_sequences(net, spp, s0)))
+        with pytest.raises(ValidationError, match=re.escape(f"beta0 must be finite, got [{beta0}]")):
+            fit("recursive", net, spp, obs, [beta0])
+
     def test_trips_may_start_mid_network(self, net, spp, s0):
         # a traveler first observed at the junction contributes a term from
         # its own initial state
@@ -236,6 +272,89 @@ class TestExactScore:
         )
         assert result.gradient_norm == pytest.approx(abs(gradient[0]) / len(obs), rel=1e-9)
         assert result.log_likelihood == log_likelihood("recursive", net, spp, obs, result.beta_hat)
+
+
+class TestExactHessian:
+    @pytest.mark.parametrize("K", [1, 2])
+    @pytest.mark.parametrize("mu", [1.0, 0.3, 1e-3])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_random_networks_match_central_differences_of_the_score(self, model, mu, K):
+        # Richardson-extrapolated central differences of the exact gradient, at a step of mu / 100;
+        # the reference also carries the rounding of the summed scores, about eps * sum|score| / h
+        rng = np.random.default_rng(808)
+        attributes = time_and_parity if K == 2 else travel_time_attributes
+        beta = np.array([-1.0, 0.5][:K])
+        h = 0.01 * mu
+        informative = 0
+        for _ in range(200):
+            net, spp = random_network(rng, max_links=8, max_support=3, max_horizon=3)
+            obs = ObservationSet(tuple(enumerate_sequences(net, spp, initial_state(net, spp))))
+            exact, magnitude = exact_hessian(model, net, spp, obs, beta, mu, attributes)
+            reference = np.empty((K, K))
+            for j, step in enumerate(np.eye(K)):
+
+                def difference(t):
+                    up = exact_gradient(model, net, spp, obs, beta + t * step, mu, attributes)
+                    down = exact_gradient(model, net, spp, obs, beta - t * step, mu, attributes)
+                    return (up - down) / (2 * t)
+
+                reference[j] = (4 * difference(h / 2) - difference(h)) / 3
+            rounding = np.finfo(float).eps * magnitude.max() / h
+            scale = np.abs(reference).max()
+            assert np.abs(exact - reference).max() <= 1e-7 * scale + 16 * rounding
+            informative += scale > 1e6 * rounding
+        # at mu = 1e-3 a choice probability is 0, 1 or a tie of travel times that beta does not
+        # move, unless the parity attribute breaks the tie: nearly every Hessian there is 0
+        assert informative >= (150 if mu > 1e-3 else 4 if K == 2 else 0)
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("network", ["bundled", "baseline grid"])
+    def test_inverse_hessian_matches_the_oracle_at_the_fit(self, model, network):
+        net, spp = load_bundled_network() if network == "bundled" else baseline_grid()
+        obs = fitted_sample(model, net, spp)
+        result = fit(model, net, spp, obs, beta0=[-0.5])
+        assert result.converged
+        hessian, _ = exact_hessian(model, net, spp, obs, result.beta_hat, attributes=travel_time_attributes)
+        f = lambda b: log_likelihood(model, net, spp, obs, b)
+        # a step of 1e-3 keeps the nested differences' rounding, eps * |LL| / h^2, below 1e-7
+        reference = hessian_std_errors(f, result.beta_hat, rel_step=1e-3)
+        assert np.sqrt(np.diag(np.linalg.inv(-hessian))) == pytest.approx(reference, rel=1e-6)
+
+
+class TestNewtonFit:
+    """The damped Newton fit against scipy's BFGS on the same exact score."""
+
+    @staticmethod
+    def assert_as_good_as_bfgs(model, net, spp, obs, beta0, attributes):
+        result = fit(model, net, spp, obs, beta0, attributes=attributes)
+        _, best = bfgs_fit(model, net, spp, obs, beta0, attributes=attributes)
+        assert result.converged and result.gradient_norm < 1e-6
+        assert result.log_likelihood >= best - 1e-8 * abs(best)
+        assert result.iterations <= 30
+
+    def test_random_networks(self):
+        rng = np.random.default_rng(2027)
+        for i in range(60):
+            net, spp = random_network(rng, max_links=8, max_support=3, max_horizon=3)
+            model = MODELS[i % 2]
+            obs = fitted_sample(model, net, spp, n=500, seed=i, beta=(-1.0, 0.5), attributes=time_and_parity)
+            for beta0 in ([-0.5, 0.0], [3.0, -3.0]):
+                self.assert_as_good_as_bfgs(model, net, spp, obs, beta0, time_and_parity)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_far_starts_on_a_fit_grid(self, model):
+        # far from the optimum the Hessian is close to 0 or not negative definite
+        net, spp = load_network(bench_module("gen").grid_network([1, 0], 4, 8, 4))
+        obs = fitted_sample(model, net, spp)
+        for beta0 in (-50.0, -10.0, 0.0, 10.0, 50.0, 300.0):
+            self.assert_as_good_as_bfgs(model, net, spp, obs, [beta0], travel_time_attributes)
+
+    def test_steps_counted_and_start_kept_at_an_optimum(self, net, spp, vf):
+        obs = ObservationSet.from_counts(sample_sequence_counts(vf, 2000, seed=1))
+        result = fit("recursive", net, spp, obs, beta0=[-0.5])
+        again = fit("recursive", net, spp, obs, beta0=result.beta_hat)
+        assert result.iterations > 0
+        assert again.iterations == 0 and (again.beta_hat == result.beta_hat).all()
 
 
 class TestObservationIO:

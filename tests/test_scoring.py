@@ -108,7 +108,7 @@ class TestAgainstTheScalarLoop:
         assert {len(seq.states) for seq in obs.observations} == {9}
         beta = [-0.7]
         for model, solve in zip(MODELS, (solve_value_functions, solve_value_functions_nr)):
-            total, scores = stdroute.estimation._score(
+            total, scores, _ = stdroute.estimation._score(
                 model, net, spp, obs, beta, mu, travel_time_attributes, scores=True
             )
             assert total == oracle.log_likelihood(model, net, spp, obs, beta, mu)
