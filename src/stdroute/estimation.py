@@ -301,14 +301,13 @@ def log_likelihood(
     return _score(model, net, spp, obs, beta, mu, attributes, scores=False)[0]
 
 
-def _score(model, net, spp, obs, beta, mu, attributes, scores: bool, hessian: bool = False):
-    """The log likelihood, each distinct sequence's score if ``scores``, and the Hessian if ``hessian``.
+def _score(model, net, spp, obs, beta, mu, attributes, scores: bool):
+    """The log likelihood and, if ``scores``, each distinct sequence's score and the Hessian.
 
     A score sums the derivatives of a sequence's log choice probabilities,
     ``(dq - dV(s)) / scale(s)`` per step, left to right; transition
-    probabilities do not depend on beta. The Hessian (with ``scores``
-    only) sums their second derivatives, ``(d2q - d2V(s)) / scale(s)``,
-    over every observed step.
+    probabilities do not depend on beta. The Hessian sums their second
+    derivatives, ``(d2q - d2V(s)) / scale(s)``, over every observed step.
     """
     if model not in ("recursive", "nonrecursive"):
         raise ValidationError(f"unknown model {model!r}")
@@ -320,7 +319,7 @@ def _score(model, net, spp, obs, beta, mu, attributes, scores: bool, hessian: bo
     groups = obs._groups
     terms = np.empty(len(groups.sequences))
     score_rows = np.empty((len(groups.sequences), beta_arr.size)) if scores else None
-    second = np.zeros((beta_arr.size, beta_arr.size)) if hessian else None
+    second = np.zeros((beta_arr.size, beta_arr.size)) if scores else None
     if not all(map(math.isfinite, utility.beta)):
         # every utility is infinite or NaN, so every term is NaN (and at +-inf the sweep
         # would warn of inf - inf): the first observation is the first that fails
@@ -335,11 +334,10 @@ def _score(model, net, spp, obs, beta, mu, attributes, scores: bool, hessian: bo
             per_action = (dq - dV[state]) / vf.scale[state, None]
             bins = segment_bins(steps.rows, per_action.shape[1:])
             score_rows[positions] = segment_sums(bins, per_action[steps.actions], len(positions))
-            if hessian:
-                d2V, d2q = value_hessians(vf, dV, dq)
-                curvature = (d2q - d2V[state]) / vf.scale[state, None, None]
-                visits = np.bincount(steps.actions, groups.counts[positions][steps.rows], len(state))
-                second += np.tensordot(visits, curvature, 1)
+            d2V, d2q = value_hessians(vf, dV, dq)
+            curvature = (d2q - d2V[state]) / vf.scale[state, None, None]
+            visits = np.bincount(steps.actions, groups.counts[positions][steps.rows], len(state))
+            second += np.tensordot(visits, curvature, 1)
     bad = np.flatnonzero(~np.isfinite(terms))
     if bad.size:
         raise _non_finite(model, groups.first_index[bad[0]], beta_arr)
@@ -361,6 +359,9 @@ def _coefficients(beta) -> np.ndarray:
         arr = np.asarray(beta, dtype=float)
     except (TypeError, ValueError):
         arr = None
+    # a number is one coefficient (None and a numeric string also convert to 0-d floats)
+    if arr is not None and arr.ndim == 0 and np.asarray(beta).dtype.kind in "biuf":
+        arr = arr.reshape(1)
     if arr is None or arr.ndim != 1:
         raise ValidationError(f"beta must be a list of numbers, got {beta!r}")
     return arr
@@ -376,24 +377,29 @@ def minimize(objective, x0: np.ndarray):
     ``objective(x)`` returns ``(f, g, A, ...)``: the value, its gradient
     and its Hessian, then anything the caller wants back. Each step
     solves ``(A + lam I) p = -g`` in the eigenvectors of A. ``lam``
-    starts at 0; where A is not positive definite it is raised just
-    above ``-min eig(A)`` (to 1e-3 if both are 0), so every shifted
-    eigenvalue is positive. A trial point that does not lower f, or
-    where the objective raises a ``StdRouteError``, multiplies ``lam``
-    by 10 (at least 1e-3) and is tried again; an accepted step divides
-    it by 10. The loop ends when the gradient's infinity norm drops
-    below ``GRADIENT_TOL``, after ``MAX_ITERATIONS`` accepted steps, or
-    when the step no longer moves x. Every accepted step lowers f, so
-    the last point is the best. Returns x, the objective's tuple at x
-    and the number of accepted steps.
+    starts at 0. Where A is not positive definite, ``lam`` is raised
+    above ``-min eig(A)``, far enough that the step is no longer than
+    ``max(max |x_k|, 1)``: where the Hessian is 0, as it is far from
+    the optimum, the step then reaches back to the scale of x at once
+    instead of creeping by ``g / lam``. A trial point that does not
+    lower f, or where the objective raises a ``StdRouteError``,
+    multiplies ``lam`` by 10 (1e-3 if it is 0), and at least up to that
+    same step bound, and is tried again; an accepted step divides it by
+    10. The loop ends when the gradient's infinity norm drops below
+    ``GRADIENT_TOL``, after ``MAX_ITERATIONS`` accepted steps, or when
+    the step no longer moves x. Every accepted step lowers f, so the
+    last point is the best. Returns x, the objective's tuple at x and
+    the number of accepted steps.
     """
     x, point = x0, objective(x0)
     lam, iterations = 0.0, 0
     while iterations < MAX_ITERATIONS and np.max(np.abs(point[1])) >= GRADIENT_TOL:
         f, g, A = point[:3]
         w, V = np.linalg.eigh(A)
+        # the least lam with |step| <= |g| / (min eig + lam) <= max(max |x_k|, 1)
+        bounded = np.linalg.norm(g) / max(np.max(np.abs(x)), 1.0) - w[0]
         if w[0] <= 0:  # not positive definite
-            lam = max(lam, -1.01 * w[0]) or 1e-3
+            lam = max(lam, -1.01 * w[0], bounded) or 1e-3
         along = V.T @ -g
         while True:
             step = V @ (along / (w + lam))
@@ -407,7 +413,7 @@ def minimize(objective, x0: np.ndarray):
                 candidate = None
             if candidate is not None and candidate[0] < f:
                 break
-            lam = max(10 * lam, 1e-3)
+            lam = max(10 * lam, bounded) or 1e-3
         x, point, lam = trial, candidate, lam / 10
         iterations += 1
     return x, point, iterations
@@ -427,7 +433,7 @@ def fit(
     Parameters
     ----------
     model : "recursive" or "nonrecursive"
-    beta0 : initial coefficient vector, finite
+    beta0 : initial coefficient vector (a number is one coefficient), finite
     mu : fixed logit scale (not estimated)
 
     Damped Newton steps (:func:`minimize`) on the negative log
@@ -450,9 +456,7 @@ def fit(
     trips = len(obs)
 
     def objective(beta: np.ndarray):
-        total, scores, hessian = _score(
-            model, net, spp, obs, beta, mu, attributes, scores=True, hessian=True
-        )
+        total, scores, hessian = _score(model, net, spp, obs, beta, mu, attributes, scores=True)
         return -total / trips, -(counts @ scores) / trips, -hessian / trips, total, scores
 
     beta_hat, (_, gradient, _, total, scores), iterations = minimize(objective, beta0)

@@ -54,7 +54,7 @@ def exact_gradient(model, net, spp, obs, beta, mu=1.0, attributes=time_and_parit
 def exact_hessian(model, net, spp, obs, beta, mu=1.0, attributes=time_and_parity):
     """The Hessian of the log likelihood and the summed magnitudes of the scores."""
     _, scores, hessian = stdroute.estimation._score(
-        model, net, spp, obs, beta, mu, attributes, scores=True, hessian=True
+        model, net, spp, obs, beta, mu, attributes, scores=True
     )
     return hessian, obs._groups.counts @ np.abs(scores)
 
@@ -125,12 +125,21 @@ class TestLogLikelihood:
             with pytest.raises(EstimationError, match="observation 0"):
                 log_likelihood(model, net, spp, ObservationSet((seq,)), [beta])
 
-    @pytest.mark.parametrize("beta", [[[1.0]], "x", None, -1.0])
+    @pytest.mark.parametrize("beta", [[[1.0]], "x", None])
     def test_malformed_coefficients_rejected(self, net, spp, s0, beta):
         obs = ObservationSet(tuple(enumerate_sequences(net, spp, s0)))
         for call in (log_likelihood, fit):
             with pytest.raises(ValidationError, match="beta must be a list of numbers"):
                 call("recursive", net, spp, obs, beta)
+
+    @pytest.mark.parametrize("number", [-1.0, np.float64(-1.0), np.array(-1.0)])
+    def test_a_number_is_one_coefficient(self, net, spp, s0, number):
+        obs = ObservationSet(tuple(enumerate_sequences(net, spp, s0)))
+        for model in MODELS:
+            assert log_likelihood(model, net, spp, obs, number) == log_likelihood(model, net, spp, obs, [-1.0])
+            one, listed = fit(model, net, spp, obs, number), fit(model, net, spp, obs, [-1.0])
+            assert one.beta_hat.tolist() == listed.beta_hat.tolist()
+            assert one.log_likelihood == listed.log_likelihood
 
     def test_unknown_model_rejected(self, net, spp):
         with pytest.raises(ValidationError):
@@ -348,6 +357,27 @@ class TestNewtonFit:
         obs = fitted_sample(model, net, spp)
         for beta0 in (-50.0, -10.0, 0.0, 10.0, 50.0, 300.0):
             self.assert_as_good_as_bfgs(model, net, spp, obs, [beta0], travel_time_attributes)
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("network", ["bundled", "fit grid"])
+    def test_far_starts_take_few_scoring_calls(self, model, network, monkeypatch):
+        # where every choice is all but certain the Hessian is 0; the step bound of max |beta|
+        # brings beta back to the optimum's scale at once (BFGS took 20-45 calls from +-1e4)
+        net, spp = (
+            load_bundled_network()
+            if network == "bundled"
+            else load_network(bench_module("gen").grid_network([1, 0], 4, 8, 4))
+        )
+        obs = fitted_sample(model, net, spp)
+        best = fit(model, net, spp, obs, [-1.0]).log_likelihood
+        calls = []
+        score = stdroute.estimation._score
+        monkeypatch.setattr(stdroute.estimation, "_score", lambda *a, **k: calls.append(a) or score(*a, **k))
+        for beta0 in (-1e4, 1e4, -1e100, 1e100):
+            calls.clear()
+            result = fit(model, net, spp, obs, [beta0])
+            assert result.converged and result.log_likelihood >= best - 1e-8 * abs(best)
+            assert result.iterations <= 6 and len(calls) <= 8
 
     def test_steps_counted_and_start_kept_at_an_optimum(self, net, spp, vf):
         obs = ObservationSet.from_counts(sample_sequence_counts(vf, 2000, seed=1))
