@@ -306,6 +306,7 @@ class StdNetwork:
                 )
         if by_id[self.origin_link].head == dest_node:
             raise ValidationError("origin link may not end at the destination node")
+        object.__setattr__(self, "_arrives", {l.id: l.head == dest_node for l in self.links})
 
     @cached_property
     def destination_node(self) -> str:
@@ -363,7 +364,10 @@ class StdNetwork:
             raise ValidationError(f"unknown link {link_id}") from None
 
     def is_destination(self, link_id: int) -> bool:
-        return self.link(link_id).head == self.destination_node
+        try:
+            return self._arrives[link_id]
+        except KeyError:
+            raise ValidationError(f"unknown link {link_id}") from None
 
     def trip_horizon(self, spp: SupportPointSet) -> int:
         """Upper bound on the duration of a trip that visits no link twice.
@@ -534,7 +538,7 @@ class CompiledGraph:
         row of state indices uses 0 as padding, ranked below every state.
         """
         labels = [s.label() for s in self.states]
-        rank = np.empty(len(labels), dtype=np.intp)
+        rank = np.empty(len(labels), dtype=np.int64)
         rank[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(1, len(labels) + 1)
         rank[0] = 0
         return rank

@@ -165,7 +165,10 @@ def value_hessians(
 def choice_distribution(vf: ValueFunction, state: State) -> dict[int, float]:
     """Logit probabilities over the outgoing links of a state; sums to 1."""
     ptr, links = vf.graph.action_lists
-    i = vf.state_index(state)
+    try:
+        i = vf.graph.index[state]
+    except KeyError:
+        raise ValidationError(f"no value stored for state {state}") from None
     lo, hi = ptr[i], ptr[i + 1]
     if lo == hi:
         raise ValidationError(f"state {state} has no outgoing links")
@@ -285,10 +288,14 @@ def sample_sequence_counts(vf: ValueFunction, n: int, seed=None) -> Mapping[Stat
     step over the live prefixes; within a step, edge offsets in
     ascending order; at each offset, one draw per prefix that has trips
     left, in prefix order. A step's new prefixes are ordered by parent,
-    then by offset. A step costs one binomial per live prefix and per
-    positive edge before its state's last one, with no term in n, and
-    the memory follows the distinct prefixes. The result is a
-    :class:`SampledCounts`, which builds the sequences on the first key read.
+    then by offset. A step draws one binomial per live prefix and per
+    positive edge before its state's last one, with no term in n, in one
+    ``rng.binomial`` call per edge offset at which a prefix draws; the
+    rest of the step is a fixed number of array passes over its (prefix,
+    edge) pairs, and the memory follows the distinct prefixes and their
+    edges. The rows of states are rebuilt from parent pointers in one
+    pass back over the steps. The result is a :class:`SampledCounts`,
+    which builds the sequences on the first key read.
     """
     check_sample_size(n)
     vf.require_unbatched()
@@ -296,58 +303,74 @@ def sample_sequence_counts(vf: ValueFunction, n: int, seed=None) -> Mapping[Stat
         raise ValidationError("cannot sample: a choice probability of the solve is not finite")
     rng = as_rng(seed)
     graph = vf.graph
-    terminal = graph.terminal
-    # state i owns the edges start[i]:start[i + 1]; each edge's tail is summed right to left
+    # state i owns the edges start[i]:start[i + 1]; each edge's tail is summed right to left,
+    # over the reversed edges of all the states of one width at a time
     start = graph.edge_ptr[graph.action_ptr]
     widths = np.diff(start)
     probs = vf.choice_probs[graph.edge_action] * graph.edge_prob
-    tail = probs.copy()
-    wide = np.arange(len(widths))
-    for k in range(1, int(widths.max())):
-        wide = wide[widths[wide] > k]
-        at = start[wide + 1] - 1 - k
-        tail[at] += tail[at + 1]
+    tail = np.empty_like(probs)
+    for w in np.flatnonzero(np.bincount(widths)):
+        edges = start[:-1][widths == w, None] + np.arange(w - 1, -1, -1)
+        tail[edges] = np.add.accumulate(probs[edges], axis=1)
     # a tail holds its own edge, so a rounded share is at most 1
     share = np.divide(probs, tail, out=np.zeros_like(probs), where=probs > 0)
     positive = np.flatnonzero(probs > 0)
     last = positive[np.searchsorted(positive, start[1:]) - 1]
+    draws = probs > 0
+    draws[last] = False
 
-    # the live prefixes in prefix order: each one's state, trips and row of states after state 0
-    cur, left = np.zeros(1, dtype=np.intp), np.array([n], dtype=np.int64)
-    rows, ended = np.zeros((1, 0), dtype=np.intp), []
+    # the live prefixes in prefix order: each one's state, trips and index among the new prefixes
+    # of its step; per step, the new prefixes' parents (as such indices), states and trips
+    cur, left, steps, ended = np.zeros(1, dtype=np.intp), np.array([n], dtype=np.int64), [], 0
+    live = cur
     while cur.size:
-        base, end = start[cur], last[cur]
-        span, wide, taken = end - base, np.arange(cur.size), []
-        for k in range(int(span.max()) + 1):
-            wide = wide[span[wide] >= k]
-            e, have = base[wide] + k, left[wide]
-            take = np.where(e == end[wide], have, 0)
-            draw = np.flatnonzero((e < end[wide]) & (probs[e] > 0) & (have > 0))
-            if draw.size:
-                take[draw] = rng.binomial(have[draw], share[e[draw]])
-            left[wide] = have - take
-            got = take > 0
-            taken.append((wide[got], e[got], take[got]))
-        parent, edge, count = (np.concatenate(part) for part in zip(*taken))
-        order = np.argsort(parent, kind="stable")
-        cur = graph.edge_target[edge[order]]
-        rows = np.column_stack((rows[parent[order]], cur))
-        count = count[order]
-        on = ~terminal[cur]
-        if not on.all():
-            ended.append((rows[~on], count[~on]))
-        cur, left, rows = cur[on], count[on], rows[on]
+        # the step's (prefix, edge) pairs by prefix, then by offset; the drawing ones by offset
+        base, w = start[cur], widths[cur]
+        first = np.cumsum(w) - w
+        prefix = np.repeat(np.arange(cur.size), w)
+        offset = np.arange(prefix.size) - first[prefix]
+        edge = base[prefix] + offset
+        drawn = np.flatnonzero(draws[edge])
+        drawn = drawn[np.argsort(offset[drawn], kind="stable")]
+        who, p, take = prefix[drawn], share[edge[drawn]], np.zeros(prefix.size, dtype=np.int64)
+        # a prefix with no trips left draws 0 and consumes no random number
+        bounds = np.cumsum(np.bincount(offset[drawn])).tolist()
+        for lo, hi in zip([0, *bounds], bounds):
+            if hi > lo:
+                at = who[lo:hi]
+                take[drawn[lo:hi]] = got = rng.binomial(left[at], p[lo:hi])
+                left[at] -= got
+        take[first + last[cur] - base] = left
+        kids = np.flatnonzero(take)
+        state, count = graph.edge_target[edge[kids]], take[kids]
+        steps.append((live[prefix[kids]], state, count))
+        live = np.flatnonzero(~graph.terminal[state])
+        cur, left, ended = state[live], count[live], ended + state.size - live.size
 
-    # 0 (the initial state, never revisited) pads the rows after arrival
-    width = rows.shape[1]
-    rows = np.concatenate(
-        [np.pad(block, ((0, 0), (0, width - block.shape[1]))) for block, _ in ended]
-    )
-    counts = np.concatenate([count for _, count in ended])
-    # no label is a prefix of another, so ranks order the rows as labels order the sequences
-    order = np.lexsort(graph.label_rank[rows].T[::-1])
+    # a trip ends at a terminal state; the rows of states after state 0 are rebuilt from the
+    # parent pointers in one pass back over the steps, the trips that end last first, and 0 (the
+    # initial state, never revisited) pads them after arrival
+    rows = np.zeros((len(steps), ended), dtype=np.intp)
+    at, counts = np.zeros(0, dtype=np.intp), []
+    while steps:
+        up, state, count = steps.pop()
+        end = np.flatnonzero(graph.terminal[state])
+        counts.append(count[end])
+        at = np.concatenate((at, end))
+        rows[len(steps), : at.size] = state[at]
+        at = up[at]
+    # no label is a prefix of another, so ranks order the rows as labels order the sequences;
+    # the ranks of `per` steps are packed into one key
+    bits = len(graph.states).bit_length()
+    per, keys = 62 // bits, []
+    for k in range(0, len(rows), per):
+        ranks = graph.label_rank[rows[k : k + per]]
+        ranks <<= bits * np.arange(len(ranks) - 1, -1, -1)[:, None]
+        keys.append(ranks.sum(axis=0))
+    order = np.lexsort(keys[::-1])
+    rows = rows.T[order]
     lengths = np.count_nonzero(rows, axis=1)
-    return SampledCounts(graph.states, rows[order], lengths[order], tuple(counts[order].tolist()))
+    return SampledCounts(graph.states, rows, lengths, tuple(np.concatenate(counts)[order].tolist()))
 
 
 class SampledCounts(Mapping):

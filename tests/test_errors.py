@@ -304,8 +304,13 @@ class TestLookups:
 
     def test_state_outside_the_graph(self, vf):
         state = State(1, 99, EventCollection((1,)))
-        with pytest.raises(ValidationError, match=re.escape(f"no value stored for state {state}")):
-            vf.state_index(state)
+        for read in (vf.state_index, lambda s: choice_distribution(vf, s)):
+            with pytest.raises(ValidationError, match=re.escape(f"no value stored for state {state}")):
+                read(state)
+
+    def test_destination_of_an_unknown_link(self, net):
+        with pytest.raises(ValidationError, match="^unknown link 99$"):
+            net.is_destination(99)
 
 
 # every reader that takes one scale per state (the value form is the oracle's), called on a batch

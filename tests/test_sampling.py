@@ -92,25 +92,36 @@ def test_draws_and_order_are_the_scalar_splitter(solve):
                 assert list(sample_sequence_counts(vf, n, seed=k).items()) == list(expected.items())
 
 
-def ladder_network(stages=71, single=35):
+def one_period_network(nodes, hops):
+    """Link 0 at o, then links 1, 2, ... from ``(tail, head, time)`` hops; the last ends the trip.
+
+    One period and one scenario, so each link always takes its one time.
+    """
+    links = (Link(0, "o", "o"), *(Link(k, tail, head) for k, (tail, head, _) in enumerate(hops, 1)))
+    net = StdNetwork(nodes=nodes, links=links, origin_link=0, destination_link=len(hops), horizon=1)
+    spp = SupportPointSet(
+        link_ids=tuple(range(1, len(links))),
+        travel_times=np.array([[[time for _, _, time in hops]]]),
+        probabilities=np.ones(1),
+    )
+    return net, spp
+
+
+def ladder_network(stages=71, single=35, exits=False):
     """A chain of stages from o to z, each two parallel links of times 1 and 2 but one.
 
     A walk takes one link per stage: a choice at each of the 70 two-link
     stages and a forced step, which draws nothing, at the single-link one.
+    With ``exits`` every stage but the last also has a link straight to z,
+    slow enough that some trips go on, so trips end at every stage.
     """
-    nodes = ("o", *(f"n{k}" for k in range(1, stages)), "z")
-    links = [Link(0, "o", "o")]
+    nodes, hops = ("o", *(f"n{k}" for k in range(1, stages)), "z"), []
     for k in range(stages):
         for _ in range(1 if k == single else 2):
-            links.append(Link(len(links), nodes[k], nodes[k + 1]))
-    net = StdNetwork(
-        nodes=nodes, links=tuple(links), origin_link=0, destination_link=len(links) - 1, horizon=1
-    )
-    times = np.array([[[1 + link.id % 2 for link in links[1:]]]])
-    spp = SupportPointSet(
-        link_ids=tuple(l.id for l in links[1:]), travel_times=times, probabilities=np.ones(1)
-    )
-    return net, spp
+            hops.append((nodes[k], nodes[k + 1], 1 + (len(hops) + 1) % 2))
+        if exits and k < stages - 1:
+            hops.append((nodes[k], "z", 3 + 7 * (stages - k) // 10))
+    return one_period_network(nodes, hops)
 
 
 @pytest.mark.parametrize("mu", [1.0, 0.05])
@@ -122,6 +133,64 @@ def test_draws_and_order_on_a_ladder_of_71_stages(mu):
         assert {len(seq.path) for seq in counts} == {71}
         expected = oracle.split_sequence_counts(vf, n, seed=n)
         assert list(counts.items()) == list(expected.items())
+
+
+def test_draws_and_order_on_a_ladder_with_an_exit_at_every_stage():
+    net, spp = ladder_network(exits=True)
+    vf = solve_value_functions(net, spp, LinkUtilitySpec(beta=(-1.0,)))
+    for n in (1, 7, 5000):
+        counts = sample_sequence_counts(vf, n, seed=n)
+        expected = oracle.split_sequence_counts(vf, n, seed=n)
+        assert list(counts.items()) == list(expected.items())
+    # the rows of trips that end at every one of the 71 steps are rebuilt together
+    assert {len(seq.path) for seq in counts} == set(range(1, 72))
+
+
+def fan_network(fan=32, narrow=64, wide=64):
+    """Two stages of ``fan`` parallel links, then one link to w or one of ``narrow`` to v.
+
+    The fan x fan walks of the two stages all reach the state of the link
+    to w, which has ``wide`` links to z; each also reaches ``narrow``
+    states at v, which have two links to z. At the step from w and v, the
+    live prefixes at the narrow states far outnumber those at the wide one.
+    """
+    hops = [("o", "a", 1)] * fan + [("a", "b", 1)] * fan + [("b", "w", 1)] + [("b", "v", 1)] * narrow
+    hops += [("v", "z", 1), ("v", "z", 2), *(("w", "z", 1 + j % 4) for j in range(wide))]
+    return one_period_network(("o", "a", "b", "w", "v", "z"), hops)
+
+
+def test_a_wide_state_that_many_prefixes_reach():
+    net, spp = fan_network()
+    vf = solve_value_functions(net, spp, LinkUtilitySpec(beta=(-1.0,)))
+    graph = vf.graph
+    tracemalloc.start()
+    try:
+        counts = sample_sequence_counts(vf, 40_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = oracle.split_sequence_counts(vf, 40_000, seed=3)
+    assert list(counts.items()) == list(expected.items())
+    # all 1024 prefixes reach the state of 64 edges mid-trip, among some 25,000 live ones
+    (wide,) = [i for i, state in enumerate(graph.states) if state.link == 2 * 32 + 1]
+    assert np.diff(graph.edge_ptr[graph.action_ptr[[wide, wide + 1]]]) == 64
+    assert len({seq.states[:3] for seq in counts if seq.states[3] == graph.states[wide]}) == 1024
+    assert len({seq.states[:4] for seq in counts}) > 25_000
+    # a (live prefixes x widest state) matrix of 1.6 million entries would peak near 60 MB
+    assert peak < 30e6, peak
+
+
+def test_a_binomial_of_no_trips_or_no_chance_draws_nothing():
+    # the sampler draws for prefixes with no trips left: those draws must be 0 and take no number
+    n = np.array([0, 40, 0, 9, 3000, 5, 0])
+    p = np.array([0.3, 0.2, 0.9, 0.0, 0.4, 0.7, 0.0])
+    keep = (n > 0) & (p > 0)
+    with_zeros, without = np.random.default_rng(8), np.random.default_rng(8)
+    drawn = with_zeros.binomial(n, p)
+    assert (drawn[~keep] == 0).all()
+    assert (drawn[keep] == without.binomial(n[keep], p[keep])).all()
+    assert with_zeros.bit_generator.state == without.bit_generator.state
+    assert (with_zeros.random(4) == without.random(4)).all()
 
 
 @pytest.fixture(scope="module")
