@@ -71,7 +71,6 @@ from .policy import (
     enumerate_policies,
     enumerate_sequences,
     optimal_policy,
-    policy_expected_utility,
 )
 from .recursive import (
     choice_distribution,
@@ -140,7 +139,6 @@ __all__ = [
     "path_probabilities",
     "pipeline_ratios",
     "policy_choice_probs",
-    "policy_expected_utility",
     "policy_utilities",
     "ratio_table",
     "sample_sequence_counts",

@@ -143,7 +143,7 @@ def cmd_predict(args) -> int:
             probs = policy_choice_probs(cs, utility)
             rows = [
                 [str(i), _fmt(float(utilities[i])), _fmt(float(probs[i]))]
-                for i in range(len(cs.policies))
+                for i in range(len(cs))
             ]
             tables["policy_probs"] = (["policy", "expected_utility", "probability"], rows)
 

@@ -10,12 +10,15 @@ the origin logit is a link-level logit at scale ``mu / w(s)`` in each
 state, solved by :func:`solve_value_functions_nr` as one sweep of the
 recursive model. The solved :class:`ValueFunction` is read by the
 recursive model's readers: likelihoods, sequence and path probabilities
-and the sampler. Only per-policy outputs take a :class:`PolicyChoiceSet`:
-policy utilities (read from the compiled graph) and choice probabilities.
+and the sampler. Only per-policy outputs take a :class:`PolicyChoiceSet`,
+whose policies are rows of the compiled graph's state-actions: policy
+utilities, one segment sum of the reach-weighted utilities over the rows,
+and choice probabilities. Neither builds a :class:`RoutingPolicy`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Mapping
 
@@ -31,13 +34,12 @@ from .network import (
     initial_state as default_initial_state,
     transition_prob,
 )
-from .numerics import check_sample_size, softmax
+from .numerics import check_sample_size, segment_sums, softmax
 from .policy import (
     PolicyChoiceSet,
     RoutingPolicy,
     StateSequence,
     _backward_counts,
-    _tree_utility,
     contains,
 )
 from .recursive import sample_sequence_counts, solve_log_sum
@@ -83,14 +85,18 @@ def nonrecursive_scale(graph: CompiledGraph, mu: float) -> np.ndarray:
 def policy_utilities(cs: PolicyChoiceSet, utility: LinkUtilitySpec) -> np.ndarray:
     """Expected utility of every policy of the choice set, in choice-set order.
 
-    See :func:`~stdroute.policy.policy_expected_utility`; the utilities of
-    the graph's state-actions are computed once for the whole set.
+    The sum of w(s) * u(s, a) over the state-actions of each row, added
+    in walk order: a policy tree never merges, as its branches hold
+    disjoint knowledge sets, so it reaches each of its states with
+    probability w(s), the compiled graph's ``reach``.
     """
-    if not cs.policies:
+    if not cs.rows:
         raise ValidationError("policy choice set is empty")
-    graph = compile_graph(cs.network, cs.support_points, cs.initial_state)
-    utilities = utility.utilities(graph)
-    return np.array([_tree_utility(graph, utilities, policy) for policy in cs.policies])
+    graph = cs.graph
+    weighted = graph.reach[graph.action_state] * utility.utilities(graph)
+    taken = np.fromiter(itertools.chain.from_iterable(cs.rows), dtype=np.intp)
+    owner = np.repeat(np.arange(len(cs)), [len(row) for row in cs.rows])
+    return segment_sums(owner, weighted[taken], len(cs))
 
 
 def policy_choice_probs(cs: PolicyChoiceSet, utility: LinkUtilitySpec) -> np.ndarray:

@@ -116,15 +116,39 @@ class RoutingPolicy:
 
 @dataclass(frozen=True, eq=False)
 class PolicyChoiceSet:
-    """Ordered routing policies sharing one initial state."""
+    """Ordered routing policies sharing one initial state, as rows of its compiled graph.
 
-    network: StdNetwork
-    support_points: SupportPointSet
-    initial_state: State
-    policies: tuple[RoutingPolicy, ...]
+    ``rows[k]`` holds the state-actions policy k takes, in the walk order
+    of its tree (:func:`_walk_tree`); ``policies`` builds one
+    :class:`RoutingPolicy` per row on first read.
+    """
+
+    graph: CompiledGraph
+    rows: tuple[tuple[int, ...], ...]
+
+    @property
+    def network(self) -> StdNetwork:
+        return self.graph.network
+
+    @property
+    def support_points(self) -> SupportPointSet:
+        return self.graph.support_points
+
+    @property
+    def initial_state(self) -> State:
+        return self.graph.initial
+
+    @cached_property
+    def policies(self) -> tuple[RoutingPolicy, ...]:
+        states, initial = self.graph.states, self.graph.initial
+        owner, links = self.graph.action_state.tolist(), self.graph.action_lists[1]
+        return tuple(
+            RoutingPolicy.from_map(initial, {states[owner[j]]: links[j] for j in row})
+            for row in self.rows
+        )
 
     def __len__(self) -> int:
-        return len(self.policies)
+        return len(self.rows)
 
     def index_of(self, policy: RoutingPolicy) -> int:
         try:
@@ -155,62 +179,33 @@ def enumerate_policies(
 ) -> PolicyChoiceSet:
     """All distinct routing policies from an initial state, deterministically ordered.
 
-    Policies are built recursively: choose an outgoing link, then combine
-    one sub-policy per possible next knowledge state. Links are explored
-    in ascending id and knowledge states in canonical partition order, so
-    the result order is reproducible. Raises
-    :class:`PolicyExplosionError` when the count would exceed ``cap``.
+    Policies are built recursively as rows of state-actions: choose an
+    outgoing link, then append one sub-row per possible next knowledge
+    state. Links are explored in ascending id and knowledge states in
+    canonical partition order, so the result order is reproducible.
+    Raises :class:`PolicyExplosionError` when the count would exceed
+    ``cap``, before any policy is listed.
     """
     graph = compile_graph(net, spp, initial)
     count = _backward_counts(graph, math.prod)[0]
     if count > cap:
         raise PolicyExplosionError(f"{count} routing policies exceed the cap of {cap}")
-    states, successors = graph.states, graph.successors
-    memo: dict[int, list[dict[State, int]]] = {}
+    action_ptr, successors = graph.action_lists[0], graph.successors
+    memo: dict[int, list[tuple[int, ...]]] = {}
 
-    def options(i: int) -> list[dict[State, int]]:
+    def options(i: int) -> list[tuple[int, ...]]:
         if not successors[i]:
-            return [{}]
+            return [()]
         if i in memo:
             return memo[i]
         result = []
-        for a, targets in successors[i]:
+        for k, (_, targets) in enumerate(successors[i]):
             for combo in itertools.product(*(options(j) for j in targets)):
-                merged: dict[State, int] = {states[i]: a}
-                for sub in combo:
-                    merged.update(sub)
-                result.append(merged)
+                result.append((action_ptr[i] + k, *itertools.chain(*combo)))
         memo[i] = result
         return result
 
-    policies = tuple(RoutingPolicy.from_map(initial, m) for m in options(0))
-    return PolicyChoiceSet(
-        network=net, support_points=spp, initial_state=initial, policies=policies
-    )
-
-
-def policy_expected_utility(
-    net: StdNetwork,
-    spp: SupportPointSet,
-    policy: RoutingPolicy,
-    utility: LinkUtilitySpec,
-) -> float:
-    """Sum of w(s) * u(s, policy(s)) over the decision states s of the policy's state tree.
-
-    The tree never merges, since its branches hold disjoint knowledge
-    sets, so each of its states is reached with probability w(s), the
-    compiled graph's ``reach``; this equals the leaf-probability-weighted
-    sum of the utilities accumulated along each leaf's sequence.
-    """
-    graph = compile_graph(net, spp, policy.initial_state)
-    return _tree_utility(graph, utility.utilities(graph), policy)
-
-
-def _tree_utility(graph: CompiledGraph, utilities: np.ndarray, policy: RoutingPolicy) -> float:
-    """The policy's expected utility from the utility of every state-action of its graph."""
-    states = graph.states
-    taken = _walk_tree(graph, lambda i: graph.action(i, policy.next_link(states[i])))
-    return float(graph.reach[list(taken)] @ utilities[list(taken.values())])
+    return PolicyChoiceSet(graph, tuple(options(0)))
 
 
 def _walk_tree(graph: CompiledGraph, choose) -> dict[int, int]:

@@ -6,7 +6,9 @@ at every step, and lays it out as arrays, as a check on the compile in
 index space (by height level, as the compile does, or by arrival time,
 as a check that the schedule of the sweep changes no bit); walks the
 expanded graph calling the attribute extractor once per link, as a
-check on the compiled-graph sweep; walks each
+check on the compiled-graph sweep; lists every routing policy by
+merging one decision dict per sub-policy, as a check on the rows of
+state-actions the choice set keeps and on their order; walks each
 routing policy's state tree to its leaves, as a check on the policy
 utility read from the compiled graph's reach; scores an observation
 set one sequence and one step at a time, as a check on the batched
@@ -44,6 +46,7 @@ from stdroute import (
     EquivalenceReport,
     HorizonError,
     LinkUtilitySpec,
+    RoutingPolicy,
     State,
     StateSequence,
     StdRouteError,
@@ -263,6 +266,33 @@ def expected_downstream(vf, a, state):
     """Expectation of the solved value over the possible next knowledge states after link ``a``."""
     net, spp = vf.network, vf.support_points
     return sum(p * vf[nxt] for nxt, p in successor_states(net, spp, state, a))
+
+
+def merged_policies(net, spp, initial):
+    """Every routing policy from ``initial``, each a dict merged from one dict per sub-policy.
+
+    Walks the State-level expansion: links in ascending id, then one
+    sub-policy per next knowledge state in the order ``successor_states``
+    gives them, the partition order.
+    """
+    graph = decision_graph(net, spp, initial)
+    memo = {}
+
+    def options(state):
+        if state in graph.terminal:
+            return [{}]
+        if state not in memo:
+            memo[state] = []
+            for a in sorted(graph.choices[state]):
+                nexts = [nxt for nxt, _ in graph.choices[state][a]]
+                for combo in itertools.product(*map(options, nexts)):
+                    merged = {state: a}
+                    for sub in combo:
+                        merged.update(sub)
+                    memo[state].append(merged)
+        return memo[state]
+
+    return tuple(RoutingPolicy.from_map(initial, m) for m in options(initial))
 
 
 def policy_outcomes(net, spp, policy):

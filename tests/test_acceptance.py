@@ -28,7 +28,6 @@ from stdroute import (
     path_probabilities,
     pipeline_ratios,
     policy_choice_probs,
-    policy_expected_utility,
     policy_utilities,
     sample_sequence_counts,
     scenario_grid,
@@ -101,7 +100,7 @@ def test_state_level_closed_forms(model):
 
 def test_policy_expected_travel_times(model):
     net, spp, _, utility, _, cs = model
-    values = [policy_expected_utility(net, spp, p, utility) for p in cs.policies]
+    values = policy_utilities(cs, utility).tolist()
     expected = [-3.5, -3.5, -3.0, -3.0]
     worst = max(abs(v - e) for v, e in zip(values, expected))
     check("policy expected travel times 3.5/3.5/3/3 (1e-12)", worst <= 1e-12,

@@ -1,24 +1,29 @@
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from netgen import random_network
+from netgen import network_text, random_network
 from oracle import logsumexp, policy_choice_prob, rollout_policy, sequence_likelihood_value_form
 from stdroute import (
     EventCollection,
     LinkUtilitySpec,
     ObservationSet,
     PolicyChoiceSet,
+    RoutingPolicy,
     State,
     TwoRouteScenario,
     ValidationError,
+    bundled_network_text,
+    compile_graph,
     enumerate_policies,
     enumerate_sequences,
     equivalence_report,
     fit,
     initial_state,
+    load_network,
     log_likelihood,
     path_probabilities,
     pipeline_ratios,
@@ -33,6 +38,7 @@ from stdroute import (
     solve_value_functions,
     solve_value_functions_nr,
 )
+from stdroute.cli import main
 
 V1 = State(1, 1, EventCollection((1,)))
 V2 = State(1, 1, EventCollection((2,)))
@@ -226,11 +232,7 @@ class TestSampling:
             assert abs(counts.get(seq, 0) / n - p) <= 3 * sigma
 
     def test_empty_choice_set_rejected(self, net, spp, s0, unit_utility):
-        from stdroute import PolicyChoiceSet
-
-        empty = PolicyChoiceSet(
-            network=net, support_points=spp, initial_state=s0, policies=()
-        )
+        empty = PolicyChoiceSet(compile_graph(net, spp, s0), ())
         with pytest.raises(ValidationError, match="empty"):
             policy_choice_probs(empty, unit_utility)
 
@@ -257,6 +259,21 @@ class TestSweep:
                 )
                 assert abs(sequence_likelihood(vf, seq) - brute) <= 1e-12
 
+    @pytest.mark.parametrize("mu", [1.0, 0.3])
+    def test_policy_probabilities_are_products_of_the_sweep_choices(self, mu):
+        # the paper's definition: a policy's probability is the product of the
+        # solved link-choice probabilities over the state-actions it takes
+        rng = np.random.default_rng(2029)
+        for _ in range(200):
+            net, spp = random_network(rng)
+            s0 = initial_state(net, spp)
+            utility = LinkUtilitySpec(beta=(-float(rng.uniform(0.5, 2.0)),), mu=mu)
+            choice = solve_value_functions_nr(net, spp, utility, initial=s0).choice_probs.tolist()
+            cs = enumerate_policies(net, spp, s0)
+            products = np.array([math.prod(choice[j] for j in row) for row in cs.rows])
+            assert np.abs(products - policy_choice_probs(cs, utility)).max() <= 1e-14
+            assert abs(products.sum() - 1.0) <= 1e-14
+
     def test_value_form_agrees_with_product_form(self, net, spp, unit_utility):
         rng = np.random.default_rng(97)
         cases = [(net, spp)] + [random_network(rng) for _ in range(6)]
@@ -273,9 +290,7 @@ class TestSweep:
         assert len(scales) > 2  # the scale varies between states, not only with mu
 
     def test_partial_choice_set_rejected(self, net, spp, s0, cs, unit_utility):
-        partial = PolicyChoiceSet(
-            network=net, support_points=spp, initial_state=s0, policies=cs.policies[:2]
-        )
+        partial = PolicyChoiceSet(cs.graph, cs.rows[:2])
         with pytest.raises(ValidationError, match="every routing policy"):
             sample_sequence_counts_nr(partial, unit_utility, 10, seed=0)
 
@@ -311,3 +326,28 @@ class TestWithoutPolicyEnumeration:
         for scenario in scenarios:
             ratios = pipeline_ratios(scenario)
             assert all(math.isfinite(r) for r in ratios.nonrecursive)
+
+
+def refuse_policy_objects(monkeypatch) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("RoutingPolicy.from_map was called")
+
+    monkeypatch.setattr(RoutingPolicy, "from_map", refuse)
+
+
+class TestWithoutPolicyObjects:
+    def test_predict_and_policy_probabilities(self, monkeypatch, tmp_path, unit_utility):
+        rng = np.random.default_rng(103)
+        texts = [bundled_network_text(), network_text(*random_network(rng, support_count=3))]
+        refuse_policy_objects(monkeypatch)
+        for k, text in enumerate(texts):
+            net, spp = load_network(text)
+            cs = enumerate_policies(net, spp, initial_state(net, spp))
+            assert policy_choice_probs(cs, unit_utility).sum() == pytest.approx(1.0, abs=1e-12)
+            path, prefix = tmp_path / f"net{k}.json", tmp_path / f"out{k}"
+            path.write_text(text)
+            assert main(["predict", str(path), "--model", "nonrecursive", "--output", str(prefix)]) == 0
+            rows = Path(f"{prefix}_policy_probs.csv").read_text().splitlines()
+            assert len(rows) == len(cs) + 1
+            with pytest.raises(AssertionError, match="from_map"):
+                cs.policies

@@ -9,7 +9,6 @@ from oracle import rollout_policy
 from stdroute import (
     EventCollection,
     LinkUtilitySpec,
-    PolicyChoiceSet,
     PolicyExplosionError,
     RoutingPolicy,
     State,
@@ -22,10 +21,10 @@ from stdroute import (
     initial_state,
     load_network,
     optimal_policy,
-    policy_expected_utility,
     policy_utilities,
     travel_time,
 )
+from stdroute.policy import _walk_tree
 
 V1 = State(1, 1, EventCollection((1,)))
 V2 = State(1, 1, EventCollection((2,)))
@@ -90,6 +89,22 @@ class TestEnumeratePolicies:
         # two choices at each of the three junction states
         assert len(cs.policies) == 2**3
 
+    def test_rows_match_the_merged_dicts_in_order(self):
+        # each row read as a policy against the dict-merge enumeration, and walked as its tree
+        rng = np.random.default_rng(7)
+        policies = 0
+        for _ in range(200):
+            net, spp = random_network(rng)
+            s0 = initial_state(net, spp)
+            cs = enumerate_policies(net, spp, s0)
+            assert cs.policies == oracle.merged_policies(net, spp, s0)
+            graph = cs.graph
+            for row, policy in zip(cs.rows, cs.policies):
+                walked = _walk_tree(graph, lambda i: graph.action(i, policy.next_link(graph.states[i])))
+                assert row == tuple(walked.values())
+            policies += len(cs)
+        assert policies > 900
+
     def test_cap_guard(self, net, spp, s0):
         with pytest.raises(PolicyExplosionError, match="cap"):
             enumerate_policies(net, spp, s0, cap=3)
@@ -109,8 +124,7 @@ class TestEnumeratePolicies:
 class TestPolicyExpectedUtility:
     def test_example_expected_travel_times(self, net, spp, cs, unit_utility):
         expected = [-3.5, -3.5, -3.0, -3.0]
-        values = [policy_expected_utility(net, spp, p, unit_utility) for p in cs.policies]
-        assert values == pytest.approx(expected, abs=1e-12)
+        assert policy_utilities(cs, unit_utility).tolist() == pytest.approx(expected, abs=1e-12)
 
     def test_deterministic_network_equals_path_utility(self):
         rng = np.random.default_rng(23)
@@ -118,14 +132,14 @@ class TestPolicyExpectedUtility:
         s0 = initial_state(net, spp)
         u = LinkUtilitySpec()
         cs = enumerate_policies(net, spp, s0)
-        for policy in cs.policies:
+        for policy, value in zip(cs.policies, policy_utilities(cs, u)):
             (seq, prob), = oracle.policy_outcomes(net, spp, policy)
             assert prob == 1.0
             total = -sum(
                 seq.states[i + 1].time - seq.states[i].time
                 for i in range(len(seq.states) - 1)
             )
-            assert policy_expected_utility(net, spp, policy, u) == pytest.approx(total)
+            assert value == pytest.approx(total)
 
     @pytest.mark.parametrize("utility", UTILITIES, ids=["travel-time", "two-attribute"])
     def test_matches_the_leaf_walk(self, utility):
@@ -137,19 +151,14 @@ class TestPolicyExpectedUtility:
             rcs = enumerate_policies(rnet, rspp, initial_state(rnet, rspp))
             expected = [oracle.policy_expected_utility(rnet, rspp, p, utility) for p in rcs.policies]
             assert policy_utilities(rcs, utility) == pytest.approx(expected, rel=1e-12, abs=0)
-            for policy, value in zip(rcs.policies, expected):
-                got = policy_expected_utility(rnet, rspp, policy, utility)
-                assert got == pytest.approx(value, rel=1e-12, abs=0)
             policies += len(rcs.policies)
         assert policies > 300
 
-    def test_a_missing_decision_is_named(self, net, spp, s0, unit_utility):
+    def test_a_missing_decision_is_named(self, s0):
         partial = RoutingPolicy.from_map(s0, {s0: 1, V1: 2})
         message = r"policy has no decision for state State\(1,1,\{2\}\)"
         with pytest.raises(ValidationError, match=message):
-            policy_expected_utility(net, spp, partial, unit_utility)
-        with pytest.raises(ValidationError, match=message):
-            policy_utilities(PolicyChoiceSet(net, spp, s0, (partial,)), unit_utility)
+            partial.next_link(V2)
 
 
 class TestContains:
@@ -197,10 +206,8 @@ class TestOptimalPolicy:
             s0 = initial_state(net, spp)
             cs = enumerate_policies(net, spp, s0)
             best_policy, _ = optimal_policy(net, spp, s0, unit_utility)
-            best = policy_expected_utility(net, spp, best_policy, unit_utility)
-            for policy in cs.policies:
-                value = policy_expected_utility(net, spp, policy, unit_utility)
-                assert value <= best + 1e-12
+            values = policy_utilities(cs, unit_utility)
+            assert (values <= values[cs.index_of(best_policy)] + 1e-12).all()
 
     def test_deterministic_network_is_shortest_path(self, unit_utility):
         rng = np.random.default_rng(37)
@@ -208,10 +215,7 @@ class TestOptimalPolicy:
             net, spp = random_network(rng, support_count=1)
             s0 = initial_state(net, spp)
             policy, values = optimal_policy(net, spp, s0, unit_utility)
-            shortest = max(
-                policy_expected_utility(net, spp, p, unit_utility)
-                for p in enumerate_policies(net, spp, s0).policies
-            )
+            shortest = policy_utilities(enumerate_policies(net, spp, s0), unit_utility).max()
             assert values[s0] == pytest.approx(shortest, abs=1e-12)
 
     def test_dominant_route_always_taken(self, unit_utility):

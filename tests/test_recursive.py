@@ -22,7 +22,7 @@ from stdroute import (
     link_choice_prob,
     optimal_policy,
     path_probabilities,
-    policy_expected_utility,
+    policy_utilities,
     sample_sequence_counts,
     sequence_likelihood,
     sequence_log_likelihood,
@@ -111,9 +111,7 @@ class TestValueFunctions:
         vf = solve_value_functions(net, spp, u, initial=s0)
         cs = enumerate_policies(net, spp, s0)
         # with one policy the value equals its expected utility, and all choices are sure
-        assert vf[s0] == pytest.approx(
-            policy_expected_utility(net, spp, cs.policies[0], u), abs=1e-12
-        )
+        assert vf[s0] == pytest.approx(policy_utilities(cs, u)[0], abs=1e-12)
         for state in vf.values:
             if not net.is_destination(state.link):
                 assert choice_distribution(vf, state) == {

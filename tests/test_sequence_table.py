@@ -10,9 +10,7 @@ import stdroute.policy
 from netgen import random_network
 from stdroute import (
     LinkUtilitySpec,
-    PolicyChoiceSet,
     PolicyExplosionError,
-    RoutingPolicy,
     ValidationError,
     compile_graph,
     enumerate_policies,
@@ -22,7 +20,6 @@ from stdroute import (
     initial_state,
     load_bundled_network,
     path_probabilities,
-    sample_sequence_counts_nr,
     sequence_probabilities,
     solve_value_functions,
     solve_value_functions_nr,
@@ -123,14 +120,11 @@ class TestEnumerations:
     def test_no_trip_from_the_destination(self, net, spp, s0):
         arrival = enumerate_sequences(net, spp, s0)[0].final_state
         utility = LinkUtilitySpec()
-        # the one choice set from the destination: the empty policy
-        cs = PolicyChoiceSet(net, spp, arrival, (RoutingPolicy.from_map(arrival, {}),))
         calls = [
             lambda: solve_value_functions(net, spp, utility, initial=arrival),
             lambda: solve_value_functions_nr(net, spp, utility, initial=arrival),
             lambda: enumerate_sequences(net, spp, arrival),
             lambda: enumerate_policies(net, spp, arrival),
-            lambda: sample_sequence_counts_nr(cs, utility, 5, seed=1),
         ]
         for call in calls:
             with pytest.raises(ValidationError, match="at least a departure and an arrival"):
