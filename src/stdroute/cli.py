@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import itertools
 import json
 import math
@@ -28,14 +27,9 @@ from .comparison import (
 from .errors import PolicyExplosionError, StdRouteError
 from .estimation import ObservationSet, fit
 from .network import compile_graph, initial_state, load_network_file
-from .nonrecursive import (
-    policy_choice_probs,
-    policy_utilities,
-    solve_value_functions_nr,
-)
+from .nonrecursive import _policy_logit, policy_utilities, solve_value_functions_nr
 from .policy import enumerate_policies, sequence_table
 from .recursive import (
-    choice_distribution,
     sample_sequence_counts,
     sequence_likelihoods,
     sequence_probabilities,
@@ -48,10 +42,6 @@ def _fmt(value: float) -> str:
     return format(value, ".10g")
 
 
-def _ev_text(ev) -> str:
-    return ";".join(str(m) for m in ev.members)
-
-
 def _path_text(path) -> str:
     return "-".join(str(a) for a in path)
 
@@ -62,20 +52,26 @@ def _write_csv(out, header, rows) -> None:
     writer.writerows(rows)
 
 
-def _emit(args, tables: dict[str, tuple[list[str], list[list[str]]]]) -> None:
-    """Write one CSV per table, either to prefixed files or to stdout sections."""
-    if args.output:
-        for name, (header, rows) in tables.items():
+def _decisions(graph) -> tuple[list[int], list[tuple[str, ...]]]:
+    """The state-actions in ``State.sort_key`` order, and each one's state link, time, ev and link."""
+    ptr, links = graph.action_lists
+    order = [j for i in graph.state_order for j in range(ptr[i], ptr[i + 1])]
+    states = map(graph.states.__getitem__, graph.action_state.tolist())
+    text = [(str(s.link), str(s.time), ";".join(map(str, s.ev)), str(a)) for s, a in zip(states, links)]
+    return order, text
+
+
+def _emit(args, tables: dict) -> None:
+    """One CSV per table, to prefixed files or stdout sections; rows that only format may stream."""
+    for name, (header, rows) in tables.items():
+        if args.output:
             path = f"{args.output}_{name}.csv"
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 _write_csv(fh, header, rows)
             print(f"wrote {path}")
-    else:
-        for name, (header, rows) in tables.items():
+        else:
             print(f"# {name}")
-            buffer = io.StringIO()
-            _write_csv(buffer, header, rows)
-            sys.stdout.write(buffer.getvalue())
+            _write_csv(sys.stdout, header, rows)
 
 
 def _utility_from_args(args) -> LinkUtilitySpec:
@@ -102,10 +98,9 @@ def cmd_enumerate_policies(args) -> int:
     net, spp = load_network_file(args.network)
     s0 = initial_state(net, spp)
     cs = enumerate_policies(net, spp, s0, cap=args.cap_policies)
-    rows = []
-    for i, policy in enumerate(cs.policies):
-        for state, next_link in policy.decisions:
-            rows.append([str(i), str(state.link), str(state.time), _ev_text(state.ev), str(next_link)])
+    order, text = _decisions(cs.graph)
+    rank = np.argsort(order).tolist()  # a row has one state-action per state: by rank, State order
+    rows = ((i, *text[j]) for i, row in enumerate(cs.rows) for j in sorted(row, key=rank.__getitem__))
     _emit(args, {"policies": (["policy", "link", "time", "ev", "next_link"], rows)})
     return 0
 
@@ -115,18 +110,14 @@ def cmd_predict(args) -> int:
     s0 = initial_state(net, spp)
     utility = _utility_from_args(args)
     models = ("recursive", "nonrecursive") if args.model == "both" else (args.model,)
-    tables: dict[str, tuple[list[str], list[list[str]]]] = {}
+    tables: dict[str, tuple[list[str], list]] = {}
     table = sequence_table(compile_graph(net, spp, s0), cap=args.cap_policies)
     columns = []
 
     if "recursive" in models:
         vf = solve_value_functions(net, spp, utility, initial=s0)
-        rows = []
-        for state in sorted(vf.values, key=lambda s: s.sort_key):
-            if net.is_destination(state.link):
-                continue
-            for a, prob in choice_distribution(vf, state).items():
-                rows.append([str(state.link), str(state.time), _ev_text(state.ev), str(a), _fmt(prob)])
+        order, text = _decisions(vf.graph)
+        rows = [(*text[j], _fmt(vf.choice_prob_list[j])) for j in order]
         tables["choices"] = (["link", "time", "ev", "next_link", "probability"], rows)
         columns.append(sequence_likelihoods(vf, table.steps))
 
@@ -140,7 +131,7 @@ def cmd_predict(args) -> int:
             print(f"skipped table policy_probs: {exc}", file=sys.stderr)
         else:
             utilities = policy_utilities(cs, utility)
-            probs = policy_choice_probs(cs, utility)
+            probs = _policy_logit(utilities, utility.mu)
             rows = [
                 [str(i), _fmt(float(utilities[i])), _fmt(float(probs[i]))]
                 for i in range(len(cs))

@@ -440,7 +440,7 @@ def decision_graph(net: StdNetwork, spp: SupportPointSet, initial: State) -> Dec
         if succ
     }
     terminal = frozenset(s for s in states if s not in choices)
-    return DecisionGraph(graph.initial, tuple(sorted(states, key=lambda s: s.sort_key)), terminal, choices)
+    return DecisionGraph(graph.initial, tuple(map(states.__getitem__, graph.state_order)), terminal, choices)
 
 
 class Layer(NamedTuple):
@@ -504,6 +504,11 @@ class CompiledGraph:
     def terminal(self) -> np.ndarray:
         """Whether each state is at the destination (has no state-actions)."""
         return self.action_ptr[1:] == self.action_ptr[:-1]
+
+    @cached_property
+    def state_order(self) -> list[int]:
+        """Graph indices of the states in ``State.sort_key`` order: time, link, knowledge set."""
+        return sorted(range(len(self.states)), key=lambda i: self.states[i].sort_key)
 
     @cached_property
     def edge_action(self) -> np.ndarray:

@@ -105,11 +105,15 @@ def policy_choice_probs(cs: PolicyChoiceSet, utility: LinkUtilitySpec) -> np.nda
     Finite utilities that give a non-finite probability raise
     ``ValidationError``, as they do in the solve.
     """
-    utilities = policy_utilities(cs, utility)
-    probs = softmax(utilities / utility.mu)
+    return _policy_logit(policy_utilities(cs, utility), utility.mu)
+
+
+def _policy_logit(utilities: np.ndarray, mu: float) -> np.ndarray:
+    """The logit at scale ``mu`` over policy utilities, for callers that hold the utilities."""
+    probs = softmax(utilities / mu)
     if not np.isfinite(probs).all() and np.isfinite(utilities).all():
         raise ValidationError(
-            f"the policy choice probabilities are not finite at logit scale mu={utility.mu!r}"
+            f"the policy choice probabilities are not finite at logit scale mu={mu!r}"
         )
     return probs
 

@@ -118,7 +118,9 @@ class ValueFunction:
             raise ValidationError(f"no value stored for state {state}") from None
 
     def __getitem__(self, state: State) -> float:
+        self.require_unbatched()
         return float(self.state_values[self.state_index(state)])
 
     def get(self, state: State, default: float | None = None):
-        return self.values.get(state, default)
+        self.require_unbatched()
+        return self[state] if state in self.graph.index else default

@@ -28,12 +28,16 @@ splits the trip counts down the prefix tree one scalar binomial at a
 time and sorts the sequences by label string, as a check on the
 vectorized splitter and its rank order; and differentiates the log
 likelihood by central differences, as a check on the exact scores and
-their standard errors; and maximizes it by scipy's BFGS, as a check on
-the damped Newton fit.
+their standard errors; maximizes it by scipy's BFGS, as a check on
+the damped Newton fit; and renders the command line's policy and choice
+tables from ``RoutingPolicy`` decisions and the ``State``-keyed value
+dict, as a check on the tables written from the compiled graph's indices.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 
@@ -53,21 +57,25 @@ from stdroute import (
     UnreachableDestinationError,
     ValidationError,
     build_two_route_network,
+    compile_graph,
+    enumerate_policies,
     event_collections_at,
     initial_state,
     link_choice_prob,
     policy_choice_probs,
+    policy_utilities,
     solve_value_functions,
     solve_value_functions_nr,
     transition_prob,
     travel_time,
     travel_time_attributes,
 )
-from stdroute import estimation
+from stdroute import estimation, recursive
 from stdroute.comparison import LINK_APPROACH, LINK_ROUTE2, LINK_ROUTE3, ModelRatios, RouteRatios
 from stdroute.network import Layer
 from stdroute.numerics import as_rng, check_sample_size, softmax
-from stdroute.recursive import step_table, value_gradients
+from stdroute.policy import sequence_table
+from stdroute.recursive import sequence_likelihoods, step_table, value_gradients
 
 
 def logsumexp(values):
@@ -706,3 +714,64 @@ def bfgs_fit(model, net, spp, obs, beta0, mu=1.0, attributes=travel_time_attribu
         options={"gtol": estimation.GRADIENT_TOL, "maxiter": estimation.MAX_ITERATIONS},
     )
     return result.x, -result.fun * trips
+
+
+def _csv_text(header, rows):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def _fmt(value):
+    return format(value, ".10g")
+
+
+def _decision_text(state, a):
+    return [str(state.link), str(state.time), ";".join(map(str, state.ev.members)), str(a)]
+
+
+def policy_csv(net, spp):
+    """``enumerate-policies``' CSV: each policy's sorted decisions, one row each."""
+    cs = enumerate_policies(net, spp, initial_state(net, spp))
+    rows = [
+        [str(i), *_decision_text(state, a)]
+        for i, policy in enumerate(cs.policies)
+        for state, a in policy.decisions
+    ]
+    return _csv_text(["policy", "link", "time", "ev", "next_link"], rows)
+
+
+def predict_csvs(net, spp, utility, model):
+    """``predict``'s CSV per table name, for model recursive, nonrecursive or both."""
+    s0 = initial_state(net, spp)
+    models = ("recursive", "nonrecursive") if model == "both" else (model,)
+    table = sequence_table(compile_graph(net, spp, s0))
+    tables, columns = {}, []
+    if "recursive" in models:
+        vf = solve_value_functions(net, spp, utility, initial=s0)
+        rows = [
+            [*_decision_text(state, a), _fmt(prob)]
+            for state in sorted(vf.values, key=lambda s: s.sort_key)
+            if not net.is_destination(state.link)
+            for a, prob in recursive.choice_distribution(vf, state).items()
+        ]
+        tables["choices"] = _csv_text(["link", "time", "ev", "next_link", "probability"], rows)
+        columns.append(sequence_likelihoods(vf, table.steps))
+    if "nonrecursive" in models:
+        vf = solve_value_functions_nr(net, spp, utility, initial=s0)
+        columns.append(sequence_likelihoods(vf, table.steps))
+        cs = enumerate_policies(net, spp, s0)
+        utilities, probs = policy_utilities(cs, utility), policy_choice_probs(cs, utility)
+        rows = [[str(i), _fmt(float(u)), _fmt(float(p))] for i, (u, p) in enumerate(zip(utilities, probs))]
+        tables["policy_probs"] = _csv_text(["policy", "expected_utility", "probability"], rows)
+    rows = [
+        [str(i), seq.label(), "-".join(map(str, seq.path)), *map(_fmt, probs)]
+        for i, (seq, *probs) in enumerate(zip(table.sequences, *(c.tolist() for c in columns)))
+    ]
+    tables["sequences"] = _csv_text(["sequence", "states", "path", *models], rows)
+    totals = zip(*(table.path_sums(c).tolist() for c in columns))
+    rows = [["-".join(map(str, path)), *map(_fmt, t)] for path, t in zip(table.paths, totals)]
+    tables["paths"] = _csv_text(["path", *models], rows)
+    return tables

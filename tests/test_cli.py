@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netgen import network_text, random_network
+from netgen import bench_module, network_text, random_network
+import oracle
 import stdroute
+from stdroute import LinkUtilitySpec, load_network
 from stdroute import bundled_network_text, enumerate_policies, enumerate_sequences, initial_state
 from stdroute import StdRouteError
 from stdroute.cli import _parse_grid, build_parser, main
@@ -150,6 +152,40 @@ class TestPredict:
         assert main(["predict", network_file, "--model", "recursive"]) == 0
         out = capsys.readouterr().out
         assert "# choices" in out and "# sequences" in out
+
+
+def object_path_network(kind: str, k: int) -> str:
+    """The bundled network, a ``netgen`` network, or a 3x3 benchmark grid: a grid's height
+    order of states is not their time order."""
+    if kind == "bundled":
+        return bundled_network_text()
+    if kind == "netgen":
+        return network_text(*random_network(np.random.default_rng([72, k])))
+    return bench_module("gen").grid_network([k], 3, 3, 3)
+
+
+class TestAgainstTheObjectPath:
+    """The tables written from the graph's indices are those rendered from policies and State dicts."""
+
+    @pytest.mark.parametrize(
+        "kind, k", [("bundled", 0), *(("netgen", k) for k in range(1, 21)), *(("grid", k) for k in range(3))]
+    )
+    def test_byte_identical(self, kind, k, tmp_path, capsys):
+        text = object_path_network(kind, k)
+        net, spp = load_network(text)
+        path = tmp_path / "net.json"
+        path.write_text(text)
+        expected = {("enumerate-policies",): {"policies": oracle.policy_csv(net, spp)}}
+        for model in ("recursive", "nonrecursive", "both"):
+            expected["predict", "--model", model] = oracle.predict_csvs(net, spp, LinkUtilitySpec(), model)
+        for (command, *options), tables in expected.items():
+            prefix = str(tmp_path / "out")
+            assert main([command, str(path), *options, "--output", prefix]) == 0
+            for name, csv_text in tables.items():
+                assert Path(f"{prefix}_{name}.csv").read_text() == csv_text
+            capsys.readouterr()
+            assert main([command, str(path), *options]) == 0
+            assert capsys.readouterr().out == "".join(f"# {n}\n{t}" for n, t in tables.items())
 
 
 GOLDEN_FREQUENCIES = {

@@ -279,6 +279,7 @@ class TestAgainstTheStateLevelExpansion:
             s0 = initial_state(net, spp)
             view, expanded = decision_graph(net, spp, s0), oracle.decision_graph(net, spp, s0)
             assert view.initial == expanded.initial
+            assert view.states == tuple(sorted(compile_graph(net, spp, s0).states, key=lambda s: s.sort_key))
             assert view.states == expanded.states
             assert view.terminal == expanded.terminal
             assert view.choices == expanded.choices

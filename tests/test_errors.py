@@ -324,6 +324,8 @@ PER_STATE_READERS = {
     "sequence_likelihood": lambda vf, seq: sequence_likelihood(vf, seq),
     "sequence_log_likelihood": lambda vf, seq: sequence_log_likelihood(vf, seq),
     "sequence_likelihood_value_form": lambda vf, seq: sequence_likelihood_value_form(vf, seq),
+    "ValueFunction.__getitem__": lambda vf, seq: vf[seq.states[0]],
+    "ValueFunction.get": lambda vf, seq: vf.get(seq.states[0]),
 }
 
 
@@ -336,6 +338,12 @@ class TestBatchSolve:
         message += "this one has batch axes (2,)"
         with pytest.raises(ValidationError, match=re.escape(message)):
             PER_STATE_READERS[reader](batch, seq)
+
+
+    def test_the_value_readers_agree_on_an_unbatched_solve(self, vf):
+        for state, value in vf.values.items():
+            assert vf[state] == vf.get(state) == value
+        assert vf.get(State(99, 0, vf.initial.ev), "none") == "none"
 
 
 class TestLogitScale:

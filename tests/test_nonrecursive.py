@@ -349,5 +349,8 @@ class TestWithoutPolicyObjects:
             assert main(["predict", str(path), "--model", "nonrecursive", "--output", str(prefix)]) == 0
             rows = Path(f"{prefix}_policy_probs.csv").read_text().splitlines()
             assert len(rows) == len(cs) + 1
+            assert main(["enumerate-policies", str(path), "--output", str(prefix)]) == 0
+            rows = Path(f"{prefix}_policies.csv").read_text().splitlines()
+            assert len(rows) == sum(map(len, cs.rows)) + 1
             with pytest.raises(AssertionError, match="from_map"):
                 cs.policies
