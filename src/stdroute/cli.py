@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import math
@@ -37,6 +38,8 @@ from .recursive import (
 )
 from .utility import LinkUtilitySpec
 
+CSV_BLOCK_ROWS = 4096
+
 
 def _fmt(value: float) -> str:
     return format(value, ".10g")
@@ -47,9 +50,12 @@ def _path_text(path) -> str:
 
 
 def _write_csv(out, header, rows) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    """The table as CSV, one ``write`` per block of rows: an unbuffered stream takes no call per row."""
+    lines = itertools.chain([header], rows)
+    while block := list(itertools.islice(lines, CSV_BLOCK_ROWS)):
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(block)
+        out.write(text.getvalue())
 
 
 def _decisions(graph) -> tuple[list[int], list[tuple[str, ...]]]:

@@ -6,6 +6,10 @@ junction: link 2 takes ``a`` or ``b`` time units, link 3 takes ``a + x``
 or ``b + y``. The sign pattern of (x, y) decides whether one route beats
 the other in every state, and closed forms give each model's ratio of
 route choice probabilities, conditionally per state and marginally.
+
+The full models check the closed forms on a unit-time network, one per
+state probability ``p``, which reads the route times as utilities: the
+junction states need only be told apart, not timed.
 """
 
 from __future__ import annotations
@@ -13,14 +17,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import StdRouteError, ValidationError
 from .network import (
-    INT64_MAX,
     CompiledGraph,
     Link,
     State,
@@ -34,7 +36,6 @@ from .policy import sequence_table
 from .recursive import sequence_likelihoods, solve_log_sum
 from .utility import LinkUtilitySpec, ValueFunction
 
-MAX_TIME_DENOMINATOR = 10**4
 EQUIVALENCE_MUS = (1.0, 0.1, 0.01, 1e-4)
 # marginal route-probability margins closer than this are "equal" extremeness
 EXTREMENESS_TOL = 1e-12
@@ -81,18 +82,18 @@ class TwoRouteScenario:
 
 @dataclass(frozen=True, eq=False)
 class TwoRouteBuild:
-    """Concrete network for a scenario.
+    """A scenario as the unit-time two-route network of its ``p`` and route utilities.
 
-    Travel times are integers, so fractional scenario values are scaled
-    by a common denominator; ``utility`` carries the matching travel-time
-    coefficient -1/time_scale, which reproduces the unscaled utilities
-    exactly.
+    ``network``, ``support_points`` and ``initial_state`` depend on ``p``
+    only, and scenarios with the same ``p`` share them and their compiled
+    graph. ``utility`` carries the scenario's route times as utilities:
+    the coefficients ``(-a, -(a + x), -b, -(b + y))`` of route 2 and
+    route 3 in state 1, then in state 2, on one-hot route indicators.
     """
 
     network: StdNetwork
     support_points: SupportPointSet
     initial_state: State
-    time_scale: int
     utility: LinkUtilitySpec
 
 
@@ -109,72 +110,56 @@ TWO_ROUTE_NETWORK = StdNetwork(
     destination_link=LINK_ROUTE2,
     horizon=2,
 )
+# every link takes one unit, except the approach link in state 2 at period 1,
+# which takes two so that the junction states are told apart
+UNIT_TIMES = np.array([[[1, 1, 1], [1, 1, 1]], [[1, 1, 1], [2, 1, 1]]], dtype=np.int64)
+# attribute column of (link, junction knowledge set): route 2 then route 3, state 1 then state 2
+ROUTE_COLUMNS = {
+    (LINK_ROUTE2, (1,)): 0,
+    (LINK_ROUTE3, (1,)): 1,
+    (LINK_ROUTE2, (2,)): 2,
+    (LINK_ROUTE3, (2,)): 3,
+}
 
 
-# every scenario of a sweep reads the same few values
-@functools.lru_cache(maxsize=1024)
-def _as_fraction(value: float, name: str) -> Fraction:
-    frac = Fraction(value).limit_denominator(MAX_TIME_DENOMINATOR)
-    if abs(float(frac) - value) > 1e-12 * max(1.0, abs(value)):
-        raise ValidationError(
-            f"{name}={value!r} is not representable with denominator <= {MAX_TIME_DENOMINATOR}"
-        )
-    return frac
+def _route_indicators(net: StdNetwork, spp: SupportPointSet, a: int, state: State) -> tuple[float, ...]:
+    """One-hot over (route 2, route 3) x (state 1, state 2); zeros on the approach link."""
+    column = ROUTE_COLUMNS.get((a, state.ev.members))
+    return tuple(float(k == column) for k in range(len(ROUTE_COLUMNS)))
+
+
+# every scenario of a sweep reads the same few probabilities
+@functools.lru_cache(maxsize=128)
+def _support_points(p: float) -> tuple[SupportPointSet, State]:
+    """The unit-time support points at state probability ``p``, and their departure state."""
+    spp = SupportPointSet(
+        link_ids=(LINK_APPROACH, LINK_ROUTE2, LINK_ROUTE3),
+        travel_times=UNIT_TIMES,
+        probabilities=np.array([p, 1.0 - p]),
+    )
+    return spp, departure_state(TWO_ROUTE_NETWORK, spp)
 
 
 def build_two_route_network(s: TwoRouteScenario) -> TwoRouteBuild:
-    """Materialize the scenario as a network with two travel-time scenarios.
+    """The scenario as the unit-time two-route network of ``s.p``, with its route utilities.
 
-    The approach link takes one unit in both scenarios at the departure
-    period and differs at the next period, so the junction states are
-    always distinguishable. Route times follow the scenario parameters,
-    scaled by the least common multiple of their denominators.
+    The route times enter only as utilities, so any finite scenario in
+    the domain builds. An offset too small to change its route time in
+    floating point raises ``ValidationError``: the utilities would then
+    lose it, while the closed forms keep it.
     """
-    fa = _as_fraction(s.a, "a")
-    fb = _as_fraction(s.b, "b")
-    f3a = _as_fraction(s.a + s.x, "a+x")
-    f3b = _as_fraction(s.b + s.y, "b+y")
-    g = math.lcm(fa.denominator, fb.denominator, f3a.denominator, f3b.denominator)
-    if g > MAX_TIME_DENOMINATOR:
-        raise ValidationError(f"required time scale {g} exceeds {MAX_TIME_DENOMINATOR}")
-
-    def scaled(frac: Fraction, name: str) -> int:
-        value = frac.numerator * (g // frac.denominator)  # g is a multiple of the denominator
-        if value < 1:
-            raise ValidationError(f"{name} scales to a non-positive travel time")
-        if value > INT64_MAX:
-            raise ValidationError(f"{name} scales to a travel time beyond 2**63 - 1")
-        return value
-
-    t2_s1, t2_s2 = scaled(fa, "a"), scaled(fb, "b")
-    t3_s1, t3_s2 = scaled(f3a, "a+x"), scaled(f3b, "b+y")
     for name, base in (("x", "a"), ("y", "b")):
         offset, time = getattr(s, name), getattr(s, base)
         if offset and time + offset == time:
             raise ValidationError(
                 f"{name}={offset!r} vanishes in floating point: {base} + {name} equals {base}={time!r}"
             )
-
-    net = TWO_ROUTE_NETWORK
-    times = np.array(
-        [
-            [[g, g, g], [g, t2_s1, t3_s1]],
-            [[g, g, g], [2 * g, t2_s2, t3_s2]],
-        ],
-        dtype=np.int64,
+    spp, initial = _support_points(s.p)
+    utility = LinkUtilitySpec(
+        beta=(-s.a, -(s.a + s.x), -s.b, -(s.b + s.y)), attributes=_route_indicators
     )
-    spp = SupportPointSet(
-        link_ids=(LINK_APPROACH, LINK_ROUTE2, LINK_ROUTE3),
-        travel_times=times,
-        probabilities=np.array([s.p, 1.0 - s.p]),
-    )
-    utility = LinkUtilitySpec(beta=(-1.0 / g,), mu=1.0)
     return TwoRouteBuild(
-        network=net,
-        support_points=spp,
-        initial_state=departure_state(net, spp),
-        time_scale=g,
-        utility=utility,
+        network=TWO_ROUTE_NETWORK, support_points=spp, initial_state=initial, utility=utility
     )
 
 

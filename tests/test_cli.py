@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import stdroute
 from stdroute import LinkUtilitySpec, load_network
 from stdroute import bundled_network_text, enumerate_policies, enumerate_sequences, initial_state
 from stdroute import StdRouteError
-from stdroute.cli import _parse_grid, build_parser, main
+from stdroute.cli import CSV_BLOCK_ROWS, _parse_grid, _write_csv, build_parser, main
 
 
 @pytest.fixture()
@@ -114,6 +115,29 @@ class TestEnumeratePolicies:
         assert {row["policy"] for row in rows} == {"0", "1", "2", "3"}
         junctions = [r for r in rows if r["policy"] == "1" and r["link"] == "1"]
         assert {(r["ev"], r["next_link"]) for r in junctions} == {("1", "2"), ("2", "3")}
+
+
+class CountingSink(io.StringIO):
+    """A text stream that counts its ``write`` calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("n", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS + 1])
+    def test_rows_are_written_in_blocks(self, n):
+        header, rows = ["k", "text", "value"], [(k, f"a,{k}", 0.5 * k) for k in range(n)]
+        sink, expected = CountingSink(), io.StringIO()
+        _write_csv(sink, header, (row for row in rows))
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        assert sink.getvalue() == expected.getvalue()
+        assert sink.writes <= -(-n // CSV_BLOCK_ROWS) + 1
 
 
 class TestPredict:
@@ -452,7 +476,10 @@ class TestCompare:
             (["--x-grid=800:801:1"], "the closed-form ratio exp(x) overflows at x=800.0"),
             (["--a", "inf", "--pipeline"], "a must be a finite number, got inf"),
             (["--b", "nan"], "b must be a finite number, got nan"),
-            (["--a", "1e300", "--pipeline"], "a scales to a travel time beyond 2**63 - 1"),
+            (
+                ["--a", "1e300", "--pipeline"],
+                "x=-1.8 vanishes in floating point: a + x equals a=1e+300",
+            ),
             (
                 ["--b", "1e18", "--y-grid=1:1:1", "--pipeline"],
                 "y=1.0 vanishes in floating point: b + y equals b=1e+18",

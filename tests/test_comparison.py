@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -7,12 +8,15 @@ import pytest
 import oracle
 from netgen import bench_module, random_network
 from stdroute import (
+    EventCollection,
     LinkUtilitySpec,
+    State,
     TwoRouteScenario,
     ValidationError,
     build_two_route_network,
     bundled_network_text,
     closed_form_ratios,
+    compile_graph,
     decision_graph,
     dominance_class,
     equivalence_report,
@@ -26,6 +30,8 @@ from stdroute import (
     scenario_grid,
     solve_value_functions,
 )
+from stdroute import comparison, network
+from stdroute.cli import _parse_grid, build_parser
 from stdroute.comparison import LINK_APPROACH, LINK_ROUTE2, LINK_ROUTE3
 
 
@@ -51,13 +57,9 @@ class TestScenario:
 class TestBuild:
     def test_reference_scenario_reproduces_the_bundled_network(self, net, spp, unit_utility):
         build = build_two_route_network(TwoRouteScenario(a=3, b=2, x=-1, y=0, p=0.5))
-        assert build.time_scale == 1
         bspp = build.support_points
-        # junction-period times: route 2 takes (3, 2), route 3 takes (2, 2)
-        assert bspp.time_at(1, 1, LINK_ROUTE2) == 3
-        assert bspp.time_at(2, 1, LINK_ROUTE2) == 2
-        assert bspp.time_at(1, 1, LINK_ROUTE3) == 2
-        assert bspp.time_at(2, 1, LINK_ROUTE3) == 2
+        # junction route utilities: route 2 takes (3, 2), route 3 takes (2, 2)
+        assert build.utility.beta == (-3.0, -2.0, -2.0, -2.0)
         assert np.allclose(bspp.probabilities, [0.5, 0.5])
         # junction behavior matches the bundled network's choice probabilities
         vf_built = solve_value_functions(
@@ -75,28 +77,36 @@ class TestBuild:
                     link_choice_prob(vf_bundled, bundled_state, a), abs=1e-12
                 )
 
+    def test_every_time_is_one_but_the_approach_in_state_2(self):
+        build = build_two_route_network(TwoRouteScenario(a=2, b=2, x=-1.8, y=0.3, p=0.5))
+        times = np.ones((2, 2, 3), dtype=np.int64)
+        times[1, 1, 0] = 2
+        assert np.array_equal(build.support_points.travel_times, times)
+
+    def test_route_utilities_at_the_junction_states(self):
+        build = build_two_route_network(TwoRouteScenario(a=2, b=3, x=-1.8, y=0.3, p=0.4))
+        graph = compile_graph(build.network, build.support_points, build.initial_state)
+        u = build.utility.utilities(graph)
+        assert u[graph.action(0, LINK_APPROACH)] == 0.0
+        for scenario, expected in ((1, (-2.0, -(2.0 - 1.8))), (2, (-3.0, -3.3))):
+            i = graph.index[State(LINK_APPROACH, 1, EventCollection((scenario,)))]
+            assert (u[graph.action(i, LINK_ROUTE2)], u[graph.action(i, LINK_ROUTE3)]) == expected
+
     def test_zero_offsets_make_routes_identical_per_state(self):
         build = build_two_route_network(TwoRouteScenario(a=2, b=3, x=0, y=0, p=0.4))
-        bspp = build.support_points
-        for r in (1, 2):
-            assert bspp.time_at(r, 1, LINK_ROUTE2) == bspp.time_at(r, 1, LINK_ROUTE3)
+        assert build.utility.beta == (-2.0, -2.0, -3.0, -3.0)
 
     def test_route2_dominant_when_offsets_positive(self):
-        build = build_two_route_network(TwoRouteScenario(a=2, b=2, x=1, y=1, p=0.5))
-        bspp = build.support_points
-        for r in (1, 2):
-            assert bspp.time_at(r, 1, LINK_ROUTE2) < bspp.time_at(r, 1, LINK_ROUTE3)
+        beta = build_two_route_network(TwoRouteScenario(a=2, b=2, x=1, y=1, p=0.5)).utility.beta
+        assert beta[0] > beta[1] and beta[2] > beta[3]
 
-    def test_fractional_values_are_scaled(self):
+    def test_fractional_values_are_utilities(self):
         build = build_two_route_network(TwoRouteScenario(a=2, b=2, x=-1.8, y=0.3, p=0.5))
-        assert build.time_scale == 10
-        assert build.support_points.time_at(1, 1, LINK_ROUTE3) == 2
-        assert build.support_points.time_at(2, 1, LINK_ROUTE3) == 23
-        assert build.utility.beta == (-0.1,)
+        assert build.utility.beta == (-2.0, -(2.0 - 1.8), -2.0, -2.3)
 
-    def test_unrepresentable_values_rejected(self):
-        with pytest.raises(ValidationError, match="denominator"):
-            build_two_route_network(TwoRouteScenario(a=2, b=2, x=math.pi, y=0.5, p=0.5))
+    def test_any_finite_value_agrees_with_the_closed_form(self):
+        # pi has no denominator below 10**4 that a time scale could use
+        assert max_ratio_diff(TwoRouteScenario(a=2, b=2, x=math.pi, y=0.5, p=0.5)) < 1e-12
 
 
 class TestRatioTable:
@@ -107,8 +117,6 @@ class TestRatioTable:
         assert extremeness_check(table.scenario) == "equal"
 
     def test_reference_scenario_state_ratio(self, vf):
-        from stdroute import EventCollection, State
-
         table = ratio_table(TwoRouteScenario(a=3, b=2, x=-1, y=0, p=0.5))
         assert table.closed_form.recursive.state1 == pytest.approx(math.exp(-1), abs=1e-12)
         v1 = State(1, 1, EventCollection((1,)))
@@ -143,12 +151,18 @@ class TestAgainstSeparateSolves:
             s = TwoRouteScenario(a=a, b=b, x=x, y=y, p=p)
             assert pipeline_ratios(s) == oracle.pipeline_ratios(s)
 
-    def test_builds_share_one_topology(self):
-        first, second = (
-            build_two_route_network(TwoRouteScenario(a=2, b=2, x=x, y=1, p=0.5)) for x in (1, 2)
+    def test_builds_share_one_graph_per_probability(self):
+        first, second, other = (
+            build_two_route_network(TwoRouteScenario(a=2, b=2, x=x, y=1, p=p))
+            for x, p in ((1, 0.5), (2, 0.5), (1, 0.25))
         )
-        assert first.network is second.network
-        assert first.support_points is not second.support_points
+        assert first.network is second.network is other.network
+        assert first.support_points is second.support_points
+        assert first.support_points is not other.support_points
+        graph = compile_graph(first.network, first.support_points, first.initial_state)
+        assert compile_graph(second.network, second.support_points, second.initial_state) is graph
+        assert compile_graph(other.network, other.support_points, other.initial_state) is not graph
+        assert first.utility.beta != second.utility.beta
 
     def test_equivalence_reports_on_the_benchmark_networks(self):
         texts = bench_module("gen").layered_networks(1, 210)
@@ -228,8 +242,6 @@ class TestEquivalenceReport:
         assert report.sequence_divergences[-1] < 1e-9
 
     def test_small_scale_concentrates_on_the_faster_route(self, net, spp, unit_utility):
-        from stdroute import EventCollection, State
-
         vf = solve_value_functions(net, spp, unit_utility.with_mu(1e-4))
         assert link_choice_prob(vf, State(1, 1, EventCollection((1,))), 3) >= 0.999
 
@@ -241,3 +253,23 @@ class TestGrid:
         assert min(s.x for s in grid) == -1.8
         assert max(s.x for s in grid) == 5.0
         assert {s.p for s in grid} == {0.05, 0.275, 0.5, 0.725, 0.95}
+
+    def test_pipeline_ratios_are_the_closed_forms_on_the_grid_and_the_sweep_defaults(self):
+        args = build_parser().parse_args(["sweep"])
+        axes = [_parse_grid(getattr(args, f"{n}_grid"), f"{n}-grid") for n in "xyp"]
+        defaults = [
+            TwoRouteScenario(a=args.a, b=args.b, x=x, y=y, p=p) for x, y, p in itertools.product(*axes)
+        ]
+        for s in (*scenario_grid(), *defaults):
+            closed, piped = closed_form_ratios(s), pipeline_ratios(s)
+            for model in ("recursive", "nonrecursive"):
+                assert getattr(piped, model) == pytest.approx(getattr(closed, model), rel=1e-12, abs=0)
+
+    def test_the_grid_compiles_one_graph_per_probability(self, monkeypatch):
+        comparison._support_points.cache_clear()
+        compiled, compile_ = [], network._compile
+        monkeypatch.setattr(network, "_compile", lambda *args: compiled.append(args) or compile_(*args))
+        grid = scenario_grid()
+        for s in grid:
+            pipeline_ratios(s)
+        assert len(compiled) == len({s.p for s in grid})

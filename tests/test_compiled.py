@@ -167,8 +167,10 @@ class TestAgainstTheStateLevelExpansion:
     def test_two_route_builds(self):
         scenarios = bench_module("gen").two_route_grid(1)
         assert len(scenarios) == 550
-        for a, b, x, y, p in scenarios:
-            build = build_two_route_network(TwoRouteScenario(a=a, b=b, x=x, y=y, p=p))
+        builds = [build_two_route_network(TwoRouteScenario(*values)) for values in scenarios]
+        distinct = {id(b.support_points): b for b in builds}.values()
+        assert len(distinct) == len({p for *_, p in scenarios})
+        for build in distinct:
             assert_same_outcome(build.network, build.support_points, build.initial_state)
 
     def test_every_set_of_scenarios_as_the_initial_knowledge(self):

@@ -39,6 +39,7 @@ from stdroute import (
     path_probabilities,
     pipeline_ratios,
     policy_choice_probs,
+    ratio_table,
     sample_sequence_counts,
     sequence_likelihood,
     sequence_log_likelihood,
@@ -163,16 +164,22 @@ class TestConstruction:
 
 
 class TestTwoRouteBuild:
-    def test_time_scale_beyond_the_limit(self):
-        # denominators 97, 103 and 7 are each representable; their lcm is not
-        s = TwoRouteScenario(a=1 / 97, b=1 / 103, x=1 / 7 - 1 / 97, y=0, p=0.5)
-        with pytest.raises(ValidationError, match="required time scale 69937 exceeds 10000"):
-            build_two_route_network(s)
-
-    def test_a_route_time_that_rounds_to_zero(self):
-        s = TwoRouteScenario(a=2, b=2, x=-2 + 1e-13, y=0, p=0.5)
-        with pytest.raises(ValidationError, match=r"a\+x scales to a non-positive travel time"):
-            build_two_route_network(s)
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # denominators 97, 103 and 7, whose lcm no integer time scale could hold
+            dict(a=1 / 97, b=1 / 103, x=1 / 7 - 1 / 97, y=0),
+            # a route time of 1e-13, far below any integer time scale
+            dict(a=2, b=2, x=-2 + 1e-13, y=0),
+        ],
+        ids=["time-scale-69937", "route-time-1e-13"],
+    )
+    def test_fractional_route_times_agree_with_the_closed_form(self, values):
+        table = ratio_table(TwoRouteScenario(**values, p=0.5))
+        for closed, piped in zip(table.closed_form.recursive, table.pipeline.recursive):
+            assert piped == pytest.approx(closed, rel=1e-12)
+        for closed, piped in zip(table.closed_form.nonrecursive, table.pipeline.nonrecursive):
+            assert piped == pytest.approx(closed, rel=1e-12)
 
     @pytest.mark.parametrize("name", ["a", "b", "x", "y", "p"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -192,10 +199,23 @@ class TestTwoRouteBuild:
         ],
     )
     def test_a_route_time_beyond_int64(self, values, name):
+        # the closed forms are read first, so the table names their overflow when they have one
+        pipeline_message, table_message = {
+            "a": ["x=1.0 vanishes in floating point: a + x equals a=1e+300"] * 2,
+            "b": ["y=1.0 vanishes in floating point: b + y equals b=9.223372036854776e+18"] * 2,
+            "a+x": (
+                "the pipeline route odds overflow at x=1e+19, y=1.0",
+                "the closed-form ratio exp(x) overflows at x=1e+19",
+            ),
+            "b+y": (
+                "the pipeline route odds overflow at x=1.0, y=9.223372036854776e+18",
+                "the closed-form ratio exp(y) overflows at y=9.223372036854776e+18",
+            ),
+        }[name]
         s = TwoRouteScenario(**(dict(a=2.0, b=2.0, x=1.0, y=1.0, p=0.5) | values))
-        message = f"{name} scales to a travel time beyond 2**63 - 1"
-        with pytest.raises(ValidationError, match=re.escape(message)):
-            build_two_route_network(s)
+        for read, message in ((pipeline_ratios, pipeline_message), (ratio_table, table_message)):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                read(s)
 
     @pytest.mark.parametrize(
         "x, y, message",
@@ -226,7 +246,7 @@ class TestTwoRouteBuild:
 
     def test_a_zero_offset_on_a_large_time_is_kept(self):
         build = build_two_route_network(TwoRouteScenario(a=1e18, b=2.0, x=0.0, y=1.0, p=0.5))
-        assert build.support_points.travel_times[0, 1].tolist() == [1, 10**18, 10**18]
+        assert build.utility.beta == (-1e18, -1e18, -2.0, -3.0)
 
     @pytest.mark.parametrize("x", [740.0, 800.0])
     def test_pipeline_odds_that_overflow(self, x):

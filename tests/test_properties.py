@@ -1,14 +1,15 @@
-"""Probability invariants of both models, the compile, its height-level schedule, the label ranks and the exact value gradient against their oracles, and the document readers on arbitrary JSON (Hypothesis)."""
+"""Probability invariants of both models, the compile, its height-level schedule, the label ranks and the exact value gradient against their oracles, the two-route pipeline against its closed forms, and the document readers on arbitrary JSON (Hypothesis)."""
 
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -17,8 +18,10 @@ from stdroute import (
     LinkUtilitySpec,
     ObservationSet,
     StdRouteError,
+    TwoRouteScenario,
     ValidationError,
     bundled_network_text,
+    closed_form_ratios,
     compile_graph,
     enumerate_policies,
     enumerate_sequences,
@@ -27,6 +30,7 @@ from stdroute import (
     load_bundled_network,
     load_network,
     path_probabilities,
+    pipeline_ratios,
     policy_utilities,
     sequence_probabilities,
     solve_value_functions,
@@ -262,6 +266,44 @@ def test_the_comparison_raises_the_first_error_of_the_separate_solves(document, 
     error = outcome(equivalence_report, net, spp, utility)
     assert error == outcome(oracle.equivalence_report, net, spp, utility)
     assert error[0] is ValidationError and message in error[1]
+
+
+# the documented refusals of a scenario whose ratios leave the float range or lose an offset
+RATIO_REFUSALS = re.compile(
+    r"the closed-form (ratio exp\([xy]\)|marginal ratio) overflows at "
+    r"|the pipeline route odds overflow at "
+    r"|[xy]=\S+ vanishes in floating point: "
+)
+
+
+@st.composite
+def two_route_scenarios(draw):
+    """Scenarios with base times up to 700, where exp(x) > exp(-a) stays a normal float.
+
+    Offsets run past 709.8, where the closed-form ratios overflow, and p
+    stays above 1e-300, where the non-recursive scale 1 / p is refused.
+    """
+    a, b = (draw(st.floats(0.0, 700.0, exclude_min=True)) for _ in "ab")
+    x = draw(st.floats(-a, 750.0, exclude_min=True))
+    y = draw(st.floats(-b, 750.0, exclude_min=True))
+    p = draw(st.floats(1e-300, 1.0, exclude_min=True, exclude_max=True))
+    return TwoRouteScenario(a=a, b=b, x=x, y=y, p=p)
+
+
+# values with no integer time scale of denominator <= 10**4
+@example(TwoRouteScenario(a=2.0, b=2.0, x=0.1234567, y=0.5, p=0.5))
+@example(TwoRouteScenario(a=1 / 7, b=1 / 13, x=1 / 11, y=1 / 17, p=0.5))
+@example(TwoRouteScenario(a=2.0, b=2.0, x=-2 + 1e-13, y=0.0, p=0.5))
+@given(two_route_scenarios())
+def test_pipeline_ratios_are_the_closed_forms(s):
+    try:
+        closed, piped = closed_form_ratios(s), pipeline_ratios(s)
+    except ValidationError as exc:
+        if not RATIO_REFUSALS.match(str(exc)):
+            raise
+        reject()
+    for model in ("recursive", "nonrecursive"):
+        assert getattr(piped, model) == pytest.approx(getattr(closed, model), rel=1e-12, abs=0)
 
 
 # as many plain values as nested ones: ids, times and counts are where a document goes wrong
