@@ -60,21 +60,17 @@ from .nonrecursive import (
     policy_choice_probs,
     policy_utilities,
     sample_sequence_counts_nr,
-    sequence_prob_given_policy,
     solve_value_functions_nr,
 )
 from .policy import (
     PolicyChoiceSet,
-    RoutingPolicy,
     StateSequence,
-    contains,
     enumerate_policies,
     enumerate_sequences,
     optimal_policy,
 )
 from .recursive import (
     choice_distribution,
-    link_choice_prob,
     path_probabilities,
     sample_sequence_counts,
     sequence_likelihood,
@@ -104,7 +100,6 @@ __all__ = [
     "PolicyExplosionError",
     "RatioTable",
     "RouteRatios",
-    "RoutingPolicy",
     "State",
     "StateSequence",
     "StdNetwork",
@@ -119,7 +114,6 @@ __all__ = [
     "bundled_network_text",
     "choice_distribution",
     "closed_form_ratios",
-    "contains",
     "compile_graph",
     "decision_graph",
     "dominance_class",
@@ -130,7 +124,6 @@ __all__ = [
     "extremeness_check",
     "fit",
     "initial_state",
-    "link_choice_prob",
     "load_bundled_network",
     "load_network",
     "load_network_file",
@@ -146,7 +139,6 @@ __all__ = [
     "scenario_grid",
     "sequence_likelihood",
     "sequence_log_likelihood",
-    "sequence_prob_given_policy",
     "sequence_probabilities",
     "solve_value_functions",
     "solve_value_functions_nr",

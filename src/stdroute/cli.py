@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from decimal import Decimal
 
 import numpy as np
 
@@ -199,23 +200,30 @@ def cmd_estimate(args) -> int:
 
 
 def _parse_grid(text: str, name: str) -> list[float]:
+    """The points lo, lo + step, ... up to hi, each the float nearest its exact decimal value.
+
+    The points are summed in decimal from the text as written, so no
+    rounding accumulates and no tolerance is needed at ``hi``: a point
+    the user can write is the point the sweep evaluates.
+    """
+    parts = text.split(":")
     try:
-        lo, hi, step = (float(part) for part in text.split(":"))
+        lo, hi, step = map(float, parts)
     except ValueError:
         raise StdRouteError(f"--{name} expects lo:hi:step") from None
     if not all(map(math.isfinite, (lo, hi, step))):
         raise StdRouteError(f"--{name} bounds and step must be finite")
-    if step <= 0:
+    exact_lo, exact_hi, exact_step = map(Decimal, parts)
+    if exact_step <= 0:
         raise StdRouteError(f"--{name} step must be positive")
-    if lo > hi:
+    if exact_lo > exact_hi:
         raise StdRouteError(f"--{name} is empty: lo {_fmt(lo)} exceeds hi {_fmt(hi)}")
-    values = []
-    value = lo
-    while value <= hi + 1e-9:
-        values.append(round(value, 12))
-        if value + step == value:
-            raise StdRouteError(f"--{name} step {_fmt(step)} does not advance from {_fmt(value)}")
-        value += step
+    values, point = [], exact_lo
+    while point <= exact_hi:
+        values.append(float(point))
+        point += exact_step
+        if float(point) == values[-1]:
+            raise StdRouteError(f"--{name} step {_fmt(step)} does not advance from {_fmt(values[-1])}")
     return values
 
 

@@ -263,9 +263,17 @@ def pipeline_ratios(s: TwoRouteScenario) -> ModelRatios:
     Every policy passes through both junction states, so the
     non-recursive model's choice probabilities there are the policy
     logit's marginal route shares. Odds beyond the float range raise
-    ``ValidationError``, as the closed forms do.
+    ``ValidationError``, as the closed forms do, and so does a ``p`` too
+    small for the non-recursive scale ``mu / p`` of the state-1 junction
+    (:func:`~stdroute.nonrecursive.nonrecursive_scale`).
     """
     build = build_two_route_network(s)
+    # 1 - p is at least 1.1e-16, so only the state-1 junction can be too rare
+    if s.p * 1e300 <= build.utility.mu:
+        raise ValidationError(
+            f"p={s.p!r} is too small for the non-recursive pipeline: "
+            "its scale mu / p needs p > mu / 1e300"
+        )
     graph = compile_graph(build.network, build.support_points, build.initial_state)
     junctions = _junction_actions(graph)
     rec, nr = _solve_both(graph, build.utility, (build.utility.mu,)).choice_probs.T.tolist()
@@ -279,7 +287,14 @@ def pipeline_ratios(s: TwoRouteScenario) -> ModelRatios:
 
 
 def ratio_table(s: TwoRouteScenario) -> RatioTable:
-    """Closed-form ratios next to the full-pipeline ones; they agree to solver precision."""
+    """Closed-form ratios next to the full-pipeline ones.
+
+    The pipeline carries the offsets only to the rounding of the route
+    utilities -(a + x) and -(b + y), so the two agree to a relative
+    difference of about ``ulp(a + x) + ulp(b + y)`` plus a few rounding
+    errors, not to solver precision: about 2e-14 at a = 1e3 and 2e-8 at
+    a = 1e9 for x = 0.1.
+    """
     return RatioTable(scenario=s, closed_form=closed_form_ratios(s), pipeline=pipeline_ratios(s))
 
 

@@ -13,7 +13,7 @@ recursive model's readers: likelihoods, sequence and path probabilities
 and the sampler. Only per-policy outputs take a :class:`PolicyChoiceSet`,
 whose policies are rows of the compiled graph's state-actions: policy
 utilities, one segment sum of the reach-weighted utilities over the rows,
-and choice probabilities. Neither builds a :class:`RoutingPolicy`.
+and choice probabilities.
 """
 
 from __future__ import annotations
@@ -32,16 +32,9 @@ from .network import (
     SupportPointSet,
     compile_graph,
     initial_state as default_initial_state,
-    transition_prob,
 )
 from .numerics import check_sample_size, segment_sums, softmax
-from .policy import (
-    PolicyChoiceSet,
-    RoutingPolicy,
-    StateSequence,
-    _backward_counts,
-    contains,
-)
+from .policy import PolicyChoiceSet, StateSequence, _backward_counts
 from .recursive import sample_sequence_counts, solve_log_sum
 from .utility import LinkUtilitySpec, ValueFunction
 
@@ -116,20 +109,6 @@ def _policy_logit(utilities: np.ndarray, mu: float) -> np.ndarray:
             f"the policy choice probabilities are not finite at logit scale mu={mu!r}"
         )
     return probs
-
-
-def sequence_prob_given_policy(
-    seq: StateSequence, policy: RoutingPolicy, spp: SupportPointSet
-) -> float:
-    """Probability of observing the sequence when this policy is executed.
-
-    Zero unless the policy contains the sequence; otherwise the chain of
-    knowledge transitions collapses to the probability of the final
-    knowledge state given the initial one.
-    """
-    if not contains(policy, seq):
-        return 0.0
-    return transition_prob(spp, seq.final_state.ev, seq.initial_state.ev)
 
 
 def sample_sequence_counts_nr(

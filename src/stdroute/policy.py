@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -83,44 +82,12 @@ class StateSequence:
             raise ValidationError("sequence does not end at the destination")
 
 
-@dataclass(frozen=True)
-class RoutingPolicy:
-    """Mapping from decision states to next links.
-
-    The domain is exactly the set of states reachable from the initial
-    state under the policy's own decisions; every induced leaf is at the
-    destination. Two policies are equal when their decision maps are.
-    """
-
-    initial_state: State
-    decisions: tuple[tuple[State, int], ...]
-
-    def __post_init__(self) -> None:
-        canon = tuple(sorted(self.decisions, key=lambda item: item[0].sort_key))
-        object.__setattr__(self, "decisions", canon)
-
-    @classmethod
-    def from_map(cls, initial: State, mapping: dict[State, int]) -> "RoutingPolicy":
-        return cls(initial_state=initial, decisions=tuple(mapping.items()))
-
-    @cached_property
-    def decision_map(self) -> dict[State, int]:
-        return dict(self.decisions)
-
-    def next_link(self, state: State) -> int:
-        try:
-            return self.decision_map[state]
-        except KeyError:
-            raise ValidationError(f"policy has no decision for state {state}") from None
-
-
 @dataclass(frozen=True, eq=False)
 class PolicyChoiceSet:
     """Ordered routing policies sharing one initial state, as rows of its compiled graph.
 
-    ``rows[k]`` holds the state-actions policy k takes, in the walk order
-    of its tree (:func:`_walk_tree`); ``policies`` builds one
-    :class:`RoutingPolicy` per row on first read.
+    ``rows[k]`` holds the state-actions policy k takes, one per decision
+    state of its tree, in the walk order of the tree (:func:`_walk_tree`).
     """
 
     graph: CompiledGraph
@@ -138,23 +105,8 @@ class PolicyChoiceSet:
     def initial_state(self) -> State:
         return self.graph.initial
 
-    @cached_property
-    def policies(self) -> tuple[RoutingPolicy, ...]:
-        states, initial = self.graph.states, self.graph.initial
-        owner, links = self.graph.action_state.tolist(), self.graph.action_lists[1]
-        return tuple(
-            RoutingPolicy.from_map(initial, {states[owner[j]]: links[j] for j in row})
-            for row in self.rows
-        )
-
     def __len__(self) -> int:
         return len(self.rows)
-
-    def index_of(self, policy: RoutingPolicy) -> int:
-        try:
-            return self.policies.index(policy)
-        except ValueError:
-            raise ValidationError("policy is not a member of the choice set") from None
 
 
 def _backward_counts(graph: CompiledGraph, branch) -> list[int]:
@@ -225,30 +177,21 @@ def _walk_tree(graph: CompiledGraph, choose) -> dict[int, int]:
     return taken
 
 
-def contains(policy: RoutingPolicy, seq: StateSequence) -> bool:
-    """Whether the policy reproduces the sequence's link choice at every decision state."""
-    if seq.initial_state != policy.initial_state:
-        raise ValidationError("sequence and policy have different initial states")
-    decisions = policy.decision_map
-    for i in range(len(seq.states) - 1):
-        if decisions.get(seq.states[i]) != seq.states[i + 1].link:
-            return False
-    return True
-
-
 def optimal_policy(
     net: StdNetwork,
     spp: SupportPointSet,
     initial: State,
     utility: LinkUtilitySpec,
-) -> tuple[RoutingPolicy, ValueFunction]:
+) -> tuple[tuple[int, ...], ValueFunction]:
     """Backward induction with a max step: the deterministic-choice optimum.
 
     Ties are broken toward the lowest link id so the result is
-    reproducible. Returns the policy restricted to states it actually
-    visits, plus the max-based value table over all reachable states,
-    whose choice probabilities put all mass on the optimal link. The
-    table is the zero-scale limit of the logit, so its scale is 0.
+    reproducible. Returns the policy as a row of the compiled graph's
+    state-actions, one per decision state of its tree, in the walk order
+    that :attr:`PolicyChoiceSet.rows` uses, plus the max-based value
+    table over all reachable states, whose choice probabilities put all
+    mass on the optimal link. The table is the zero-scale limit of the
+    logit, so its scale is 0.
     """
     graph = compile_graph(net, spp, initial)
     first = graph.first_action
@@ -262,8 +205,6 @@ def optimal_policy(
     choice = np.zeros(len(q))
     choice[best] = 1.0
     taken = _walk_tree(graph, dict(zip(decision.tolist(), best.tolist())).__getitem__)
-    links = graph.action_link.tolist()
-    policy = RoutingPolicy.from_map(initial, {graph.states[i]: links[j] for i, j in taken.items()})
     vf = ValueFunction(
         utility=utility,
         graph=graph,
@@ -273,7 +214,7 @@ def optimal_policy(
         choice_probs=choice,
         log_choice_probs=np.where(choice > 0, 0.0, -np.inf),
     )
-    return policy, vf
+    return tuple(taken.values()), vf
 
 
 class StepTable(NamedTuple):

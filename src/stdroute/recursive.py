@@ -175,12 +175,6 @@ def choice_distribution(vf: ValueFunction, state: State) -> dict[int, float]:
     return dict(zip(links[lo:hi], vf.choice_prob_list[lo:hi]))
 
 
-def link_choice_prob(vf: ValueFunction, state: State, a: int) -> float:
-    """Probability of choosing outgoing link ``a`` at ``state``."""
-    vf.require_unbatched()
-    return float(vf.choice_probs[vf.graph.action(vf.state_index(state), a)])
-
-
 def step_table(graph: CompiledGraph, sequences) -> StepTable:
     """Find every step of each sequence in the compiled graph.
 

@@ -8,9 +8,12 @@ as a check that the schedule of the sweep changes no bit); walks the
 expanded graph calling the attribute extractor once per link, as a
 check on the compiled-graph sweep; lists every routing policy by
 merging one decision dict per sub-policy, as a check on the rows of
-state-actions the choice set keeps and on their order; walks each
-routing policy's state tree to its leaves, as a check on the policy
-utility read from the compiled graph's reach; scores an observation
+state-actions the choice set keeps and on their order; reads a
+policy as a ``{State: link}`` dict of its decisions, to check a row's
+containment of a sequence and a sequence's probability given a policy
+against the rows' state-actions; walks each routing policy's state tree
+to its leaves, as a check on the policy utility read from the compiled
+graph's reach; scores an observation
 set one sequence and one step at a time, as a check on the batched
 likelihood, and sums each sequence's score one step at a time, as a
 check on the scores read from the flat step table; writes a sequence's
@@ -30,7 +33,7 @@ vectorized splitter and its rank order; and differentiates the log
 likelihood by central differences, as a check on the exact scores and
 their standard errors; maximizes it by scipy's BFGS, as a check on
 the damped Newton fit; and renders the command line's policy and choice
-tables from ``RoutingPolicy`` decisions and the ``State``-keyed value
+tables from ``{State: link}`` policy dicts and the ``State``-keyed value
 dict, as a check on the tables written from the compiled graph's indices.
 """
 
@@ -50,7 +53,6 @@ from stdroute import (
     EquivalenceReport,
     HorizonError,
     LinkUtilitySpec,
-    RoutingPolicy,
     State,
     StateSequence,
     StdRouteError,
@@ -61,7 +63,6 @@ from stdroute import (
     enumerate_policies,
     event_collections_at,
     initial_state,
-    link_choice_prob,
     policy_choice_probs,
     policy_utilities,
     solve_value_functions,
@@ -300,11 +301,39 @@ def merged_policies(net, spp, initial):
                     memo[state].append(merged)
         return memo[state]
 
-    return tuple(RoutingPolicy.from_map(initial, m) for m in options(initial))
+    return tuple(options(initial))
 
 
-def policy_outcomes(net, spp, policy):
-    """Leaves of a policy's state tree, walked with ``successor_states`` from the initial state."""
+def row_policy(graph, row):
+    """A row of a compiled graph's state-actions as a ``{State: link}`` dict of its decisions."""
+    states, owner, links = graph.states, graph.action_state.tolist(), graph.action_link.tolist()
+    return {states[owner[j]]: links[j] for j in row}
+
+
+def policy_maps(cs):
+    """Every policy of a choice set as a ``{State: link}`` dict, in choice-set order."""
+    return tuple(row_policy(cs.graph, row) for row in cs.rows)
+
+
+def contains(policy, seq):
+    """Whether a ``{State: link}`` policy takes the sequence's link at each of its decision states."""
+    return all(policy.get(cur) == nxt.link for cur, nxt in zip(seq.states, seq.states[1:]))
+
+
+def sequence_prob_given_policy(seq, policy, spp):
+    """Probability of observing the sequence when a ``{State: link}`` policy is executed.
+
+    Zero unless the policy contains the sequence; otherwise the chain of
+    knowledge transitions collapses to the probability of the final
+    knowledge state given the initial one.
+    """
+    if not contains(policy, seq):
+        return 0.0
+    return transition_prob(spp, seq.final_state.ev, seq.initial_state.ev)
+
+
+def policy_outcomes(net, spp, initial, policy):
+    """Leaves of a ``{State: link}`` policy's state tree, walked with ``successor_states`` from ``initial``."""
     leaves = []
 
     def walk(prefix, prob):
@@ -312,17 +341,17 @@ def policy_outcomes(net, spp, policy):
         if net.is_destination(state.link):
             leaves.append((StateSequence(prefix), prob))
             return
-        for nxt, p in successor_states(net, spp, state, policy.next_link(state)):
+        for nxt, p in successor_states(net, spp, state, policy[state]):
             walk(prefix + (nxt,), prob * p)
 
-    walk((policy.initial_state,), 1.0)
+    walk((initial,), 1.0)
     return tuple(leaves)
 
 
-def policy_expected_utility(net, spp, policy, utility):
+def policy_expected_utility(net, spp, initial, policy, utility):
     """Leaf-probability-weighted utility accumulated along each leaf sequence of the policy's tree."""
     total = 0.0
-    for seq, prob in policy_outcomes(net, spp, policy):
+    for seq, prob in policy_outcomes(net, spp, initial, policy):
         accumulated = sum(
             link_utility(utility, net, spp, nxt.link, cur)
             for cur, nxt in zip(seq.states, seq.states[1:])
@@ -534,24 +563,22 @@ def pipeline_ratios(s):
     ratios = []
     for solve in (solve_value_functions, solve_value_functions_nr):
         vf = solve(net, spp, build.utility, initial=s0)
-        (r2_1, r3_1), (r2_2, r3_2) = (
-            (link_choice_prob(vf, state, LINK_ROUTE2), link_choice_prob(vf, state, LINK_ROUTE3))
-            for state in junctions
-        )
+        dists = (recursive.choice_distribution(vf, state) for state in junctions)
+        (r2_1, r3_1), (r2_2, r3_2) = ((d[LINK_ROUTE2], d[LINK_ROUTE3]) for d in dists)
         m2 = s.p * r2_1 + (1.0 - s.p) * r2_2
         m3 = s.p * r3_1 + (1.0 - s.p) * r3_2
         ratios.append(RouteRatios(r2_1 / r3_1, r2_2 / r3_2, m2 / m3))
     return ModelRatios(*ratios)
 
 
-def rollout_policy(net, spp, policy, scenario):
-    """Trajectory produced by a policy when nature plays one fixed scenario."""
-    state = policy.initial_state
+def rollout_policy(net, spp, initial, policy, scenario):
+    """Trajectory produced by a ``{State: link}`` policy from ``initial`` when nature plays one fixed scenario."""
+    state = initial
     if scenario not in state.ev:
         raise ValidationError(f"scenario {scenario} is incompatible with {state.ev}")
     states = [state]
     while not net.is_destination(state.link):
-        a = policy.next_link(state)
+        a = policy[state]
         nxt = [s for s, _ in successor_states(net, spp, state, a) if scenario in s.ev]
         state = nxt[0]
         states.append(state)
@@ -565,18 +592,18 @@ def _scenario_probs(cs):
     return scenarios, probs / probs.sum()
 
 
-def policy_choice_prob(cs, policy, utility):
-    """One policy's origin logit probability, read from the whole choice set's."""
-    return float(policy_choice_probs(cs, utility)[cs.index_of(policy)])
+def policy_choice_prob(cs, row, utility):
+    """One policy row's origin logit probability, read from the whole choice set's."""
+    return float(policy_choice_probs(cs, utility)[cs.rows.index(row)])
 
 
 def policy_scenario_probabilities(cs, utility):
     """Non-recursive sequence probabilities: the sum over (policy, scenario) pairs whose rollout it is."""
     scenarios, scenario_probs = _scenario_probs(cs)
     totals = {}
-    for prob, policy in zip(policy_choice_probs(cs, utility), cs.policies):
+    for prob, policy in zip(policy_choice_probs(cs, utility), policy_maps(cs)):
         for r, q in zip(scenarios, scenario_probs):
-            seq = rollout_policy(cs.network, cs.support_points, policy, r)
+            seq = rollout_policy(cs.network, cs.support_points, cs.initial_state, policy, r)
             totals[seq] = totals.get(seq, 0.0) + float(prob * q)
     return totals
 
@@ -594,14 +621,14 @@ def policy_scenario_counts(cs, utility, n, seed=None):
     scenarios, scenario_probs = _scenario_probs(cs)
     joint = np.outer(probs, scenario_probs).ravel()
     joint = joint / joint.sum()
-    draws = rng.multinomial(n, joint).reshape(len(cs.policies), len(scenarios))
+    draws = rng.multinomial(n, joint).reshape(len(cs), len(scenarios))
     result = {}
-    for i, policy in enumerate(cs.policies):
+    for i, policy in enumerate(policy_maps(cs)):
         for j, r in enumerate(scenarios):
             count = int(draws[i, j])
             if count == 0:
                 continue
-            seq = rollout_policy(cs.network, cs.support_points, policy, r)
+            seq = rollout_policy(cs.network, cs.support_points, cs.initial_state, policy, r)
             result[seq] = result.get(seq, 0) + count
     return dict(sorted(result.items(), key=lambda item: item[0].label()))
 
@@ -733,12 +760,12 @@ def _decision_text(state, a):
 
 
 def policy_csv(net, spp):
-    """``enumerate-policies``' CSV: each policy's sorted decisions, one row each."""
+    """``enumerate-policies``' CSV: each policy's decisions sorted by ``State.sort_key``, one row each."""
     cs = enumerate_policies(net, spp, initial_state(net, spp))
     rows = [
         [str(i), *_decision_text(state, a)]
-        for i, policy in enumerate(cs.policies)
-        for state, a in policy.decisions
+        for i, policy in enumerate(policy_maps(cs))
+        for state, a in sorted(policy.items(), key=lambda item: item[0].sort_key)
     ]
     return _csv_text(["policy", "link", "time", "ev", "next_link"], rows)
 

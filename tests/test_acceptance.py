@@ -10,20 +10,19 @@ import numpy as np
 import pytest
 
 from netgen import random_network
-from oracle import policy_scenario_counts, rollout_policy
+from oracle import policy_maps, policy_scenario_counts, rollout_policy
 from stdroute import (
     EventCollection,
     LinkUtilitySpec,
     ObservationSet,
     State,
     TwoRouteScenario,
-    contains,
+    choice_distribution,
     closed_form_ratios,
     enumerate_policies,
     enumerate_sequences,
     fit,
     initial_state,
-    link_choice_prob,
     load_bundled_network,
     path_probabilities,
     pipeline_ratios,
@@ -35,6 +34,7 @@ from stdroute import (
     solve_value_functions,
     solve_value_functions_nr,
 )
+from stdroute.recursive import step_table
 
 V1 = State(1, 1, EventCollection((1,)))
 V2 = State(1, 1, EventCollection((2,)))
@@ -90,9 +90,9 @@ def test_reference_table_reproduction(model):
 def test_state_level_closed_forms(model):
     _, _, s0, _, vf, _ = model
     errs = [
-        abs(link_choice_prob(vf, V1, 2) - 1 / (1 + math.e)),
-        abs(link_choice_prob(vf, V2, 2) - 0.5),
-        abs(link_choice_prob(vf, s0, 1) - 1.0),
+        abs(choice_distribution(vf, V1)[2] - 1 / (1 + math.e)),
+        abs(choice_distribution(vf, V2)[2] - 0.5),
+        abs(choice_distribution(vf, s0)[1] - 1.0),
     ]
     check("junction and departure choice probabilities (1e-12)", max(errs) <= 1e-12,
           f"max deviation {max(errs):.2e}")
@@ -201,21 +201,23 @@ def test_deterministic_choice_limit(model):
     net, spp, s0, utility, _, cs = model
     utilities = policy_utilities(cs, utility)
     best = utilities.max()
-    optimal_set = [
-        policy for policy, value in zip(cs.policies, utilities) if value >= best - 1e-12
-    ]
+    optimal_rows = [set(row) for row, value in zip(cs.rows, utilities) if value >= best - 1e-12]
+
+    def in_optimal_set(seq):
+        taken = set(step_table(cs.graph, [seq]).actions.tolist())
+        return any(taken <= row for row in optimal_rows)
 
     tiny = utility.with_mu(1e-4)
     vf_tiny = solve_value_functions(net, spp, tiny)
     rec_mass = sum(
         p
         for seq, p in sequence_probabilities(vf_tiny).items()
-        if any(contains(policy, seq) for policy in optimal_set)
+        if in_optimal_set(seq)
     )
     nr_mass = sum(
         p
         for seq, p in sequence_probabilities(solve_value_functions_nr(net, spp, tiny)).items()
-        if any(contains(policy, seq) for policy in optimal_set)
+        if in_optimal_set(seq)
     )
 
     divergences = []
@@ -261,9 +263,9 @@ def test_small_network_oracles():
         for seq, modeled in nr.items():
             brute = sum(
                 prob * spp.probabilities[r - 1] / start_mass
-                for prob, policy in zip(probs, cs.policies)
+                for prob, policy in zip(probs, policy_maps(cs))
                 for r in s0.ev
-                if rollout_policy(net, spp, policy, r) == seq
+                if rollout_policy(net, spp, s0, policy, r) == seq
             )
             worst_marginalization = max(worst_marginalization, abs(brute - modeled))
 

@@ -536,6 +536,23 @@ class TestCompare:
         assert (run.returncode, run.stdout) == (1, "")
         assert run.stderr == "error: --x-grid step 1 does not advance from 1e+17\n"
 
+    @pytest.mark.parametrize("pipeline", [[], ["--pipeline"]], ids=["closed-form", "pipeline"])
+    def test_a_grid_below_any_absolute_tolerance_keeps_its_value(self, capsys, pipeline):
+        grids = ["--x-grid=1e-13:1e-13:1e-13", "--y-grid=1:1:1", "--p-grid=0.5:0.5:0.5"]
+        assert main(["sweep", *grids, *pipeline]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert len(rows) == 1 and rows[0].startswith("1e-13,1,0.5,route2_dominant,")
+
+    def test_grid_points_are_the_decimals_written(self):
+        assert _parse_grid("-1.8:5:0.68", "x-grid") == [
+            -1.8, -1.12, -0.44, 0.24, 0.92, 1.6, 2.28, 2.96, 3.64, 4.32, 5.0
+        ]
+        assert _parse_grid("0.05:0.95:0.225", "p-grid") == [0.05, 0.275, 0.5, 0.725, 0.95]
+        # -0.3 + 0.1 + 0.1 + 0.1 is 5.55e-17 in floating point; the grid's point is an exact 0.0
+        values = _parse_grid("-0.3:0.3:0.1", "x-grid")
+        assert values == [-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3]
+        assert math.copysign(1.0, values[3]) == 1.0
+
     def test_an_empty_grid_writes_nothing(self, tmp_path, capsys):
         prefix = tmp_path / "sweep"
         assert main(["sweep", "--p-grid=0.9:0.1:0.1", "--output", str(prefix)]) == 1

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from stdroute import (
     ValidationError,
     build_two_route_network,
     bundled_network_text,
+    choice_distribution,
     closed_form_ratios,
     compile_graph,
     decision_graph,
@@ -22,7 +24,6 @@ from stdroute import (
     equivalence_report,
     extremeness_check,
     initial_state,
-    link_choice_prob,
     load_network,
     path_probabilities,
     pipeline_ratios,
@@ -73,8 +74,8 @@ class TestBuild:
             decision_graph(net, spp, initial_state(net, spp)).choices[initial_state(net, spp)][1],
         ):
             for a in (LINK_ROUTE2, LINK_ROUTE3):
-                assert link_choice_prob(vf_built, built_state, a) == pytest.approx(
-                    link_choice_prob(vf_bundled, bundled_state, a), abs=1e-12
+                assert choice_distribution(vf_built, built_state)[a] == pytest.approx(
+                    choice_distribution(vf_bundled, bundled_state)[a], abs=1e-12
                 )
 
     def test_every_time_is_one_but_the_approach_in_state_2(self):
@@ -120,7 +121,7 @@ class TestRatioTable:
         table = ratio_table(TwoRouteScenario(a=3, b=2, x=-1, y=0, p=0.5))
         assert table.closed_form.recursive.state1 == pytest.approx(math.exp(-1), abs=1e-12)
         v1 = State(1, 1, EventCollection((1,)))
-        observed = link_choice_prob(vf, v1, 2) / link_choice_prob(vf, v1, 3)
+        observed = choice_distribution(vf, v1)[2] / choice_distribution(vf, v1)[3]
         assert table.closed_form.recursive.state1 == pytest.approx(observed, abs=1e-12)
 
     def test_closed_form_matches_pipeline_on_random_scenarios(self):
@@ -134,6 +135,16 @@ class TestRatioTable:
                 p=float(rng.uniform(0.05, 0.95)),
             )
             assert max_ratio_diff(scenario) < 1e-10
+
+    @pytest.mark.parametrize("a", [1e3, 1e6, 1e9])
+    def test_agreement_is_bounded_by_the_rounding_of_the_route_times(self, a):
+        # the utilities -a and -(a + x) carry x only to the rounding of a + x
+        x, b, y = 0.1, 2.0, 1.0
+        table = ratio_table(TwoRouteScenario(a=a, b=b, x=x, y=y, p=0.5))
+        closed = (*table.closed_form.recursive, *table.closed_form.nonrecursive)
+        piped = (*table.pipeline.recursive, *table.pipeline.nonrecursive)
+        worst = max(abs(n - c) / c for c, n in zip(closed, piped))
+        assert worst <= math.ulp(a + x) + math.ulp(b + y) + 4 * sys.float_info.epsilon
 
     def test_nonrecursive_state_ratios_depend_on_p(self):
         scenario = TwoRouteScenario(a=2, b=2, x=1.0, y=2.0, p=0.3)
@@ -243,7 +254,7 @@ class TestEquivalenceReport:
 
     def test_small_scale_concentrates_on_the_faster_route(self, net, spp, unit_utility):
         vf = solve_value_functions(net, spp, unit_utility.with_mu(1e-4))
-        assert link_choice_prob(vf, State(1, 1, EventCollection((1,))), 3) >= 0.999
+        assert choice_distribution(vf, State(1, 1, EventCollection((1,))))[3] >= 0.999
 
 
 class TestGrid:

@@ -21,7 +21,6 @@ from stdroute import (
     LinkUtilitySpec,
     NetworkFormatError,
     ObservationSet,
-    RoutingPolicy,
     State,
     StdNetwork,
     SupportPointSet,
@@ -35,7 +34,6 @@ from stdroute import (
     enumerate_sequences,
     event_collections_at,
     extremeness_check,
-    link_choice_prob,
     path_probabilities,
     pipeline_ratios,
     policy_choice_probs,
@@ -181,6 +179,21 @@ class TestTwoRouteBuild:
         for closed, piped in zip(table.closed_form.nonrecursive, table.pipeline.nonrecursive):
             assert piped == pytest.approx(closed, rel=1e-12)
 
+    @pytest.mark.parametrize("p", [1e-300, 1e-301, 5e-324])
+    def test_a_probability_too_small_for_the_pipeline_is_named(self, p):
+        s = TwoRouteScenario(a=2, b=2, x=1, y=1, p=p)
+        message = f"p={p!r} is too small for the non-recursive pipeline: its scale mu / p needs p > mu / 1e300"
+        for read in (pipeline_ratios, ratio_table):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                read(s)
+        assert closed_form_ratios(s).recursive == (math.e, math.e, math.e)
+
+    def test_the_smallest_probability_above_the_limit_is_solved(self):
+        p = math.nextafter(1e-300, 1.0)
+        table = ratio_table(TwoRouteScenario(a=2, b=2, x=1, y=1, p=p))
+        assert table.pipeline.recursive == pytest.approx(table.closed_form.recursive, rel=1e-12)
+        assert table.pipeline.nonrecursive == pytest.approx(table.closed_form.nonrecursive, rel=1e-12)
+
     @pytest.mark.parametrize("name", ["a", "b", "x", "y", "p"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_a_value_that_is_not_finite(self, name, value):
@@ -313,10 +326,6 @@ class TestLookups:
         with pytest.raises(ValidationError, match="link 9 is not an outgoing link of link 0"):
             graph.action(0, 9)
 
-    def test_policy_outside_the_choice_set(self, cs, s0):
-        with pytest.raises(ValidationError, match="policy is not a member of the choice set"):
-            cs.index_of(RoutingPolicy(s0, ()))
-
     def test_choice_at_the_destination(self, net, vf):
         state = next(s for s in vf.graph.states if net.is_destination(s.link))
         with pytest.raises(ValidationError, match=re.escape(f"state {state} has no outgoing links")):
@@ -337,7 +346,6 @@ class TestLookups:
 # solve and one of its sequences
 PER_STATE_READERS = {
     "choice_distribution": lambda vf, seq: choice_distribution(vf, seq.states[0]),
-    "link_choice_prob": lambda vf, seq: link_choice_prob(vf, seq.states[0], seq.path[0]),
     "sequence_probabilities": lambda vf, seq: sequence_probabilities(vf),
     "path_probabilities": lambda vf, seq: path_probabilities(vf),
     "sample_sequence_counts": lambda vf, seq: sample_sequence_counts(vf, 10, seed=0),
@@ -399,7 +407,7 @@ class TestLogitScale:
         with pytest.raises(ValidationError, match=re.escape(message)):
             policy_choice_probs(cs, utility)
         with pytest.raises(ValidationError, match=re.escape(message)):
-            policy_choice_prob(cs, cs.policies[0], utility)
+            policy_choice_prob(cs, cs.rows[0], utility)
 
     @pytest.mark.parametrize("solve", [solve_value_functions, solve_value_functions_nr])
     def test_small_scale_that_stays_finite_is_solved(self, net, spp, solve):

@@ -1,29 +1,32 @@
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from netgen import network_text, random_network
-from oracle import logsumexp, policy_choice_prob, rollout_policy, sequence_likelihood_value_form
+from netgen import random_network
+from oracle import (
+    logsumexp,
+    policy_choice_prob,
+    policy_maps,
+    rollout_policy,
+    sequence_likelihood_value_form,
+    sequence_prob_given_policy,
+)
 from stdroute import (
     EventCollection,
     LinkUtilitySpec,
     ObservationSet,
     PolicyChoiceSet,
-    RoutingPolicy,
     State,
     TwoRouteScenario,
     ValidationError,
-    bundled_network_text,
     compile_graph,
     enumerate_policies,
     enumerate_sequences,
     equivalence_report,
     fit,
     initial_state,
-    load_network,
     log_likelihood,
     path_probabilities,
     pipeline_ratios,
@@ -33,12 +36,10 @@ from stdroute import (
     sample_sequence_counts_nr,
     sequence_likelihood,
     sequence_log_likelihood,
-    sequence_prob_given_policy,
     sequence_probabilities,
     solve_value_functions,
     solve_value_functions_nr,
 )
-from stdroute.cli import main
 
 V1 = State(1, 1, EventCollection((1,)))
 V2 = State(1, 1, EventCollection((2,)))
@@ -56,8 +57,8 @@ def nr_solve(cs, utility):
 
 
 def junction_policy(cs, at_v1, at_v2):
-    for policy in cs.policies:
-        if policy.next_link(V1) == at_v1 and policy.next_link(V2) == at_v2:
+    for policy in policy_maps(cs):
+        if policy[V1] == at_v1 and policy[V2] == at_v2:
             return policy
     raise AssertionError
 
@@ -72,7 +73,7 @@ class TestPolicyChoiceProbs:
         assert probs[2] == pytest.approx(fast, abs=1e-12)
         assert probs[3] == pytest.approx(fast, abs=1e-12)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-        assert policy_choice_prob(cs, cs.policies[0], unit_utility) == pytest.approx(
+        assert policy_choice_prob(cs, cs.rows[0], unit_utility) == pytest.approx(
             slow, abs=1e-12
         )
 
@@ -110,8 +111,8 @@ class TestSequenceGivenPolicy:
         s0 = initial_state(net, spp)
         cs = enumerate_policies(net, spp, s0)
         for seq in enumerate_sequences(net, spp, s0):
-            for policy in cs.policies:
-                expected = 1.0 if rollout_policy(net, spp, policy, 1) == seq else 0.0
+            for policy in policy_maps(cs):
+                expected = 1.0 if rollout_policy(net, spp, s0, policy, 1) == seq else 0.0
                 assert sequence_prob_given_policy(seq, policy, spp) == expected
 
 
@@ -158,9 +159,9 @@ class TestSequenceLikelihood:
             start_mass = spp.mass(s0.ev.members)
             for seq, modeled in sequence_probabilities(nr_solve(cs, unit_utility)).items():
                 total = 0.0
-                for prob, policy in zip(probs, cs.policies):
+                for prob, policy in zip(probs, policy_maps(cs)):
                     for r in s0.ev:
-                        if rollout_policy(net, spp, policy, r) == seq:
+                        if rollout_policy(net, spp, s0, policy, r) == seq:
                             total += prob * spp.probabilities[r - 1] / start_mass
                 assert total == pytest.approx(modeled, abs=1e-12)
 
@@ -216,9 +217,9 @@ class TestSampling:
             net, spp = random_network(rng, max_links=3)
             s0 = initial_state(net, spp)
             cs = enumerate_policies(net, spp, s0)
-            if len(cs.policies) == 1:
+            if len(cs) == 1:
                 break
-        rollouts = {rollout_policy(net, spp, cs.policies[0], r) for r in s0.ev}
+        rollouts = {rollout_policy(net, spp, s0, policy_maps(cs)[0], r) for r in s0.ev}
         for seed in range(10):
             assert one_draw(cs, unit_utility, seed) in rollouts
 
@@ -255,7 +256,7 @@ class TestSweep:
             for seq in enumerate_sequences(net, spp, s0):
                 brute = sum(
                     p * sequence_prob_given_policy(seq, policy, spp)
-                    for p, policy in zip(probs, cs.policies)
+                    for p, policy in zip(probs, policy_maps(cs))
                 )
                 assert abs(sequence_likelihood(vf, seq) - brute) <= 1e-12
 
@@ -326,31 +327,3 @@ class TestWithoutPolicyEnumeration:
         for scenario in scenarios:
             ratios = pipeline_ratios(scenario)
             assert all(math.isfinite(r) for r in ratios.nonrecursive)
-
-
-def refuse_policy_objects(monkeypatch) -> None:
-    def refuse(*args, **kwargs):
-        raise AssertionError("RoutingPolicy.from_map was called")
-
-    monkeypatch.setattr(RoutingPolicy, "from_map", refuse)
-
-
-class TestWithoutPolicyObjects:
-    def test_predict_and_policy_probabilities(self, monkeypatch, tmp_path, unit_utility):
-        rng = np.random.default_rng(103)
-        texts = [bundled_network_text(), network_text(*random_network(rng, support_count=3))]
-        refuse_policy_objects(monkeypatch)
-        for k, text in enumerate(texts):
-            net, spp = load_network(text)
-            cs = enumerate_policies(net, spp, initial_state(net, spp))
-            assert policy_choice_probs(cs, unit_utility).sum() == pytest.approx(1.0, abs=1e-12)
-            path, prefix = tmp_path / f"net{k}.json", tmp_path / f"out{k}"
-            path.write_text(text)
-            assert main(["predict", str(path), "--model", "nonrecursive", "--output", str(prefix)]) == 0
-            rows = Path(f"{prefix}_policy_probs.csv").read_text().splitlines()
-            assert len(rows) == len(cs) + 1
-            assert main(["enumerate-policies", str(path), "--output", str(prefix)]) == 0
-            rows = Path(f"{prefix}_policies.csv").read_text().splitlines()
-            assert len(rows) == sum(map(len, cs.rows)) + 1
-            with pytest.raises(AssertionError, match="from_map"):
-                cs.policies

@@ -5,17 +5,15 @@ import pytest
 
 import oracle
 from netgen import random_network
-from oracle import rollout_policy
+from oracle import policy_maps, rollout_policy, row_policy
 from stdroute import (
     EventCollection,
     LinkUtilitySpec,
     PolicyExplosionError,
-    RoutingPolicy,
     State,
     StateSequence,
     ValidationError,
     bundled_network_text,
-    contains,
     enumerate_policies,
     enumerate_sequences,
     initial_state,
@@ -24,7 +22,8 @@ from stdroute import (
     policy_utilities,
     travel_time,
 )
-from stdroute.policy import _walk_tree
+from stdroute.policy import _walk_tree, sequence_table
+from stdroute.recursive import step_table
 
 V1 = State(1, 1, EventCollection((1,)))
 V2 = State(1, 1, EventCollection((2,)))
@@ -37,12 +36,17 @@ def time_and_departure(net, spp, a, state):
 UTILITIES = [LinkUtilitySpec(), LinkUtilitySpec(beta=(-1.0, -0.25), attributes=time_and_departure)]
 
 
-def policy_by_junction(cs, at_v1, at_v2):
-    """The unique policy taking the given links at the two junction states."""
-    for policy in cs.policies:
-        if policy.next_link(V1) == at_v1 and policy.next_link(V2) == at_v2:
-            return policy
+def row_by_junction(cs, at_v1, at_v2):
+    """The row of the unique policy taking the given links at the two junction states."""
+    for row, policy in zip(cs.rows, policy_maps(cs)):
+        if policy[V1] == at_v1 and policy[V2] == at_v2:
+            return row
     raise AssertionError("policy not found")
+
+
+def row_contains(graph, row, seq):
+    """Whether the sequence's state-actions are all in the row."""
+    return set(step_table(graph, [seq]).actions.tolist()) <= set(row)
 
 
 def sequence(net, spp, s0, via, link):
@@ -55,14 +59,12 @@ def sequence(net, spp, s0, via, link):
 
 class TestEnumeratePolicies:
     def test_example_has_four_policies(self, cs):
-        assert len(cs.policies) == 4
-        junction_decisions = [
-            (p.next_link(V1), p.next_link(V2)) for p in cs.policies
-        ]
+        assert len(cs.rows) == 4
+        junction_decisions = [(p[V1], p[V2]) for p in policy_maps(cs)]
         assert junction_decisions == [(2, 2), (2, 3), (3, 2), (3, 3)]
 
     def test_all_policies_start_with_the_only_departure_link(self, cs, s0):
-        assert all(p.next_link(s0) == 1 for p in cs.policies)
+        assert all(p[s0] == 1 for p in policy_maps(cs))
 
     def test_deterministic_network_policies_are_simple_paths(self):
         rng = np.random.default_rng(17)
@@ -71,9 +73,9 @@ class TestEnumeratePolicies:
             sized = initial_state(net, spp)
             cs = enumerate_policies(net, spp, sized)
             seqs = enumerate_sequences(net, spp, sized)
-            assert len(cs.policies) == len(seqs)
+            assert len(cs.rows) == len(seqs)
             policy_paths = sorted(
-                oracle.policy_outcomes(net, spp, p)[0][0].path for p in cs.policies
+                oracle.policy_outcomes(net, spp, sized, p)[0][0].path for p in policy_maps(cs)
             )
             assert policy_paths == sorted(q.path for q in seqs)
 
@@ -87,7 +89,7 @@ class TestEnumeratePolicies:
         net, spp = load_network(json.dumps(doc))
         cs = enumerate_policies(net, spp, initial_state(net, spp))
         # two choices at each of the three junction states
-        assert len(cs.policies) == 2**3
+        assert len(cs.rows) == 2**3
 
     def test_rows_match_the_merged_dicts_in_order(self):
         # each row read as a policy against the dict-merge enumeration, and walked as its tree
@@ -97,10 +99,10 @@ class TestEnumeratePolicies:
             net, spp = random_network(rng)
             s0 = initial_state(net, spp)
             cs = enumerate_policies(net, spp, s0)
-            assert cs.policies == oracle.merged_policies(net, spp, s0)
+            assert policy_maps(cs) == oracle.merged_policies(net, spp, s0)
             graph = cs.graph
-            for row, policy in zip(cs.rows, cs.policies):
-                walked = _walk_tree(graph, lambda i: graph.action(i, policy.next_link(graph.states[i])))
+            for row, policy in zip(cs.rows, policy_maps(cs)):
+                walked = _walk_tree(graph, lambda i: graph.action(i, policy[graph.states[i]]))
                 assert row == tuple(walked.values())
             policies += len(cs)
         assert policies > 900
@@ -110,15 +112,16 @@ class TestEnumeratePolicies:
             enumerate_policies(net, spp, s0, cap=3)
 
     def test_no_duplicate_decision_maps(self, cs):
-        assert len(set(cs.policies)) == len(cs.policies)
+        assert len(set(cs.rows)) == len(cs.rows)
+        assert len({frozenset(p.items()) for p in policy_maps(cs)}) == len(cs.rows)
 
-    def test_domain_closure_and_leaf_destination(self, net, spp, cs):
-        for policy in cs.policies:
+    def test_domain_closure_and_leaf_destination(self, net, spp, s0, cs):
+        for policy in policy_maps(cs):
             reached = set()
-            for seq, _ in oracle.policy_outcomes(net, spp, policy):
+            for seq, _ in oracle.policy_outcomes(net, spp, s0, policy):
                 reached.update(seq.states[:-1])
                 assert net.is_destination(seq.final_state.link)
-            assert reached == set(policy.decision_map)
+            assert reached == set(policy)
 
 
 class TestPolicyExpectedUtility:
@@ -132,8 +135,8 @@ class TestPolicyExpectedUtility:
         s0 = initial_state(net, spp)
         u = LinkUtilitySpec()
         cs = enumerate_policies(net, spp, s0)
-        for policy, value in zip(cs.policies, policy_utilities(cs, u)):
-            (seq, prob), = oracle.policy_outcomes(net, spp, policy)
+        for policy, value in zip(policy_maps(cs), policy_utilities(cs, u)):
+            (seq, prob), = oracle.policy_outcomes(net, spp, s0, policy)
             assert prob == 1.0
             total = -sum(
                 seq.states[i + 1].time - seq.states[i].time
@@ -149,72 +152,94 @@ class TestPolicyExpectedUtility:
         for _ in range(120):
             rnet, rspp = random_network(rng)
             rcs = enumerate_policies(rnet, rspp, initial_state(rnet, rspp))
-            expected = [oracle.policy_expected_utility(rnet, rspp, p, utility) for p in rcs.policies]
+            expected = [
+                oracle.policy_expected_utility(rnet, rspp, rcs.initial_state, p, utility)
+                for p in policy_maps(rcs)
+            ]
             assert policy_utilities(rcs, utility) == pytest.approx(expected, rel=1e-12, abs=0)
-            policies += len(rcs.policies)
+            policies += len(rcs)
         assert policies > 300
-
-    def test_a_missing_decision_is_named(self, s0):
-        partial = RoutingPolicy.from_map(s0, {s0: 1, V1: 2})
-        message = r"policy has no decision for state State\(1,1,\{2\}\)"
-        with pytest.raises(ValidationError, match=message):
-            partial.next_link(V2)
 
 
 class TestContains:
+    """A row contains a sequence when the sequence's state-actions are all in it."""
+
     def test_example_containment(self, net, spp, s0, cs):
         seq1 = sequence(net, spp, s0, via=1, link=2)
-        assert contains(policy_by_junction(cs, 2, 2), seq1)
-        assert contains(policy_by_junction(cs, 2, 3), seq1)
-        assert not contains(policy_by_junction(cs, 3, 2), seq1)
+        assert row_contains(cs.graph, row_by_junction(cs, 2, 2), seq1)
+        assert row_contains(cs.graph, row_by_junction(cs, 2, 3), seq1)
+        assert not row_contains(cs.graph, row_by_junction(cs, 3, 2), seq1)
 
-    def test_rollout_is_contained(self, net, spp, cs):
-        for policy in cs.policies:
-            for r in policy.initial_state.ev:
-                assert contains(policy, rollout_policy(net, spp, policy, r))
+    def test_rollout_is_contained(self, net, spp, s0, cs):
+        for row, policy in zip(cs.rows, policy_maps(cs)):
+            for r in s0.ev:
+                assert row_contains(cs.graph, row, rollout_policy(net, spp, s0, policy, r))
 
     def test_exactly_one_contained_sequence_per_scenario(self, net, spp, s0, cs):
         # fixing nature's scenario, a policy admits exactly its rollout
         all_sequences = enumerate_sequences(net, spp, s0)
-        for policy in cs.policies:
-            for r in policy.initial_state.ev:
+        for row, policy in zip(cs.rows, policy_maps(cs)):
+            for r in s0.ev:
                 matching = [
                     seq
                     for seq in all_sequences
-                    if r in seq.final_state.ev and contains(policy, seq)
+                    if r in seq.final_state.ev and row_contains(cs.graph, row, seq)
                 ]
-                assert matching == [rollout_policy(net, spp, policy, r)]
+                assert matching == [rollout_policy(net, spp, s0, policy, r)]
 
-    def test_mismatched_initial_state_rejected(self, net, spp, cs):
+    def test_mismatched_initial_state_rejected(self, cs):
         seq = StateSequence((V1, State(2, 4, EventCollection((1,)))))
-        with pytest.raises(ValidationError):
-            contains(cs.policies[0], seq)
+        with pytest.raises(ValidationError, match="sequence starts at"):
+            row_contains(cs.graph, cs.rows[0], seq)
+
+    def test_agrees_with_the_decision_dicts(self):
+        # every (row, sequence) pair of random networks against the dict-based reference
+        rng = np.random.default_rng(43)
+        pairs = contained = 0
+        for _ in range(150):
+            net, spp = random_network(rng)
+            cs = enumerate_policies(net, spp, initial_state(net, spp))
+            table = sequence_table(cs.graph)
+            ends = [*table.steps.starts.tolist()[1:], len(table.steps.actions)]
+            actions = [
+                set(table.steps.actions[lo:hi].tolist())
+                for lo, hi in zip(table.steps.starts.tolist(), ends)
+            ]
+            for row, policy in zip(cs.rows, policy_maps(cs)):
+                for seq, taken in zip(table.sequences, actions):
+                    inside = taken <= set(row)
+                    assert inside == oracle.contains(policy, seq)
+                    pairs += 1
+                    contained += inside
+        assert contained > 500 and pairs - contained > 500
 
 
 class TestOptimalPolicy:
-    def test_example_value_and_decisions(self, net, spp, s0, unit_utility):
-        policy, values = optimal_policy(net, spp, s0, unit_utility)
+    def test_example_value_and_decisions(self, net, spp, s0, cs, unit_utility):
+        row, values = optimal_policy(net, spp, s0, unit_utility)
         assert values[s0] == pytest.approx(-3.0, abs=1e-12)
         # link 3 is strictly better in scenario 1; the scenario-2 tie breaks to link 2
-        assert policy.next_link(V1) == 3
-        assert policy.next_link(V2) == 2
+        assert row_policy(values.graph, row) == {s0: 1, V1: 3, V2: 2}
+        assert row == row_by_junction(cs, 3, 2)
 
     def test_never_beaten_by_enumeration(self, unit_utility):
+        # the optimal row is a row of the choice set, and one of the best
         rng = np.random.default_rng(31)
         for _ in range(15):
             net, spp = random_network(rng)
             s0 = initial_state(net, spp)
             cs = enumerate_policies(net, spp, s0)
-            best_policy, _ = optimal_policy(net, spp, s0, unit_utility)
+            best_row, _ = optimal_policy(net, spp, s0, unit_utility)
+            assert best_row in cs.rows
             values = policy_utilities(cs, unit_utility)
-            assert (values <= values[cs.index_of(best_policy)] + 1e-12).all()
+            assert abs(values[cs.rows.index(best_row)] - values.max()) <= 1e-12
 
     def test_deterministic_network_is_shortest_path(self, unit_utility):
         rng = np.random.default_rng(37)
         for _ in range(5):
             net, spp = random_network(rng, support_count=1)
             s0 = initial_state(net, spp)
-            policy, values = optimal_policy(net, spp, s0, unit_utility)
+            _, values = optimal_policy(net, spp, s0, unit_utility)
             shortest = policy_utilities(enumerate_policies(net, spp, s0), unit_utility).max()
             assert values[s0] == pytest.approx(shortest, abs=1e-12)
 
@@ -224,11 +249,12 @@ class TestOptimalPolicy:
         from stdroute.comparison import LINK_ROUTE2, TwoRouteScenario
 
         build = build_two_route_network(TwoRouteScenario(a=2, b=2, x=1, y=1, p=0.5))
-        policy, _ = optimal_policy(
+        row, table = optimal_policy(
             build.network, build.support_points, build.initial_state, build.utility
         )
-        junctions = [s for s in policy.decision_map if s.link == 1]
-        assert junctions and all(policy.next_link(s) == LINK_ROUTE2 for s in junctions)
+        policy = row_policy(table.graph, row)
+        junctions = [s for s in policy if s.link == 1]
+        assert junctions and all(policy[s] == LINK_ROUTE2 for s in junctions)
 
 
 class TestStateSequence:

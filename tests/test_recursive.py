@@ -19,7 +19,6 @@ from stdroute import (
     enumerate_policies,
     enumerate_sequences,
     initial_state,
-    link_choice_prob,
     optimal_policy,
     path_probabilities,
     policy_utilities,
@@ -151,14 +150,14 @@ class TestValueFunctions:
 
 class TestChoiceProbabilities:
     def test_junction_scenario_one(self, vf):
-        assert link_choice_prob(vf, V1, 2) == pytest.approx(1 / (1 + math.e), abs=1e-12)
-        assert link_choice_prob(vf, V1, 3) == pytest.approx(1 / (math.exp(-1) + 1), abs=1e-12)
+        assert choice_distribution(vf, V1)[2] == pytest.approx(1 / (1 + math.e), abs=1e-12)
+        assert choice_distribution(vf, V1)[3] == pytest.approx(1 / (math.exp(-1) + 1), abs=1e-12)
 
     def test_junction_scenario_two(self, vf):
-        assert link_choice_prob(vf, V2, 2) == pytest.approx(0.5, abs=1e-12)
+        assert choice_distribution(vf, V2)[2] == pytest.approx(0.5, abs=1e-12)
 
     def test_departure_is_sure(self, vf, s0):
-        assert link_choice_prob(vf, s0, 1) == pytest.approx(1.0, abs=1e-12)
+        assert choice_distribution(vf, s0)[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_distributions_normalize(self, unit_utility):
         rng = np.random.default_rng(53)
