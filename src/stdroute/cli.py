@@ -28,7 +28,7 @@ from .comparison import (
 )
 from .errors import PolicyExplosionError, StdRouteError
 from .estimation import ObservationSet, fit
-from .network import compile_graph, initial_state, load_network_file
+from .network import compile_graph, initial_state, load_network_file, read_text_file
 from .nonrecursive import _policy_logit, policy_utilities, solve_value_functions_nr
 from .policy import enumerate_policies, sequence_table
 from .recursive import (
@@ -179,8 +179,7 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     utility = _utility_from_args(args)
     net, spp = load_network_file(args.network)
-    with open(args.observations, "r", encoding="utf-8") as fh:
-        obs = ObservationSet.from_json(fh.read(), net, spp)
+    obs = ObservationSet.from_json(read_text_file(args.observations), net, spp)
     result = fit(args.model, net, spp, obs, beta0=utility.beta, mu=utility.mu)
     print(f"model:          {result.model}")
     print(f"observations:   {len(obs)}")

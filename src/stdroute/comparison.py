@@ -144,13 +144,18 @@ def build_two_route_network(s: TwoRouteScenario) -> TwoRouteBuild:
     """The scenario as the unit-time two-route network of ``s.p``, with its route utilities.
 
     The route times enter only as utilities, so any finite scenario in
-    the domain builds. An offset too small to change its route time in
-    floating point raises ``ValidationError``: the utilities would then
-    lose it, while the closed forms keep it.
+    the domain builds unless ``a + x`` or ``b + y`` overflows (x > -a and
+    y > -b, so only to +inf), or an offset is too small to change its
+    route time in floating point: either raises ``ValidationError``.
     """
     for name, base in (("x", "a"), ("y", "b")):
         offset, time = getattr(s, name), getattr(s, base)
-        if offset and time + offset == time:
+        route_time = time + offset
+        if route_time == math.inf:
+            raise ValidationError(
+                f"the route time {base} + {name} = {time!r} + {offset!r} overflows to infinity"
+            )
+        if offset and route_time == time:
             raise ValidationError(
                 f"{name}={offset!r} vanishes in floating point: {base} + {name} equals {base}={time!r}"
             )

@@ -351,12 +351,6 @@ class StdNetwork:
             if l not in done
         }
 
-    def link(self, link_id: int) -> Link:
-        try:
-            return self._by_id[link_id]
-        except KeyError:
-            raise ValidationError(f"unknown link {link_id}") from None
-
     def outgoing(self, link_id: int) -> tuple[int, ...]:
         try:
             return self.adjacency[link_id]
@@ -433,12 +427,11 @@ class DecisionGraph:
 def decision_graph(net: StdNetwork, spp: SupportPointSet, initial: State) -> DecisionGraph:
     """The cached :func:`compile_graph` from ``initial`` as State-level mappings, in ``sort_key`` order."""
     graph = compile_graph(net, spp, initial)
-    states, probs, edge_index = graph.states, graph.edge_prob.tolist(), graph.edge_index
-    choices = {
-        states[i]: {a: tuple((states[k], probs[edge_index[i, k]]) for k in targets) for a, targets in succ}
-        for i, succ in enumerate(graph.successors)
-        if succ
-    }
+    states, probs, (edge_ptr, target) = graph.states, graph.edge_prob.tolist(), graph.edge_lists
+    choices: dict[State, dict[int, tuple[tuple[State, float], ...]]] = {}
+    for j, (i, a) in enumerate(zip(graph.action_state.tolist(), graph.action_lists[1])):
+        edges = range(edge_ptr[j], edge_ptr[j + 1])
+        choices.setdefault(states[i], {})[a] = tuple((states[target[e]], probs[e]) for e in edges)
     terminal = frozenset(s for s in states if s not in choices)
     return DecisionGraph(graph.initial, tuple(map(states.__getitem__, graph.state_order)), terminal, choices)
 
@@ -521,14 +514,9 @@ class CompiledGraph:
         return self.action_ptr.tolist(), self.action_link.tolist()
 
     @cached_property
-    def successors(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
-        """Per state, ``(link, successor state indices)`` per state-action, for scalar walks."""
-        ptr, links = self.action_lists
-        edge_ptr, targets = self.edge_ptr.tolist(), self.edge_target.tolist()
-        return tuple(
-            tuple((links[j], tuple(targets[edge_ptr[j]:edge_ptr[j + 1]])) for j in range(lo, hi))
-            for lo, hi in zip(ptr, ptr[1:])
-        )
+    def edge_lists(self) -> tuple[list[int], list[int]]:
+        """``edge_ptr`` and ``edge_target`` as lists, for scalar reads."""
+        return self.edge_ptr.tolist(), self.edge_target.tolist()
 
     @cached_property
     def log_edge_prob(self) -> np.ndarray:
@@ -728,13 +716,15 @@ def _require(condition: bool, message: str) -> None:
 
 
 def parse_json(text: str):
-    """A JSON document's value; invalid JSON is a NetworkFormatError naming its line and column."""
+    """A JSON document's value; invalid JSON is a NetworkFormatError, naming its line and column where known."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise NetworkFormatError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except (RecursionError, ValueError) as exc:
+        raise NetworkFormatError(f"invalid JSON: {exc}") from None
 
 
 def load_network(text: str) -> tuple[StdNetwork, SupportPointSet]:
@@ -843,9 +833,17 @@ def load_network(text: str) -> tuple[StdNetwork, SupportPointSet]:
     return net, spp
 
 
-def load_network_file(path) -> tuple[StdNetwork, SupportPointSet]:
+def read_text_file(path) -> str:
+    """A UTF-8 file's text; bytes that are not UTF-8 are a NetworkFormatError naming the file and offset."""
     with open(path, "r", encoding="utf-8") as fh:
-        return load_network(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:  # read whole, so the offset is from the start of the file
+            raise NetworkFormatError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
+def load_network_file(path) -> tuple[StdNetwork, SupportPointSet]:
+    return load_network(read_text_file(path))
 
 
 def bundled_network_text(name: str = "two_route.json") -> str:

@@ -116,10 +116,11 @@ def _backward_counts(graph: CompiledGraph, branch) -> list[int]:
     outgoing links, ``branch`` of the counts of the next states.
     """
     counts = [1] * len(graph.states)
-    successors = graph.successors
+    (action_ptr, _), (edge_ptr, target) = graph.action_lists, graph.edge_lists
     for i in range(len(counts) - 1, -1, -1):
-        if successors[i]:
-            counts[i] = sum(branch([counts[j] for j in targets]) for _, targets in successors[i])
+        nexts = [target[edge_ptr[j]:edge_ptr[j + 1]] for j in range(action_ptr[i], action_ptr[i + 1])]
+        if nexts:
+            counts[i] = sum(branch([counts[k] for k in targets]) for targets in nexts)
     return counts
 
 
@@ -131,33 +132,28 @@ def enumerate_policies(
 ) -> PolicyChoiceSet:
     """All distinct routing policies from an initial state, deterministically ordered.
 
-    Policies are built recursively as rows of state-actions: choose an
-    outgoing link, then append one sub-row per possible next knowledge
-    state. Links are explored in ascending id and knowledge states in
-    canonical partition order, so the result order is reproducible.
-    Raises :class:`PolicyExplosionError` when the count would exceed
-    ``cap``, before any policy is listed.
+    Policies are built as rows of state-actions in one backward pass over
+    the compiled graph: a state's row takes an outgoing link, then one row
+    of each next knowledge state. Links are taken in ascending id and
+    knowledge states in canonical partition order, so the result order is
+    reproducible. Raises :class:`PolicyExplosionError` when the count
+    would exceed ``cap``, before any policy is listed.
     """
     graph = compile_graph(net, spp, initial)
     count = _backward_counts(graph, math.prod)[0]
     if count > cap:
         raise PolicyExplosionError(f"{count} routing policies exceed the cap of {cap}")
-    action_ptr, successors = graph.action_lists[0], graph.successors
-    memo: dict[int, list[tuple[int, ...]]] = {}
-
-    def options(i: int) -> list[tuple[int, ...]]:
-        if not successors[i]:
-            return [()]
-        if i in memo:
-            return memo[i]
-        result = []
-        for k, (_, targets) in enumerate(successors[i]):
-            for combo in itertools.product(*(options(j) for j in targets)):
-                result.append((action_ptr[i] + k, *itertools.chain(*combo)))
-        memo[i] = result
-        return result
-
-    return PolicyChoiceSet(graph, tuple(options(0)))
+    rows: list[list[tuple[int, ...]]] = [[()]] * len(graph.states)
+    (action_ptr, _), (edge_ptr, target) = graph.action_lists, graph.edge_lists
+    for i in range(len(rows) - 1, -1, -1):
+        nexts = [target[edge_ptr[j]:edge_ptr[j + 1]] for j in range(action_ptr[i], action_ptr[i + 1])]
+        if nexts:
+            rows[i] = [
+                (j, *itertools.chain(*combo))
+                for j, targets in enumerate(nexts, action_ptr[i])
+                for combo in itertools.product(*(rows[k] for k in targets))
+            ]
+    return PolicyChoiceSet(graph, tuple(rows[0]))
 
 
 def _walk_tree(graph: CompiledGraph, choose) -> dict[int, int]:
@@ -277,19 +273,16 @@ def sequence_table(graph: CompiledGraph, cap: int = DEFAULT_POLICY_CAP) -> Seque
 
 def _enumerate_sequences(graph: CompiledGraph) -> SequenceTable:
     """Walk every sequence from state 0 depth first, links and next states in graph order."""
-    action_ptr, edge_ptr = graph.action_ptr.tolist(), graph.edge_ptr.tolist()
-    target = graph.edge_target.tolist()
+    (action_ptr, _), (edge_ptr, target) = graph.action_lists, graph.edge_lists
     rows: list[list[int]] = []
-
-    def walk(i: int, edges: list[int]) -> None:
+    stack = [(0, [])]  # (state, edges so far): a loop, so no recursion limit bounds a trip's length
+    while stack:
+        i, edges = stack.pop()
         if action_ptr[i] == action_ptr[i + 1]:
             rows.append(edges)
-            return
-        for j in range(action_ptr[i], action_ptr[i + 1]):
-            for e in range(edge_ptr[j], edge_ptr[j + 1]):
-                walk(target[e], edges + [e])
-
-    walk(0, [])
+        else:  # the state's edges go on last first, so that its first edge is walked first
+            out = range(edge_ptr[action_ptr[i]], edge_ptr[action_ptr[i + 1]])
+            stack.extend((target[e], edges + [e]) for e in reversed(out))
     states = graph.states
     sequences = tuple(
         StateSequence((states[0], *(states[target[e]] for e in row))) for row in rows

@@ -286,7 +286,7 @@ def sample_sequence_counts(vf: ValueFunction, n: int, seed=None) -> Mapping[Stat
     positive edge before its state's last one, with no term in n, in one
     ``rng.binomial`` call per edge offset at which a prefix draws; the
     rest of the step is a fixed number of array passes over its (prefix,
-    edge) pairs, and the memory follows the distinct prefixes and their
+    edge) pairs, and the space used follows the distinct prefixes and their
     edges. The rows of states are rebuilt from parent pointers in one
     pass back over the steps. The result is a :class:`SampledCounts`,
     which builds the sequences on the first key read.

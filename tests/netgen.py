@@ -4,7 +4,8 @@
 middle nodes, destination) with forward links only, so the destination
 is reachable from every state and every policy terminates;
 ``cyclic_network`` allows cycles and dead ends, for the expansion's
-errors. Travel times at the departure period are identical across
+errors; ``chain_network`` is one long chain of links, for walks deeper
+than Python's recursion limit. Travel times at the departure period are identical across
 scenarios, keeping the departure knowledge state unambiguous.
 ``bench_module`` imports a module of the benchmark harness, for tests
 on the benchmark's own networks.
@@ -108,6 +109,20 @@ def cyclic_network(rng: np.random.Generator, max_links: int = 7) -> tuple[StdNet
     spp = SupportPointSet(
         link_ids=tuple(range(1, len(pairs) + 1)), travel_times=times, probabilities=probs / probs.sum()
     )
+    return net, spp
+
+
+def chain_network(n: int) -> tuple[StdNetwork, SupportPointSet]:
+    """A chain of ``n`` links, link i from node i-1 to node i, each taking one period in one scenario.
+
+    It has one policy and one sequence, of ``n`` steps: a network far
+    deeper than Python's recursion limit.
+    """
+    nodes = tuple(f"n{i}" for i in range(n + 1))
+    links = (Link(0, "n0", "n0"),) + tuple(Link(i, nodes[i - 1], nodes[i]) for i in range(1, n + 1))
+    net = StdNetwork(nodes=nodes, links=links, origin_link=0, destination_link=n, horizon=1)
+    times = np.ones((1, 1, n), dtype=np.int64)
+    spp = SupportPointSet(link_ids=tuple(range(1, n + 1)), travel_times=times, probabilities=np.ones(1))
     return net, spp
 
 

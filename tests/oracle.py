@@ -465,19 +465,23 @@ def sequence_score(vf, seq):
 
 
 def enumerate_sequences(graph):
-    """Every state sequence of a compiled graph, by a depth-first walk over its successors."""
-    states, successors = graph.states, graph.successors
+    """Every state sequence of a compiled graph, by a recursive walk over the ``State``-level expansion.
+
+    Links are taken in ascending id and next states in partition order,
+    the order of the compiled graph's edges.
+    """
+    expanded = decision_graph(graph.network, graph.support_points, graph.initial)
     sequences = []
 
     def walk(prefix):
-        if not successors[prefix[-1]]:
-            sequences.append(StateSequence(tuple(states[i] for i in prefix)))
+        if prefix[-1] in expanded.terminal:
+            sequences.append(StateSequence(prefix))
             return
-        for _, targets in successors[prefix[-1]]:
-            for j in targets:
-                walk(prefix + (j,))
+        for successors in expanded.choices[prefix[-1]].values():
+            for nxt, _ in successors:
+                walk(prefix + (nxt,))
 
-    walk((0,))
+    walk((graph.initial,))
     return sequences
 
 

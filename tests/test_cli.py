@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netgen import bench_module, network_text, random_network
+from netgen import bench_module, chain_network, network_text, random_network
 import oracle
 import stdroute
 from stdroute import LinkUtilitySpec, load_network
@@ -105,6 +105,45 @@ class TestValidate:
     def test_missing_file(self, capsys):
         assert main(["validate", "nope.json"]) == 1
         assert "i/o error" in capsys.readouterr().err
+
+
+class TestUnreadableInput:
+    """A file the parser cannot read ends in one error line, not a traceback."""
+
+    def error(self, capsys, args):
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    def test_a_network_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_bytes(b"\xff\xfe")
+        message = f"error: {path} is not UTF-8 text: invalid start byte at byte 0\n"
+        assert self.error(capsys, ["validate", str(path)]) == message
+
+    def test_an_observation_file_that_is_not_utf8(self, network_file, tmp_path, capsys):
+        path = tmp_path / "obs.json"
+        path.write_bytes(b'[{"states": "\xe9"}]')
+        message = f"error: {path} is not UTF-8 text: invalid continuation byte at byte 13\n"
+        assert self.error(capsys, ["estimate", network_file, str(path)]) == message
+
+    @pytest.mark.parametrize(
+        "text", ["[" * 200_000, '{"nodes": ' + "1" * 5000 + "}"], ids=["nested", "long-integer"]
+    )
+    def test_a_document_the_parser_gives_up_on(self, tmp_path, capsys, text):
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        self.error(capsys, ["validate", str(path)])
+
+
+class TestDeepNetwork:
+    def test_every_command_runs_on_a_chain_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        path.write_text(network_text(*chain_network(2000)))
+        for command in ("validate", "enumerate-policies", "predict", "simulate", "compare"):
+            assert main([command, str(path)]) == 0, command
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestEnumeratePolicies:

@@ -352,14 +352,13 @@ class TestGraph:
         assert set(graph.states) == set(expanded.states)
         for i, state in enumerate(graph.states):
             choices = expanded.choices.get(state, {})
-            assert [a for a, _ in graph.successors[i]] == list(choices)
-            for a, targets in graph.successors[i]:
-                assert [graph.states[j] for j in targets] == [s for s, _ in choices[a]]
-            for j in range(graph.action_ptr[i], graph.action_ptr[i + 1]):
+            actions = slice(graph.action_ptr[i], graph.action_ptr[i + 1])
+            assert graph.action_link[actions].tolist() == list(choices)
+            for j in range(actions.start, actions.stop):
                 edges = slice(graph.edge_ptr[j], graph.edge_ptr[j + 1])
-                assert graph.edge_prob[edges].tolist() == [
-                    p for _, p in choices[int(graph.action_link[j])]
-                ]
+                successors = choices[int(graph.action_link[j])]
+                assert [graph.states[k] for k in graph.edge_target[edges]] == [s for s, _ in successors]
+                assert graph.edge_prob[edges].tolist() == [p for _, p in successors]
 
     def test_second_solve_reuses_the_compiled_graph(self, monkeypatch):
         net, spp = load_network(bundled_network_text())

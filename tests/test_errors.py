@@ -9,6 +9,7 @@ scale; a batch solve names its first such column.
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from stdroute import (
     enumerate_sequences,
     event_collections_at,
     extremeness_check,
+    load_network,
+    load_network_file,
     path_probabilities,
     pipeline_ratios,
     policy_choice_probs,
@@ -45,6 +48,7 @@ from stdroute import (
     solve_value_functions,
     solve_value_functions_nr,
 )
+from stdroute.network import read_text_file
 from stdroute.numerics import as_rng, check_sample_size
 from stdroute.recursive import solve_log_sum
 
@@ -257,6 +261,20 @@ class TestTwoRouteBuild:
             with pytest.raises(ValidationError, match=re.escape(message)):
                 read(s)
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (dict(a=1e308, x=1e308), "the route time a + x = 1e+308 + 1e+308 overflows to infinity"),
+            (dict(b=1e308, y=1e308), "the route time b + y = 1e+308 + 1e+308 overflows to infinity"),
+        ],
+    )
+    def test_a_route_time_that_overflows(self, values, message):
+        # unchecked, 0 * -inf on the one-hot rows would make NaN utilities, with a RuntimeWarning
+        s = TwoRouteScenario(**(dict(a=2.0, b=2.0, x=1.0, y=1.0, p=0.5) | values))
+        for read in (build_two_route_network, pipeline_ratios):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                read(s)
+
     def test_a_zero_offset_on_a_large_time_is_kept(self):
         build = build_two_route_network(TwoRouteScenario(a=1e18, b=2.0, x=0.0, y=1.0, p=0.5))
         assert build.utility.beta == (-1e18, -1e18, -2.0, -3.0)
@@ -302,6 +320,37 @@ class TestObservationDocument:
         document = json.dumps(good + [{"states": states}])
         with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
             ObservationSet.from_json(document, net, spp)
+
+
+class TestUnreadableDocument:
+    """Input the JSON parser cannot read is a NetworkFormatError, not a raw traceback."""
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"\xff\xfe", "invalid start byte at byte 0"),
+            (b'{"nodes": ["\xc3"]}', "invalid continuation byte at byte 12"),
+        ],
+    )
+    def test_bytes_that_are_not_utf8(self, tmp_path, data, message):
+        path = tmp_path / "f.json"
+        path.write_bytes(data)
+        message = f"{path} is not UTF-8 text: {message}"
+        for read in (read_text_file, load_network_file):
+            with pytest.raises(NetworkFormatError, match=f"^{re.escape(message)}$"):
+                read(path)
+
+    def test_a_document_nested_too_deep(self, net, spp):
+        for read in (load_network, lambda text: ObservationSet.from_json(text, net, spp)):
+            with pytest.raises(NetworkFormatError, match="^invalid JSON: "):
+                read("[" * 200_000)
+
+    def test_an_integer_too_long_to_convert(self):
+        # Python versions with a digit limit refuse the integer; without one the key check fails
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        message = "^invalid JSON: " if 0 < limit < 5000 else "^missing required key 'links'$"
+        with pytest.raises(NetworkFormatError, match=message):
+            load_network('{"nodes": ' + "1" * 5000 + "}")
 
 
 class TestSeeds:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
-from netgen import random_network
+from netgen import chain_network, random_network
 from oracle import policy_maps, rollout_policy, row_policy
 from stdroute import (
     EventCollection,
@@ -14,12 +14,16 @@ from stdroute import (
     StateSequence,
     ValidationError,
     bundled_network_text,
+    compile_graph,
     enumerate_policies,
     enumerate_sequences,
     initial_state,
     load_network,
     optimal_policy,
     policy_utilities,
+    sequence_likelihood,
+    solve_value_functions,
+    solve_value_functions_nr,
     travel_time,
 )
 from stdroute.policy import _walk_tree, sequence_table
@@ -255,6 +259,31 @@ class TestOptimalPolicy:
         policy = row_policy(table.graph, row)
         junctions = [s for s in policy if s.link == 1]
         assert junctions and all(policy[s] == LINK_ROUTE2 for s in junctions)
+
+
+class TestDeepNetwork:
+    """A chain far longer than Python's recursion limit: every walk of its graph is a loop."""
+
+    N = 2000
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        net, spp = chain_network(self.N)
+        return net, spp, initial_state(net, spp)
+
+    def test_the_one_policy_is_the_optimal_row(self, chain, unit_utility):
+        net, spp, s0 = chain
+        cs = enumerate_policies(net, spp, s0)
+        row, _ = optimal_policy(net, spp, s0, unit_utility)
+        assert len(cs.rows) == 1 and len(cs.rows[0]) == self.N
+        assert cs.rows == (row,)
+
+    def test_the_one_sequence_is_certain_under_both_models(self, chain, unit_utility):
+        net, spp, s0 = chain
+        (seq,) = sequence_table(compile_graph(net, spp, s0)).sequences
+        assert len(seq.states) == self.N + 1 and seq.path == tuple(range(1, self.N + 1))
+        for solve in (solve_value_functions, solve_value_functions_nr):
+            assert sequence_likelihood(solve(net, spp, unit_utility), seq) == 1.0
 
 
 class TestStateSequence:
