@@ -34,7 +34,6 @@ from .policy import enumerate_policies, sequence_table
 from .recursive import (
     sample_sequence_counts,
     sequence_likelihoods,
-    sequence_probabilities,
     solve_value_functions,
 )
 from .utility import LinkUtilitySpec
@@ -66,6 +65,13 @@ def _decisions(graph) -> tuple[list[int], list[tuple[str, ...]]]:
     states = map(graph.states.__getitem__, graph.action_state.tolist())
     text = [(str(s.link), str(s.time), ";".join(map(str, s.ev)), str(a)) for s, a in zip(states, links)]
     return order, text
+
+
+def _trips(table) -> zip:
+    """Each sequence's label (its states' labels joined by ``>``) and path text, in walk order."""
+    labels = [s.label() for s in table.graph.states]
+    paths = [_path_text(path) for path in table.paths]
+    return zip(map(">".join, table.state_rows(labels)), map(paths.__getitem__, table.path_index.tolist()))
 
 
 def _emit(args, tables: dict) -> None:
@@ -145,10 +151,10 @@ def cmd_predict(args) -> int:
             ]
             tables["policy_probs"] = (["policy", "expected_utility", "probability"], rows)
 
-    seq_rows = [
-        [str(i), seq.label(), _path_text(seq.path), *map(_fmt, probs)]
-        for i, (seq, *probs) in enumerate(zip(table.sequences, *(c.tolist() for c in columns)))
-    ]
+    seq_rows = (
+        [str(i), label, path, *map(_fmt, probs)]
+        for i, ((label, path), *probs) in enumerate(zip(_trips(table), *(c.tolist() for c in columns)))
+    )
     tables["sequences"] = (["sequence", "states", "path", *models], seq_rows)
     path_columns = [table.path_sums(c).tolist() for c in columns]
     path_rows = [
@@ -165,13 +171,12 @@ def cmd_simulate(args) -> int:
     s0 = initial_state(net, spp)
     solve = solve_value_functions if args.model == "recursive" else solve_value_functions_nr
     vf = solve(net, spp, _utility_from_args(args), initial=s0)
-    counts = sample_sequence_counts(vf, args.samples, seed=args.seed)
-    probs = sequence_probabilities(vf, cap=args.cap_policies)
-    rows = []
-    for seq in sorted(probs, key=lambda s: s.label()):
-        count = counts.get(seq, 0)
-        frequency = _fmt(count / args.samples)
-        rows.append([seq.label(), _path_text(seq.path), str(count), frequency, _fmt(probs[seq])])
+    counts = {s.label(): n for s, n in sample_sequence_counts(vf, args.samples, seed=args.seed).items()}
+    table = sequence_table(vf.graph, cap=args.cap_policies)
+    rows = [  # labels are distinct, so the rows sort by label
+        [label, path, str(counts.get(label, 0)), _fmt(counts.get(label, 0) / args.samples), _fmt(prob)]
+        for (label, path), prob in sorted(zip(_trips(table), sequence_likelihoods(vf, table.steps).tolist()))
+    ]
     _emit(args, {"frequencies": (["states", "path", "count", "frequency", "probability"], rows)})
     return 0
 
@@ -263,7 +268,8 @@ def cmd_compare(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     scale = argparse.ArgumentParser(add_help=False)
     scale.add_argument("--mu", type=float, default=1.0, help="logit scale parameter")
-    scale.add_argument("--beta", type=float, default=-1.0, help="travel-time coefficient")
+    scale.add_argument("--beta", type=float, default=-1.0, help="travel-time coefficient; write a value "
+                       "such as -1e-3 or -5. with =, as in --beta=-1e-3, or it reads as an option")
     cap = argparse.ArgumentParser(add_help=False)
     cap.add_argument("--cap-policies", type=int, default=10**6, help="enumeration explosion guard")
     output = argparse.ArgumentParser(add_help=False)

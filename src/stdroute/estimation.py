@@ -317,7 +317,7 @@ def _score(model, net, spp, obs, beta, mu, attributes, scores: bool):
     beta_arr = _coefficients(beta)
     utility = LinkUtilitySpec(beta=tuple(beta_arr), mu=mu, attributes=attributes)
     groups = obs._groups
-    terms = np.empty(len(groups.sequences))
+    terms = np.full(len(groups.sequences), np.nan)  # an empty sequence has no term: non-finite
     score_rows = np.empty((len(groups.sequences), beta_arr.size)) if scores else None
     second = np.zeros((beta_arr.size, beta_arr.size)) if scores else None
     if not all(map(math.isfinite, utility.beta)):

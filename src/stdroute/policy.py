@@ -45,10 +45,6 @@ class StateSequence:
         return self.states[-1]
 
     @property
-    def links(self) -> tuple[int, ...]:
-        return tuple(s.link for s in self.states)
-
-    @property
     def path(self) -> tuple[int, ...]:
         """Traversed links, excluding the dummy link the trip starts on."""
         return tuple(s.link for s in self.states[1:])
@@ -143,7 +139,8 @@ def enumerate_policies(
     count = _backward_counts(graph, math.prod)[0]
     if count > cap:
         raise PolicyExplosionError(f"{count} routing policies exceed the cap of {cap}")
-    rows: list[list[tuple[int, ...]]] = [[()]] * len(graph.states)
+    rows: list[list[tuple[int, ...]] | None] = [[()]] * len(graph.states)
+    unread = np.bincount(graph.edge_target, minlength=len(rows)).tolist()  # edges into each state
     (action_ptr, _), (edge_ptr, target) = graph.action_lists, graph.edge_lists
     for i in range(len(rows) - 1, -1, -1):
         nexts = [target[edge_ptr[j]:edge_ptr[j + 1]] for j in range(action_ptr[i], action_ptr[i + 1])]
@@ -153,6 +150,10 @@ def enumerate_policies(
                 for j, targets in enumerate(nexts, action_ptr[i])
                 for combo in itertools.product(*(rows[k] for k in targets))
             ]
+            for k in itertools.chain(*nexts):  # a state's rows go once its last reader has them
+                unread[k] -= 1
+                if not unread[k]:
+                    rows[k] = None
     return PolicyChoiceSet(graph, tuple(rows[0]))
 
 
@@ -236,16 +237,26 @@ def edge_steps(graph: CompiledGraph, rows: list[list[int]]) -> StepTable:
 
 
 class SequenceTable(NamedTuple):
-    """Every state sequence of a compiled graph, in walk order, with its steps and link path.
+    """Every state sequence of a compiled graph, in walk order, as rows of steps, with its link path.
 
     ``paths`` holds the distinct traversed link paths in ascending order
     and ``path_index[r]`` the position of sequence r's path among them.
     """
 
-    sequences: tuple[StateSequence, ...]
+    graph: CompiledGraph
     steps: StepTable
     paths: tuple[tuple[int, ...], ...]
     path_index: np.ndarray
+
+    @property
+    def sequences(self) -> tuple[StateSequence, ...]:
+        return tuple(map(StateSequence, self.state_rows(self.graph.states)))
+
+    def state_rows(self, per_state):
+        """Each sequence as the tuple of its states' ``per_state`` entries, initial state first."""
+        entries = np.fromiter(per_state, object)[self.graph.edge_target[self.steps.edges]].tolist()
+        bounds = [*self.steps.starts.tolist(), len(entries)]
+        return ((per_state[0], *entries[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
     def path_sums(self, per_sequence: np.ndarray) -> np.ndarray:
         """Per path, the sum of its sequences' values, added in sequence order."""
@@ -261,7 +272,7 @@ def sequence_table(graph: CompiledGraph, cap: int = DEFAULT_POLICY_CAP) -> Seque
     against the held table's count.
     """
     table = graph.held.get("sequence_table")
-    count = _backward_counts(graph, sum)[0] if table is None else len(table.sequences)
+    count = _backward_counts(graph, sum)[0] if table is None else len(table.path_index)
     if count > cap:
         raise PolicyExplosionError(f"{count} state sequences exceed the cap of {cap}")
     if table is None:
@@ -283,18 +294,13 @@ def _enumerate_sequences(graph: CompiledGraph) -> SequenceTable:
         else:  # the state's edges go on last first, so that its first edge is walked first
             out = range(edge_ptr[action_ptr[i]], edge_ptr[action_ptr[i + 1]])
             stack.extend((target[e], edges + [e]) for e in reversed(out))
-    states = graph.states
-    sequences = tuple(
-        StateSequence((states[0], *(states[target[e]] for e in row))) for row in rows
-    )
-    paths = [seq.path for seq in sequences]
+    link = graph.action_link[graph.edge_action].tolist()  # of each edge
+    paths = [tuple(map(link.__getitem__, row)) for row in rows]
     distinct = sorted(set(paths))
     position = {path: k for k, path in enumerate(distinct)}
     steps = edge_steps(graph, rows)
     path_index = np.array([position[path] for path in paths], dtype=np.intp)
-    return SequenceTable(
-        sequences=sequences, steps=steps, paths=tuple(distinct), path_index=path_index
-    )
+    return SequenceTable(graph=graph, steps=steps, paths=tuple(distinct), path_index=path_index)
 
 
 def enumerate_sequences(

@@ -30,7 +30,6 @@ from .network import (
 from .numerics import as_rng, check_sample_size, segment_bins, segment_sums
 from .policy import (
     DEFAULT_POLICY_CAP,
-    SequenceTable,
     StateSequence,
     StepTable,
     edge_steps,
@@ -246,23 +245,18 @@ def sequence_probabilities(
     vf: ValueFunction, cap: int = DEFAULT_POLICY_CAP
 ) -> dict[StateSequence, float]:
     """Likelihood of every feasible sequence from the solved initial state, in walk order."""
-    table, probs = _table_likelihoods(vf, cap)
-    return dict(zip(table.sequences, probs.tolist()))
+    vf.require_unbatched()
+    table = sequence_table(vf.graph, cap)
+    return dict(zip(table.sequences, sequence_likelihoods(vf, table.steps).tolist()))
 
 
 def path_probabilities(
     vf: ValueFunction, cap: int = DEFAULT_POLICY_CAP
 ) -> dict[tuple[int, ...], float]:
     """Sequence likelihoods summed by traversed link path, paths in ascending order."""
-    table, probs = _table_likelihoods(vf, cap)
-    return dict(zip(table.paths, table.path_sums(probs).tolist()))
-
-
-def _table_likelihoods(vf: ValueFunction, cap: int) -> tuple[SequenceTable, np.ndarray]:
-    """The solved graph's sequence table and the likelihood of each of its sequences."""
     vf.require_unbatched()
     table = sequence_table(vf.graph, cap)
-    return table, sequence_likelihoods(vf, table.steps)
+    return dict(zip(table.paths, table.path_sums(sequence_likelihoods(vf, table.steps)).tolist()))
 
 
 def sample_sequence_counts(vf: ValueFunction, n: int, seed=None) -> Mapping[StateSequence, int]:

@@ -65,6 +65,7 @@ from stdroute import (
     initial_state,
     policy_choice_probs,
     policy_utilities,
+    sample_sequence_counts,
     solve_value_functions,
     solve_value_functions_nr,
     transition_prob,
@@ -75,7 +76,6 @@ from stdroute import estimation, recursive
 from stdroute.comparison import LINK_APPROACH, LINK_ROUTE2, LINK_ROUTE3, ModelRatios, RouteRatios
 from stdroute.network import Layer
 from stdroute.numerics import as_rng, check_sample_size, softmax
-from stdroute.policy import sequence_table
 from stdroute.recursive import sequence_likelihoods, step_table, value_gradients
 
 
@@ -774,11 +774,21 @@ def policy_csv(net, spp):
     return _csv_text(["policy", "link", "time", "ev", "next_link"], rows)
 
 
+def _path_text(path):
+    return "-".join(map(str, path))
+
+
 def predict_csvs(net, spp, utility, model):
-    """``predict``'s CSV per table name, for model recursive, nonrecursive or both."""
+    """``predict``'s CSV per table name, for model recursive, nonrecursive or both.
+
+    The sequences are this module's recursive walk; each path's total
+    adds its sequences' likelihoods in sequence order, from 0.
+    """
     s0 = initial_state(net, spp)
     models = ("recursive", "nonrecursive") if model == "both" else (model,)
-    table = sequence_table(compile_graph(net, spp, s0))
+    graph = compile_graph(net, spp, s0)
+    sequences = enumerate_sequences(graph)
+    steps = step_table(graph, sequences)
     tables, columns = {}, []
     if "recursive" in models:
         vf = solve_value_functions(net, spp, utility, initial=s0)
@@ -789,20 +799,39 @@ def predict_csvs(net, spp, utility, model):
             for a, prob in recursive.choice_distribution(vf, state).items()
         ]
         tables["choices"] = _csv_text(["link", "time", "ev", "next_link", "probability"], rows)
-        columns.append(sequence_likelihoods(vf, table.steps))
+        columns.append(sequence_likelihoods(vf, steps).tolist())
     if "nonrecursive" in models:
         vf = solve_value_functions_nr(net, spp, utility, initial=s0)
-        columns.append(sequence_likelihoods(vf, table.steps))
+        columns.append(sequence_likelihoods(vf, steps).tolist())
         cs = enumerate_policies(net, spp, s0)
         utilities, probs = policy_utilities(cs, utility), policy_choice_probs(cs, utility)
         rows = [[str(i), _fmt(float(u)), _fmt(float(p))] for i, (u, p) in enumerate(zip(utilities, probs))]
         tables["policy_probs"] = _csv_text(["policy", "expected_utility", "probability"], rows)
     rows = [
-        [str(i), seq.label(), "-".join(map(str, seq.path)), *map(_fmt, probs)]
-        for i, (seq, *probs) in enumerate(zip(table.sequences, *(c.tolist() for c in columns)))
+        [str(i), seq.label(), _path_text(seq.path), *map(_fmt, probs)]
+        for i, (seq, *probs) in enumerate(zip(sequences, *columns))
     ]
     tables["sequences"] = _csv_text(["sequence", "states", "path", *models], rows)
-    totals = zip(*(table.path_sums(c).tolist() for c in columns))
-    rows = [["-".join(map(str, path)), *map(_fmt, t)] for path, t in zip(table.paths, totals)]
+    totals = {}
+    for seq, *probs in zip(sequences, *columns):
+        totals[seq.path] = [t + p for t, p in zip(totals.get(seq.path, [0.0] * len(probs)), probs)]
+    rows = [[_path_text(path), *map(_fmt, t)] for path, t in sorted(totals.items())]
     tables["paths"] = _csv_text(["path", *models], rows)
     return tables
+
+
+def simulate_csv(net, spp, utility, model, samples=10000, seed=0):
+    """``simulate``'s CSV through objects: sampled counts keyed by ``StateSequence``, rows by ``label()``.
+
+    The probabilities are :func:`sequence_probabilities`, this module's
+    step-by-step products over its recursive walk.
+    """
+    solve = solve_value_functions if model == "recursive" else solve_value_functions_nr
+    vf = solve(net, spp, utility, initial=initial_state(net, spp))
+    counts = sample_sequence_counts(vf, samples, seed=seed)
+    probs = sequence_probabilities(vf)
+    rows = []
+    for seq in sorted(probs, key=lambda s: s.label()):
+        count = counts.get(seq, 0)
+        rows.append([seq.label(), _path_text(seq.path), str(count), _fmt(count / samples), _fmt(probs[seq])])
+    return _csv_text(["states", "path", "count", "frequency", "probability"], rows)

@@ -17,7 +17,7 @@ import oracle
 import stdroute
 from stdroute import LinkUtilitySpec, load_network
 from stdroute import bundled_network_text, enumerate_policies, enumerate_sequences, initial_state
-from stdroute import StdRouteError
+from stdroute import StateSequence, StdRouteError
 from stdroute.cli import CSV_BLOCK_ROWS, _parse_grid, _write_csv, build_parser, main
 
 
@@ -59,6 +59,16 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E2", "-5."])
+    def test_a_negative_beta_in_exponent_form_is_written_with_equals(self, network_file, value, capsys):
+        assert build_parser().parse_args(["predict", network_file, f"--beta={value}"]).beta == float(value)
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["predict", network_file, "--beta", value])
+        assert exc.value.code == 2 and "expected one argument" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["predict", "--help"])
+        assert "--beta=-1e-3" in " ".join(capsys.readouterr().out.split())
 
 
 class TestValidate:
@@ -241,6 +251,10 @@ class TestAgainstTheObjectPath:
         expected = {("enumerate-policies",): {"policies": oracle.policy_csv(net, spp)}}
         for model in ("recursive", "nonrecursive", "both"):
             expected["predict", "--model", model] = oracle.predict_csvs(net, spp, LinkUtilitySpec(), model)
+        for model in MODELS:
+            expected["simulate", "--model", model] = {
+                "frequencies": oracle.simulate_csv(net, spp, LinkUtilitySpec(), model)
+            }
         for (command, *options), tables in expected.items():
             prefix = str(tmp_path / "out")
             assert main([command, str(path), *options, "--output", prefix]) == 0
@@ -249,6 +263,22 @@ class TestAgainstTheObjectPath:
             capsys.readouterr()
             assert main([command, str(path), *options]) == 0
             assert capsys.readouterr().out == "".join(f"# {n}\n{t}" for n, t in tables.items())
+
+    def test_trip_tables_build_no_sequence_per_row(self, tmp_path, monkeypatch):
+        """``predict`` builds no ``StateSequence``; ``simulate`` one per distinct sampled trip at most."""
+        path = tmp_path / "net.json"
+        path.write_text(bench_module("gen").grid_network([0], 4, 3, 3))  # 60 sequences
+        built = []
+        post_init = StateSequence.__post_init__
+        monkeypatch.setattr(StateSequence, "__post_init__", lambda seq: (built.append(seq), post_init(seq)))
+        prefix = str(tmp_path / "out")
+        assert main(["predict", str(path), "--output", prefix]) == 0
+        assert built == [] and len(read_csv(f"{prefix}_sequences.csv")) == 60
+        for model in MODELS:
+            assert main(["simulate", str(path), "--model", model, "--samples", "20", "--output", prefix]) == 0
+            sampled = [row for row in read_csv(f"{prefix}_frequencies.csv") if row["count"] != "0"]
+            assert len(built) <= len(sampled) <= 20
+            built.clear()
 
 
 GOLDEN_FREQUENCIES = {

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +279,18 @@ class TestDeepNetwork:
         assert len(cs.rows) == 1 and len(cs.rows[0]) == self.N
         assert cs.rows == (row,)
 
+    def test_enumeration_drops_rows_once_read(self, chain):
+        net, spp, s0 = chain
+        enumerate_policies(net, spp, s0)  # the graph and its list views are cached: the walk is measured
+        tracemalloc.start()
+        try:
+            enumerate_policies(net, spp, s0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # every state's row kept to the end would hold N (N + 1) / 2 state-actions, about 16 MB
+        assert peak < 2_000_000
+
     def test_the_one_sequence_is_certain_under_both_models(self, chain, unit_utility):
         net, spp, s0 = chain
         (seq,) = sequence_table(compile_graph(net, spp, s0)).sequences
@@ -308,7 +321,7 @@ class TestStateSequence:
 
     def test_path_drops_the_dummy_link(self, net, spp, s0):
         seq = sequence(net, spp, s0, via=1, link=2)
-        assert seq.links == (0, 1, 2)
+        assert tuple(s.link for s in seq.states) == (0, 1, 2)
         assert seq.path == (1, 2)
 
     def test_sequence_count_guard(self, net, spp, s0):

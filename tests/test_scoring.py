@@ -282,6 +282,13 @@ class TestErrors:
         with pytest.raises(ValidationError, match=message):
             fit(model, net, spp, ObservationSet((full[0], StateSequence(()))), beta0=[-0.5])
 
+    @pytest.mark.parametrize("model", MODELS)
+    def test_an_empty_sequence_scored_unvalidated_is_named(self, net, spp, s0, model):
+        full = enumerate_sequences(net, spp, s0)
+        for observations, i in (((StateSequence(()),), 0), ((full[0], StateSequence(())), 1)):
+            with pytest.raises(EstimationError, match=f"^observation {i} has zero or non-finite"):
+                log_likelihood(model, net, spp, ObservationSet(observations), [-1.0])
+
 
 class TestCaching:
     @pytest.mark.parametrize("model", MODELS)
