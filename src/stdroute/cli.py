@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     scale = argparse.ArgumentParser(add_help=False)
     scale.add_argument("--mu", type=float, default=1.0, help="logit scale parameter")
     scale.add_argument("--beta", type=float, default=-1.0, help="travel-time coefficient; write a value "
-                       "such as -1e-3 or -5. with =, as in --beta=-1e-3, or it reads as an option")
+                       "such as -1e-3 or -5. with =, as in --beta=-1e-3, since older Pythons read it as an option")
     cap = argparse.ArgumentParser(add_help=False)
     cap.add_argument("--cap-policies", type=int, default=10**6, help="enumeration explosion guard")
     output = argparse.ArgumentParser(add_help=False)
